@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 config failure, 2 non-convergence, 3 the mu
 hypothesis failed (singular or non-positive mu), 4 some other certificate
-failed (certify only).
+failed (certify only), 5 numerical failure (for example the rhs evaluated
+to a non-finite value, or a dense operator on the mesh would not fit in
+physical memory).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ EXIT_CONFIG = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_SINGULAR = 3
 EXIT_CERTIFICATE = 4
+EXIT_NUMERICAL = 5
 
 _NOT_EVALUABLE = "not-evaluable"
 
@@ -341,6 +344,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except HilferBvpError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

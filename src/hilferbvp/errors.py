@@ -32,6 +32,10 @@ class RhsEvaluationFailure(HilferBvpError):
     """The right-hand side raised or returned a non-finite value."""
 
 
+class MeshTooLarge(HilferBvpError):
+    """A dense operator on the requested mesh would not fit in physical memory."""
+
+
 class InvalidInterval(HilferBvpError):
     """An interval [lo, hi] is empty, reversed, or outside the positive axis."""
 

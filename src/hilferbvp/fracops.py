@@ -16,13 +16,15 @@ accept any order > 0, derivatives need order in (0, 1).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
+from typing import Optional
 
 import numpy as np
 
 from .core import GradedMesh, WeightedGridFunction, composite_order
-from .errors import InsufficientNodes, MeshMismatch, OutOfDomain
+from .errors import InsufficientNodes, MeshMismatch, MeshTooLarge, OutOfDomain
 
 PRODUCT_RECTANGLE = "product-rectangle"
 PRODUCT_TRAPEZOIDAL = "product-trapezoidal"
@@ -69,6 +71,44 @@ def q_kernel(tau: float, alpha: float) -> float:
 _FAR_FIELD = 1e-2
 _SERIES_TERMS = 8
 
+# Scratch entries per assembly block.  The block height is this budget over
+# the row length, so assembly temporaries stay O(budget) at every n.
+_BLOCK_ENTRIES = 1 << 17
+
+
+def _block_rows(n: int) -> int:
+    """Rows per assembly block of an (n+1) x (n+1) convolution matrix."""
+    return max(1, _BLOCK_ENTRIES // (n + 1))
+
+
+def _split_field(ua: np.ndarray, ub: np.ndarray):
+    """width = ua - ub, x = width/ua, and the masks of the far-field
+    (series) and near-field (power-difference) entries.  Entries with
+    ua = 0 lie in neither: their moments are zero."""
+    width = ua - ub
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = width / ua
+        far = (x < _FAR_FIELD) & (ub > 0.0)
+    near = ua > 0.0
+    near &= ~far
+    return width, x, far, near
+
+
+def _binomial_sums(p: float, x: np.ndarray, denominators):
+    """sum_k binom(p,k)(-x)^k / d(k) over k < _SERIES_TERMS, one sum per d."""
+    term = np.ones_like(x)
+    step = np.empty_like(x)
+    sums = [np.full_like(x, 1.0 / d(0)) for d in denominators]
+    for k in range(1, _SERIES_TERMS):
+        # x * -(p-k+1) is bitwise (-x) * (p-k+1): rounding is sign-symmetric.
+        np.multiply(x, -(p - k + 1.0), out=step)
+        step /= k
+        term *= step
+        for s, d in zip(sums, denominators):
+            np.divide(term, d(k), out=step)
+            s += step
+    return sums
+
 
 def _hat_moments(p: float, ua: np.ndarray, ub: np.ndarray):
     """Moments of u^p over [ub, ua] against the two hat factors:
@@ -77,48 +117,34 @@ def _hat_moments(p: float, ua: np.ndarray, ub: np.ndarray):
 
     for arrays with ua >= ub >= 0 (entries with ua = ub contribute zero).
     Far-field entries (ua - ub << ua) are evaluated by a series in
-    x = 1 - ub/ua to avoid cancellation.
+    x = 1 - ub/ua to avoid cancellation; each formula runs only on the
+    entries it serves.
     """
     p1, p2 = p + 1.0, p + 2.0
-    m0 = (ua ** p1 - ub ** p1) / p1
-    m1 = (ua ** p2 - ub ** p2) / p2
-    lo = m1 - ub * m0
-    hi = ua * m0 - m1
-    width = ua - ub
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.where(ua > 0.0, width / ua, 0.0)
-    far = (ub > 0.0) & (x < _FAR_FIELD)
-    if np.any(far):
-        xf = x[far]
-        term = np.ones_like(xf)
-        s_lo = np.full_like(xf, 0.5)       # sum binom(p,k)(-x)^k / ((k+1)(k+2))
-        s_hi = np.full_like(xf, 0.5)       # sum binom(p,k)(-x)^k / (k+2)
-        for k in range(1, _SERIES_TERMS):
-            term *= -xf * (p - k + 1.0) / k
-            s_lo += term / ((k + 1.0) * (k + 2.0))
-            s_hi += term / (k + 2.0)
-        base = ua[far] ** p * width[far] ** 2
-        lo[far] = base * s_lo
-        hi[far] = base * s_hi
+    width, x, far, near = _split_field(ua, ub)
+    lo = np.zeros(width.shape)
+    hi = np.zeros(width.shape)
+    a, b = ua[near], ub[near]
+    m0 = (a ** p1 - b ** p1) / p1
+    m1 = (a ** p2 - b ** p2) / p2
+    lo[near] = m1 - b * m0
+    hi[near] = a * m0 - m1
+    s_lo, s_hi = _binomial_sums(p, x[far], (lambda k: (k + 1.0) * (k + 2.0),
+                                            lambda k: k + 2.0))
+    base = ua[far] ** p * width[far] ** 2
+    lo[far] = base * s_lo
+    hi[far] = base * s_hi
     return lo, hi
 
 
 def _box_moment(p: float, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
     """integral of u^p over [ub, ua], series-protected in the far field."""
     p1 = p + 1.0
-    m0 = (ua ** p1 - ub ** p1) / p1
-    width = ua - ub
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.where(ua > 0.0, width / ua, 0.0)
-    far = (ub > 0.0) & (x < _FAR_FIELD)
-    if np.any(far):
-        xf = x[far]
-        term = np.ones_like(xf)
-        s = np.ones_like(xf)               # sum binom(p,k)(-x)^k / (k+1)
-        for k in range(1, _SERIES_TERMS):
-            term *= -xf * (p - k + 1.0) / k
-            s += term / (k + 1.0)
-        m0[far] = ua[far] ** p * width[far] * s
+    width, x, far, near = _split_field(ua, ub)
+    m0 = np.zeros(width.shape)
+    m0[near] = (ua[near] ** p1 - ub[near] ** p1) / p1
+    (s,) = _binomial_sums(p, x[far], (lambda k: k + 1.0,))
+    m0[far] = ua[far] ** p * width[far] * s
     return m0
 
 
@@ -127,25 +153,38 @@ def _convolution_matrix(nodes: np.ndarray, order: float, scheme: str) -> np.ndar
     integral_0^{t_i} (t_i - s)^(order-1) R[g](s) ds, R the reconstruction.
 
     Interval j contributes to row i only when t_{j+1} <= t_i; clamping the
-    kernel distances at zero erases every other entry.
+    kernel distances at zero erases every other entry.  W is filled in
+    blocks of _block_rows(n) rows, each spanning only the columns its rows
+    can reach, so on top of the 8(n+1)^2-byte result the scratch memory is
+    O(_BLOCK_ENTRIES).  The operator cache holding these results is bounded
+    by count (16 matrices), so it can still hold 2 GB at n = 4096.
     """
     t = nodes
     n = t.size - 1
     h = t[1:] - t[:-1]
-    # Distances from each output node to interval endpoints, clamped so
-    # uncovered intervals produce zero moments.  In u = t_i - s the left
-    # node's hat factor (t_{j+1} - s) becomes (u - ub), the right node's
-    # (s - t_j) becomes (ua - u).
-    ua = np.maximum(t[:, None] - t[None, :-1], 0.0)
-    ub = np.maximum(t[:, None] - t[None, 1:], 0.0)
+    p = order - 1.0
+    scale = math.gamma(order)
     w = np.zeros((n + 1, n + 1))
-    if scheme == PRODUCT_RECTANGLE:
-        w[:, :-1] += _box_moment(order - 1.0, ua, ub)
-    else:
-        lo, hi = _hat_moments(order - 1.0, ua, ub)
-        w[:, :-1] += lo / h
-        w[:, 1:] += hi / h
-    w /= math.gamma(order)
+    step = _block_rows(n)
+    for r0 in range(0, n + 1, step):
+        r1 = min(r0 + step, n + 1)
+        # Distances from each output node to the nodes, clamped so uncovered
+        # intervals produce zero moments.  In u = t_i - s the left node's hat
+        # factor (t_{j+1} - s) becomes (u - ub), the right node's (s - t_j)
+        # becomes (ua - u).
+        dist = np.maximum(t[r0:r1, None] - t[None, :r1], 0.0)
+        ua, ub = dist[:, :-1], dist[:, 1:]
+        hb = h[:r1 - 1]
+        block = w[r0:r1, :r1]
+        if scheme == PRODUCT_RECTANGLE:
+            block[:, :-1] += _box_moment(p, ua, ub)
+        else:
+            lo, hi = _hat_moments(p, ua, ub)
+            lo /= hb
+            hi /= hb
+            block[:, :-1] += lo
+            block[:, 1:] += hi
+        block /= scale
     w.setflags(write=False)
     return w
 
@@ -190,12 +229,33 @@ def _check_samples(samples, mesh: GradedMesh) -> np.ndarray:
     return g
 
 
+@cache
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where sysconf cannot tell."""
+    try:
+        size = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return size if size > 0 else None
+
+
 def rl_integral(order: float, samples, rule: QuadratureRule) -> np.ndarray:
-    """Riemann-Liouville integral I^order g at every mesh node."""
+    """Riemann-Liouville integral I^order g at every mesh node.
+
+    Raises MeshTooLarge, before anything is allocated, when the dense
+    operator (8(n+1)^2 bytes) exceeds physical memory.
+    """
     if not (math.isfinite(order) and order > 0.0):
         raise OutOfDomain(f"integral order must be > 0, got {order}")
     g = _check_samples(samples, rule.mesh)
-    w = _cached_convolution_matrix(rule.mesh.n, rule.mesh.r, float(order), rule.scheme)
+    n = rule.mesh.n
+    need, have = 8 * (n + 1) ** 2, _physical_memory()
+    if have is not None and need > have:
+        raise MeshTooLarge(
+            f"a dense operator on {n} mesh intervals needs {need / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
+    w = _cached_convolution_matrix(n, rule.mesh.r, float(order), rule.scheme)
     return w @ g
 
 

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from hilferbvp import fracops
 from hilferbvp.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
     EXIT_NOT_CONVERGED,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_SINGULAR,
     main,
@@ -97,6 +99,24 @@ class TestSolve:
     def test_missing_file_exit(self, capsys):
         assert main(["solve", "/nonexistent/x.cfg"]) == EXIT_CONFIG
 
+    def test_rhs_failure_exit_without_traceback(self, tmp_path, capsys):
+        # a = 400 drives the iterates to overflow, so f turns non-finite.
+        path, _ = write_config(tmp_path, rhs="kind = linear\na = 400\nb = 0.25")
+        assert main(["solve", str(path)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "non-finite" in err
+        assert "Traceback" not in err
+
+    def test_mesh_too_large_exit(self, tmp_path, capsys, monkeypatch):
+        # Less than the 8 * 65^2 bytes of one operator on the n = 64 mesh.
+        monkeypatch.setattr(fracops, "_physical_memory", lambda: 8 * 64 ** 2)
+        path, _ = write_config(tmp_path)
+        assert main(["solve", str(path)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "physical memory" in err
+
     def test_overrides(self, tmp_path):
         path, out = write_config(tmp_path)
         assert main(["solve", str(path), "--mesh-n", "32", "--tol", "1e-8"]) == EXIT_OK
@@ -182,6 +202,17 @@ class TestSweep:
         assert statuses[0] == "ok"
         assert statuses[1] == "singular"       # exactly at the critical value
         assert statuses[2] == "ok"             # negative mu still solvable
+
+    def test_mesh_too_large_cell_recorded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fracops, "_physical_memory", lambda: 8 * 64 ** 2)
+        path, out = write_config(tmp_path)
+        sweep = path.read_text() + (
+            "\n[sweep]\naxis1 = lambda\naxis1_start = 0.0\n"
+            "axis1_stop = 0.2\naxis1_steps = 2\n")
+        path.write_text(sweep, encoding="utf-8")
+        assert main(["sweep", str(path)]) == EXIT_OK
+        rows = read_csv(out / "sweep.csv")
+        assert [r[-1] for r in rows[1:]] == ["failed:MeshTooLarge"] * 2
 
     def test_workers_deterministic(self, tmp_path):
         path, out = write_config(tmp_path)

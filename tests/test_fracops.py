@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import smooth_profile
+from hilferbvp import fracops
 from hilferbvp.core import GradedMesh, WeightedGridFunction
-from hilferbvp.errors import InsufficientNodes, MeshMismatch, OutOfDomain
+from hilferbvp.errors import InsufficientNodes, MeshMismatch, MeshTooLarge, OutOfDomain
 from hilferbvp.fracops import (
     PRODUCT_RECTANGLE,
     PRODUCT_TRAPEZOIDAL,
@@ -340,3 +342,181 @@ class TestEndpointKernels:
         mesh = GradedMesh(16, 1.0)
         w = WeightedGridFunction(mesh, 1.0, mesh.nodes.copy())
         assert physical_integral(w) == pytest.approx(0.5, rel=1e-14)
+
+
+# Unblocked full-square assembly, kept verbatim as the reference the blocked
+# lower-triangle assembly must reproduce bit for bit.
+def _ref_hat_moments(p, ua, ub):
+    p1, p2 = p + 1.0, p + 2.0
+    m0 = (ua ** p1 - ub ** p1) / p1
+    m1 = (ua ** p2 - ub ** p2) / p2
+    lo = m1 - ub * m0
+    hi = ua * m0 - m1
+    width = ua - ub
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(ua > 0.0, width / ua, 0.0)
+    far = (ub > 0.0) & (x < 1e-2)
+    if np.any(far):
+        xf = x[far]
+        term = np.ones_like(xf)
+        s_lo = np.full_like(xf, 0.5)
+        s_hi = np.full_like(xf, 0.5)
+        for k in range(1, 8):
+            term *= -xf * (p - k + 1.0) / k
+            s_lo += term / ((k + 1.0) * (k + 2.0))
+            s_hi += term / (k + 2.0)
+        base = ua[far] ** p * width[far] ** 2
+        lo[far] = base * s_lo
+        hi[far] = base * s_hi
+    return lo, hi
+
+
+def _ref_box_moment(p, ua, ub):
+    p1 = p + 1.0
+    m0 = (ua ** p1 - ub ** p1) / p1
+    width = ua - ub
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(ua > 0.0, width / ua, 0.0)
+    far = (ub > 0.0) & (x < 1e-2)
+    if np.any(far):
+        xf = x[far]
+        term = np.ones_like(xf)
+        s = np.ones_like(xf)
+        for k in range(1, 8):
+            term *= -xf * (p - k + 1.0) / k
+            s += term / (k + 1.0)
+        m0[far] = ua[far] ** p * width[far] * s
+    return m0
+
+
+def _ref_convolution_matrix(t, order, scheme):
+    n = t.size - 1
+    h = t[1:] - t[:-1]
+    ua = np.maximum(t[:, None] - t[None, :-1], 0.0)
+    ub = np.maximum(t[:, None] - t[None, 1:], 0.0)
+    w = np.zeros((n + 1, n + 1))
+    if scheme == PRODUCT_RECTANGLE:
+        w[:, :-1] += _ref_box_moment(order - 1.0, ua, ub)
+    else:
+        lo, hi = _ref_hat_moments(order - 1.0, ua, ub)
+        w[:, :-1] += lo / h
+        w[:, 1:] += hi / h
+    w /= math.gamma(order)
+    return w
+
+
+_SMALL_BLOCK = 16
+
+
+class TestBlockedAssembly:
+    """The row-block lower-triangle assembly against the full-square one."""
+
+    @staticmethod
+    def _assert_bit_equal(n):
+        for scheme in (PRODUCT_TRAPEZOIDAL, PRODUCT_RECTANGLE):
+            for r in (1.0, 2.5, 4.0):
+                t = GradedMesh(n, r).nodes
+                for order in (0.25, 0.5, 1.0, 1.7):
+                    ours = fracops._convolution_matrix(t, order, scheme)
+                    ref = _ref_convolution_matrix(t, order, scheme)
+                    assert ours.tobytes() == ref.tobytes(), (scheme, r, order)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000])
+    def test_bit_equal_at_default_budget(self, n):
+        self._assert_bit_equal(n)
+
+    @pytest.mark.parametrize("n", [_SMALL_BLOCK - 1, _SMALL_BLOCK, _SMALL_BLOCK + 1,
+                                   2 * _SMALL_BLOCK + 3])
+    def test_bit_equal_around_block_edges(self, n, monkeypatch):
+        # Shrink the budget so that the block height at this n is
+        # _SMALL_BLOCK and the row count straddles block boundaries.
+        monkeypatch.setattr(fracops, "_BLOCK_ENTRIES", _SMALL_BLOCK * (n + 1))
+        assert fracops._block_rows(n) == _SMALL_BLOCK
+        self._assert_bit_equal(n)
+
+    def test_default_budget_splits_n_1000(self):
+        assert fracops._block_rows(1000) < 1001
+
+    def test_kernel_weights_bit_equal(self):
+        for r in (1.0, 2.5, 4.0):
+            t = GradedMesh(200, r).nodes
+            h = t[1:] - t[:-1]
+            for p in (-0.75, -0.25, 0.0, 0.7):
+                lo, hi = _ref_hat_moments(p, t[1:], t[:-1])
+                left = np.zeros(t.size)
+                left[:-1] += hi / h
+                left[1:] += lo / h
+                lo, hi = _ref_hat_moments(p, 1.0 - t[:-1], 1.0 - t[1:])
+                right = np.zeros(t.size)
+                right[:-1] += lo / h
+                right[1:] += hi / h
+                assert fracops._pl_kernel_weights(t, p, "left").tobytes() == left.tobytes()
+                assert fracops._pl_kernel_weights(t, p, "right").tobytes() == right.tobytes()
+
+    def test_assembly_peak_memory_near_output_size(self):
+        # The full-square assembly peaked near 12x the output; blocked
+        # scratch is O(_BLOCK_ENTRIES).
+        n = 2048
+        t = GradedMesh(n, 8.0 / 3.0).nodes
+        tracemalloc.start()
+        try:
+            fracops._convolution_matrix(t, 0.5, PRODUCT_TRAPEZOIDAL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * (n + 1) ** 2
+
+
+class TestOperatorCacheHooks:
+    """The cache reaches _convolution_matrix through the module global, so a
+    wrapper installed there sees every assembly (the benchmark tracer does
+    this)."""
+
+    def test_assembles_once_per_miss(self, monkeypatch):
+        calls = []
+        assemble = fracops._convolution_matrix
+
+        def counting(*args):
+            calls.append(args)
+            return assemble(*args)
+
+        monkeypatch.setattr(fracops, "_convolution_matrix", counting)
+        fracops._cached_convolution_matrix.cache_clear()
+        try:
+            rule = make_rule(24, r=1.5)
+            g = smooth_profile(rule.mesh.nodes)
+            first = rl_integral(0.4, g, rule)
+            assert len(calls) == 1
+            second = rl_integral(0.4, g, rule)
+            assert len(calls) == 1
+            assert np.array_equal(first, second)
+            info = fracops._cached_convolution_matrix.cache_info()
+            assert (info.hits, info.misses) == (1, 1)
+        finally:
+            fracops._cached_convolution_matrix.cache_clear()
+
+
+class TestMeshTooLarge:
+    def test_rejected_before_allocation(self):
+        # 8 (n+1)^2 bytes = 8 TB at n = 10^6; only O(n) arrays are built.
+        fracops._cached_convolution_matrix.cache_clear()
+        rule = make_rule(10 ** 6)
+        with pytest.raises(MeshTooLarge, match="physical memory"):
+            rl_integral(0.5, np.zeros(10 ** 6 + 1), rule)
+        assert fracops._cached_convolution_matrix.cache_info().currsize == 0
+
+    def test_threshold_is_dense_operator_size(self, monkeypatch):
+        n = 16
+        monkeypatch.setattr(fracops, "_physical_memory", lambda: 8 * (n + 1) ** 2)
+        rl_integral(0.5, np.zeros(n + 1), make_rule(n))
+        with pytest.raises(MeshTooLarge):
+            rl_integral(0.5, np.zeros(n + 2), make_rule(n + 1))
+
+    def test_check_skipped_without_sysconf(self, monkeypatch):
+        def unavailable(name):
+            raise ValueError(name)
+
+        monkeypatch.setattr(fracops.os, "sysconf", unavailable)
+        assert fracops._physical_memory.__wrapped__() is None
+        monkeypatch.setattr(fracops, "_physical_memory", lambda: None)
+        rl_integral(0.5, np.zeros(17), make_rule(16))
