@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .core import MU_TOLERANCE, DerivedConstants, HilferProblem, composite_order
+from .core import MU_TOLERANCE, DerivedConstants, HilferProblem, unguarded_constants
 from .errors import RhsEvaluationFailure, SingularProblem
 
 CERT_RHS_NONNEGATIVE = "rhs-nonnegative"
@@ -100,17 +100,16 @@ def estimate_lipschitz(problem: HilferProblem, t_grid: int, y_grid: int,
         raise ValueError(f"invalid y_range [{y_lo}, {y_hi}]")
     ts = np.arange(1, t_grid + 1) / t_grid
     ys = np.linspace(y_lo, y_hi, y_grid)
-    f = problem.rhs
-    worst = 0.0
-    for t in ts:
-        try:
-            vals = np.array([f(float(t), float(y)) for y in ys])
-        except Exception as exc:
-            raise RhsEvaluationFailure(f"f failed at t={t}: {exc}") from exc
-        if not np.all(np.isfinite(vals)):
-            raise RhsEvaluationFailure(f"f returned a non-finite value at t={t}")
-        slopes = np.abs(np.diff(vals)) / np.diff(ys)
-        worst = max(worst, float(np.max(slopes)))
+    t, y = np.meshgrid(ts, ys, indexing="ij")
+    try:
+        vals = problem.rhs_values(t, y)
+    except Exception as exc:
+        raise RhsEvaluationFailure(f"f failed on the t x y grid: {exc}") from exc
+    bad = ~np.all(np.isfinite(vals), axis=1)
+    if np.any(bad):
+        raise RhsEvaluationFailure(
+            f"f returned a non-finite value at t={ts[np.argmax(bad)]}")
+    worst = float(np.max(np.abs(np.diff(vals, axis=1)) / np.diff(ys)))
     return LipschitzEstimate(value=worst, method="sampled",
                              t_samples=t_grid, y_samples=y_grid)
 
@@ -150,28 +149,18 @@ def _nonnegativity_certificate(problem: HilferProblem, t_grid: int,
                                y_grid: int, y_max: float) -> Certificate:
     ts = np.arange(1, t_grid + 1) / t_grid
     ys = np.linspace(0.0, y_max, y_grid)
-    f = problem.rhs
-    worst = math.inf
-    where = (ts[0], ys[0])
-    finite = True
-    for t in ts:
-        for y in ys:
-            try:
-                v = f(float(t), float(y))
-            except Exception:
-                finite = False
-                v = math.nan
-            if not math.isfinite(v):
-                finite = False
-                worst = math.nan
-                where = (t, y)
-                break
-            if v < worst:
-                worst = v
-                where = (t, y)
-        if not finite:
-            break
-    holds = finite and worst >= 0.0
+    t, y = np.meshgrid(ts, ys, indexing="ij")
+    try:
+        vals = problem.rhs_values(t, y)
+    except Exception:
+        vals = np.full(t.shape, math.nan)
+    bad = ~np.isfinite(vals)
+    # First non-finite sample, else the first minimum; t is the outer index.
+    k = np.argmax(bad) if np.any(bad) else np.argmin(vals)
+    i, j = np.unravel_index(k, vals.shape)
+    worst = math.nan if bad[i, j] else float(vals[i, j])
+    where = (ts[i], ys[j])
+    holds = worst >= 0.0
     return Certificate(
         name=CERT_RHS_NONNEGATIVE,
         holds=holds,
@@ -191,25 +180,11 @@ def hypothesis_report(problem: HilferProblem, t_grid: int = 32,
     """
     y_max = problem.upper_bound if problem.upper_bound is not None else 10.0
     certs = [_nonnegativity_certificate(problem, t_grid, y_grid, y_max)]
-    gamma = composite_order(problem.alpha, problem.beta)
-    mu = 1.0 - problem.lam / math.gamma(gamma + 1.0)
-    consts = _raw_constants(problem, gamma, mu)
+    consts = unguarded_constants(problem)
     certs.append(check_mu(consts))
     certs.append(check_kernel_bound(problem.alpha))
-    if problem.lipschitz is not None and mu > MU_TOLERANCE:
+    if problem.lipschitz is not None and consts.mu > MU_TOLERANCE:
         certs.append(contraction_certificate(consts, problem.alpha,
                                              problem.lam, problem.lipschitz))
     return certs
 
-
-def _raw_constants(problem: HilferProblem, gamma: float, mu: float) -> DerivedConstants:
-    """Constants without the singularity guard, so a failing mu can still be
-    reported as a certificate instead of an exception."""
-    if mu != 0.0:
-        g_gamma = math.gamma(gamma)
-        g_gamma1 = math.gamma(gamma + 1.0)
-        lam_term = problem.lam / (mu * g_gamma * g_gamma1) + 1.0 / g_gamma
-        capital_lambda = lam_term * problem.d
-    else:
-        capital_lambda = math.inf
-    return DerivedConstants(gamma=gamma, mu=mu, capital_lambda=capital_lambda)

@@ -81,8 +81,10 @@ class HilferProblem:
     """The boundary-value problem D^(alpha,beta) y = f(t, y) on (0, 1] with
     I^(1-gamma) y(0) = lam * int_0^1 y(s) ds + d.
 
-    The rhs callback must accept (t, y) with t in (0, 1] and must be
-    re-entrant (no mutable state observable by callers).  ``lipschitz``,
+    The rhs callback f(t, y), t in (0, 1], must be re-entrant and is array
+    in, array out: given two float arrays of one shape it returns that shape
+    (a scalar result stands for a constant).  A scalar-only f is evaluated
+    point by point instead (see ``rhs_values``).  ``lipschitz``,
     ``lower_bound`` and ``upper_bound`` are optional analyst-supplied data:
     a Lipschitz constant of f in y, and global constant bounds
     lower_bound <= f <= upper_bound.
@@ -92,7 +94,7 @@ class HilferProblem:
     beta: float
     lam: float
     d: float
-    rhs: Callable[[float, float], float]
+    rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     lipschitz: Optional[float] = None
     lower_bound: Optional[float] = None
     upper_bound: Optional[float] = None
@@ -116,6 +118,24 @@ class HilferProblem:
         if lo is not None and hi is not None and lo > hi:
             raise ValueError(f"bounds must satisfy lower <= upper, got {lo} > {hi}")
 
+    def rhs_values(self, t, y) -> np.ndarray:
+        """f(t, y) on the broadcast of t and y, without warnings; the caller
+        judges non-finite values.  The one reader of ``rhs``: f is called on
+        the arrays, then point by point if that raises TypeError/ValueError
+        or returns another shape."""
+        t, y = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                   np.asarray(y, dtype=float))
+        with np.errstate(all="ignore"):
+            try:
+                values = np.asarray(self.rhs(t, y), dtype=float)
+            except (TypeError, ValueError):
+                values = None
+            if values is None or values.shape not in ((), t.shape):
+                values = np.array([self.rhs(float(a), float(b))
+                                   for a, b in zip(t.flat, y.flat)],
+                                  dtype=float).reshape(t.shape)
+        return np.full(t.shape, values) if values.ndim == 0 else values
+
 
 @dataclass(frozen=True)
 class DerivedConstants:
@@ -136,6 +156,18 @@ def composite_order(alpha: float, beta: float) -> float:
     return alpha + beta * (1.0 - alpha)
 
 
+def unguarded_constants(problem: HilferProblem) -> DerivedConstants:
+    """(gamma, mu, Lambda) without the singularity guard, so a failing mu can
+    be reported as a certificate; Lambda is inf when mu is exactly 0."""
+    gamma = composite_order(problem.alpha, problem.beta)
+    g_gamma = math.gamma(gamma)
+    g_gamma1 = math.gamma(gamma + 1.0)
+    mu = 1.0 - problem.lam / g_gamma1
+    capital_lambda = (math.inf if mu == 0.0 else
+                      (problem.lam / (mu * g_gamma * g_gamma1) + 1.0 / g_gamma) * problem.d)
+    return DerivedConstants(gamma=gamma, mu=mu, capital_lambda=capital_lambda)
+
+
 def derive_constants(problem: HilferProblem) -> DerivedConstants:
     """Compute (gamma, mu, Lambda) for a problem.
 
@@ -143,17 +175,13 @@ def derive_constants(problem: HilferProblem) -> DerivedConstants:
     the differential problem and the integral equation requires mu != 0.
     A negative mu is recorded, not fatal here; positivity analyses reject it.
     """
-    gamma = composite_order(problem.alpha, problem.beta)
-    g_gamma = math.gamma(gamma)
-    g_gamma1 = math.gamma(gamma + 1.0)
-    mu = 1.0 - problem.lam / g_gamma1
-    if abs(mu) < MU_TOLERANCE:
+    consts = unguarded_constants(problem)
+    if abs(consts.mu) < MU_TOLERANCE:
         raise SingularProblem(
-            f"mu = 1 - lam/Gamma(gamma+1) = {mu:.3e} with lam={problem.lam}, "
-            f"gamma={gamma}: the integral-equation formulation requires mu != 0"
+            f"mu = 1 - lam/Gamma(gamma+1) = {consts.mu:.3e} with lam={problem.lam}, "
+            f"gamma={consts.gamma}: the integral-equation formulation requires mu != 0"
         )
-    capital_lambda = (problem.lam / (mu * g_gamma * g_gamma1) + 1.0 / g_gamma) * problem.d
-    return DerivedConstants(gamma=gamma, mu=mu, capital_lambda=capital_lambda)
+    return consts
 
 
 def weighted_norm(w: WeightedGridFunction) -> float:

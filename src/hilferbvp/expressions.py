@@ -2,10 +2,11 @@
 
 Accepted: the variables t and y, decimal numbers, + - * / ^ (right
 associative), unary minus, parentheses, and the functions exp, sin, cos.
-The grammar is deliberately total: expressions that hit a domain error at
-evaluation time (division by zero, overflow, fractional power of a negative
-base) return nan instead of raising, so a bad rhs fails the nonnegativity
-certificate rather than crashing a run.
+Expressions are evaluated with numpy ufuncs on floats or arrays.  The grammar
+is deliberately total: a domain error gives nan element by element instead
+of raising (division by zero, overflow of ^ or exp, ^ with no real value
+such as a fractional power of a negative base, sin/cos of an infinity), so
+a bad rhs fails the nonnegativity certificate rather than crashing a run.
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
@@ -16,9 +17,10 @@ certificate rather than crashing a run.
 
 from __future__ import annotations
 
-import math
 import re
 from typing import Callable, List, Tuple
+
+import numpy as np
 
 from .errors import ExpressionError
 
@@ -29,9 +31,21 @@ _TOKEN_RE = re.compile(r"""
   | (?P<ws>\s+)
 """, re.VERBOSE)
 
-_FUNCTIONS = {"exp": math.exp, "sin": math.sin, "cos": math.cos}
+Evaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-Evaluator = Callable[[float, float], float]
+
+def _overflow_to_nan(result, *operands):
+    """nan where finite operands produced an infinity."""
+    overflow = np.isinf(result)
+    for x in operands:
+        overflow &= np.isfinite(x)
+    return np.where(overflow, np.nan, result)
+
+
+_FUNCTIONS = {"exp": lambda x: _overflow_to_nan(np.exp(x), x), "sin": np.sin, "cos": np.cos}
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply,
+           "/": lambda a, b: np.where(b == 0.0, np.nan, np.divide(a, b)),
+           "^": lambda a, b: _overflow_to_nan(np.power(a, b), a, b)}
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
@@ -139,14 +153,7 @@ class _Parser:
                 self.expect_op("(")
                 inner = self.expr()
                 self.expect_op(")")
-
-                def call(t, y, _func=func, _inner=inner):
-                    try:
-                        return _func(_inner(t, y))
-                    except (ValueError, OverflowError):
-                        return math.nan
-
-                return call
+                return lambda t, y: func(inner(t, y))
             raise ExpressionError(
                 f"unknown name {value!r} at position {pos} in rhs expression "
                 f"{self.text!r}; allowed names: t, y, exp, sin, cos"
@@ -161,32 +168,19 @@ class _Parser:
 
     @staticmethod
     def _binary(op: str, lhs: Evaluator, rhs: Evaluator) -> Evaluator:
-        if op == "+":
-            return lambda t, y: lhs(t, y) + rhs(t, y)
-        if op == "-":
-            return lambda t, y: lhs(t, y) - rhs(t, y)
-        if op == "*":
-            return lambda t, y: lhs(t, y) * rhs(t, y)
-        if op == "/":
-            def div(t, y):
-                try:
-                    return lhs(t, y) / rhs(t, y)
-                except ZeroDivisionError:
-                    return math.nan
-            return div
-
-        def power(t, y):
-            try:
-                result = lhs(t, y) ** rhs(t, y)
-            except (ValueError, OverflowError, ZeroDivisionError):
-                return math.nan
-            return result if isinstance(result, float) or isinstance(result, int) else math.nan
-
-        return power
+        func = _BINARY[op]
+        return lambda t, y: func(lhs(t, y), rhs(t, y))
 
 
 def parse_expression(text: str) -> Evaluator:
-    """Compile an rhs expression into a callable (t, y) -> float."""
+    """Compile an rhs expression into a callable (t, y) -> value, evaluated
+    elementwise on floats or arrays of one shape."""
     if not text or text.isspace():
         raise ExpressionError("empty rhs expression")
-    return _Parser(text).parse()
+    fn = _Parser(text).parse()
+
+    def evaluate(t, y):
+        with np.errstate(all="ignore"):
+            return np.asarray(fn(np.asarray(t, dtype=float), np.asarray(y, dtype=float)))[()]
+
+    return evaluate

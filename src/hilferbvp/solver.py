@@ -100,16 +100,14 @@ def _rhs_samples(problem: HilferProblem, consts: DerivedConstants,
     is O(t_1^gamma) on the graded mesh.
     """
     t = mesh.nodes
-    gm1 = consts.gamma - 1.0
     out = np.empty_like(w)
-    f = problem.rhs
-    for j in range(1, t.size):
-        value = f(float(t[j]), float(t[j] ** gm1 * w[j]))
-        if not math.isfinite(value):
-            raise RhsEvaluationFailure(
-                f"f({t[j]}, .) evaluated to a non-finite value {value}"
-            )
-        out[j] = value
+    out[1:] = problem.rhs_values(t[1:], t[1:] ** (consts.gamma - 1.0) * w[1:])
+    bad = ~np.isfinite(out[1:])
+    if np.any(bad):
+        j = int(np.argmax(bad)) + 1
+        raise RhsEvaluationFailure(
+            f"f({t[j]}, .) evaluated to a non-finite value {out[j]}"
+        )
     out[0] = out[1]
     if np.any(out < 0.0):
         j = int(np.argmin(out))
@@ -226,22 +224,21 @@ def build_control_functions(problem: HilferProblem, y_lo: float, y_hi: float,
     upper(t, x) = max f(t, y_k) over grid points y_k <= x and
     lower(t, x) = min f(t, y_k) over grid points y_k >= x; x is clamped to
     [y_lo, y_hi].  f is opaque, so the envelopes are sampled rather than
-    symbolic; ties keep the first-encountered grid point.
+    symbolic.
     """
     if not (0.0 < y_lo <= y_hi):
         raise InvalidInterval(f"need 0 < y_lo <= y_hi, got [{y_lo}, {y_hi}]")
     if not (isinstance(samples, (int, np.integer)) and samples >= 2):
         raise InvalidInterval(f"need at least 2 sample points, got {samples}")
     grid = np.linspace(y_lo, y_hi, samples)
-    f = problem.rhs
 
     def upper(t: float, x: float) -> float:
         x = min(max(x, y_lo), y_hi)
-        return max(f(t, float(yk)) for yk in grid[grid <= x])
+        return float(np.max(problem.rhs_values(t, grid[grid <= x])))
 
     def lower(t: float, x: float) -> float:
         x = min(max(x, y_lo), y_hi)
-        return min(f(t, float(yk)) for yk in grid[grid >= x])
+        return float(np.min(problem.rhs_values(t, grid[grid >= x])))
 
     return ControlFunctions(y_lo=y_lo, y_hi=y_hi, upper=upper, lower=lower)
 

@@ -57,32 +57,28 @@ def residual_check(problem: HilferProblem, consts: DerivedConstants,
     derivative = hilfer_derivative(problem.alpha, problem.beta, v, rule)
 
     mask = t >= t_cut
-    idx = np.nonzero(mask)[0]
-    residuals = np.empty(idx.size)
-    for k, i in enumerate(idx):
-        y_i = t[i] ** (gamma - 1.0) * w[i]
-        residuals[k] = abs(derivative[i] - problem.rhs(float(t[i]), float(y_i)))
-    interior = float(np.max(residuals))
+    f = problem.rhs_values(t[mask], t[mask] ** (gamma - 1.0) * w[mask])
+    interior = float(np.max(np.abs(derivative[mask] - f)))
 
     integral_y = physical_integral(solution)
     boundary = abs(math.gamma(gamma) * float(w[0])
                    - problem.lam * integral_y - problem.d)
     return ResidualReport(interior_residual=interior, boundary_residual=boundary,
-                          t_cut=t_cut, node_count=int(idx.size))
+                          t_cut=t_cut, node_count=int(np.count_nonzero(mask)))
 
 
 def _detect_constant(problem: HilferProblem) -> float:
-    f = problem.rhs
-    c = f(1.0, 1.0)
-    scale = max(1.0, abs(c))
-    for t in _PROBE_T:
-        for y in _PROBE_Y:
-            if abs(f(t, y) - c) > _CONST_RTOL * scale:
-                raise NotConstantRhs(
-                    f"f({t}, {y}) = {f(t, y)} differs from f(1, 1) = {c}; "
-                    "the constant-rhs oracle needs f identically constant"
-                )
-    return float(c)
+    c = float(problem.rhs_values(1.0, 1.0))
+    t, y = np.meshgrid(_PROBE_T, _PROBE_Y, indexing="ij")
+    values = problem.rhs_values(t, y)
+    off = np.abs(values - c) > _CONST_RTOL * max(1.0, abs(c))
+    if np.any(off):
+        i, j = np.argwhere(off)[0]
+        raise NotConstantRhs(
+            f"f({_PROBE_T[i]}, {_PROBE_Y[j]}) = {values[i, j]} differs from "
+            f"f(1, 1) = {c}; the constant-rhs oracle needs f identically constant"
+        )
+    return c
 
 
 def constant_rhs_oracle(problem: HilferProblem, consts: DerivedConstants,

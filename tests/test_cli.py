@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hilferbvp import fracops
+from hilferbvp import config, fracops
 from hilferbvp.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -116,6 +116,28 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "physical memory" in err
+
+    def test_solver_evaluates_the_built_rhs(self, tmp_path, monkeypatch):
+        # The benchmark's tracer counts rhs calls by wrapping RhsSpec.build;
+        # the callable it returns must be what the solver evaluates.
+        calls = []
+        build = config.RhsSpec.build
+
+        def counting_build(spec):
+            f = build(spec)
+
+            def rhs(t, y):
+                calls.append(np.shape(t))
+                return f(t, y)
+            return rhs
+
+        monkeypatch.setattr(config.RhsSpec, "build", counting_build)
+        path, out = write_config(tmp_path, rhs="kind = linear\na = 0.25\nb = 0.25")
+        assert main(["solve", str(path)]) == EXIT_OK
+        report = (out / "report.txt").read_text()
+        iterations = int(report.split("iterations = ")[1].split()[0])
+        assert 1 <= len(calls) <= iterations + 5
+        assert (64,) in calls            # one call over the 64 nodes with t > 0
 
     def test_overrides(self, tmp_path):
         path, out = write_config(tmp_path)

@@ -14,7 +14,12 @@ from hilferbvp.core import (
     to_physical,
     weighted_norm,
 )
-from hilferbvp.errors import OutOfDomain, SingularProblem
+from hilferbvp.analysis import CERT_RHS_NONNEGATIVE, estimate_lipschitz, hypothesis_report
+from hilferbvp.config import RhsSpec
+from hilferbvp.errors import OutOfDomain, RhsEvaluationFailure, SingularProblem
+from hilferbvp.fracops import QuadratureRule
+from hilferbvp.solver import _rhs_samples
+from hilferbvp.verify import residual_check
 
 # Reference values computed with mpmath.gamma at 30 digits.
 GAMMA_075 = 1.2254167024651776451
@@ -204,3 +209,75 @@ class TestToPhysical:
         assert np.all(np.isfinite(y))
         w1 = WeightedGridFunction(mesh, 1.0, np.full(9, 2.0))
         assert physical_values(w1)[0] == 2.0
+
+
+class CountingRhs:
+    """Wraps an rhs and counts how often it is called."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __call__(self, t, y):
+        self.calls += 1
+        return self.f(t, y)
+
+
+class TestRhsValues:
+    @pytest.mark.parametrize("spec", [
+        RhsSpec("constant", c=1.5),
+        RhsSpec("linear", a=0.25, b=0.25),
+        RhsSpec("power", sigma=1.5),
+        RhsSpec("logistic", scale=0.5),
+        RhsSpec("expression", expr="exp(-t)*y/(1+y) + 0.5"),
+    ], ids=lambda spec: spec.kind)
+    def test_cli_rhs_is_one_array_call_per_grid(self, spec):
+        f = CountingRhs(spec.build())
+        p = HilferProblem(alpha=0.5, beta=0.5, lam=0.2, d=1.0, rhs=f)
+        consts = derive_constants(p)
+        rule = QuadratureRule(GradedMesh.graded_for(32, consts.gamma))
+        w = WeightedGridFunction(rule.mesh, consts.gamma,
+                                 np.linspace(1.0, 2.0, 33))
+        samples = _rhs_samples(p, consts, w.values, rule.mesh)
+        assert f.calls == 1
+        t = rule.mesh.nodes
+        y = t[1:] ** (consts.gamma - 1.0) * w.values[1:]
+        expected = [f.f(float(a), float(b)) for a, b in zip(t[1:], y)]
+        np.testing.assert_allclose(samples[1:], expected, rtol=1e-14)
+        f.calls = 0
+        residual_check(p, consts, w, rule)
+        assert f.calls == 1
+
+    def test_scalar_only_callable_falls_back_bit_for_bit(self):
+        def f(t, y):
+            return math.sin(t) + min(y, 2.0)
+        counted = CountingRhs(f)
+        p = HilferProblem(alpha=0.5, beta=0.5, lam=0.0, d=1.0, rhs=counted)
+        t, y = np.meshgrid(np.linspace(0.1, 1.0, 5), np.linspace(0.0, 3.0, 7),
+                           indexing="ij")
+        values = p.rhs_values(t, y)
+        expected = np.array([[f(float(a), float(b)) for a, b in zip(ta, ya)]
+                             for ta, ya in zip(t, y)])
+        assert values.shape == (5, 7)
+        assert np.array_equal(values, expected)
+        assert counted.calls == 1 + t.size      # one failed array call, then per point
+
+    def test_scalar_result_broadcasts(self):
+        f = CountingRhs(lambda t, y: 2.5)
+        p = HilferProblem(alpha=0.5, beta=0.5, lam=0.0, d=1.0, rhs=f)
+        values = p.rhs_values(np.linspace(0.1, 1.0, 4)[:, None], np.zeros(3))
+        assert values.shape == (4, 3)
+        assert np.all(values == 2.5)
+        assert f.calls == 1
+        assert p.rhs_values(0.5, 1.0).shape == ()
+
+    def test_raising_callable_fails_lipschitz_and_nonnegativity(self):
+        def boom(t, y):
+            raise RuntimeError("boom")
+        p = HilferProblem(alpha=0.5, beta=0.5, lam=0.0, d=1.0, rhs=boom)
+        with pytest.raises(RhsEvaluationFailure):
+            estimate_lipschitz(p, 4, 4, (0.0, 1.0))
+        cert = hypothesis_report(p)[0]
+        assert cert.name == CERT_RHS_NONNEGATIVE
+        assert not cert.holds
+        assert math.isnan(cert.value)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hilferbvp.errors import ExpressionError
@@ -59,3 +60,22 @@ class TestTotality:
     def test_nan_propagates_quietly(self):
         fn = parse_expression("1/t + y")
         assert math.isnan(fn(0.0, 1.0))
+
+    @pytest.mark.parametrize("text,t,y,bad", [
+        ("1/t", [0.0, 0.5, -0.0, 2.0], 0.0, [True, False, True, False]),
+        ("(t - 1)^0.5", [0.5, 1.0, 2.0, -3.0], 0.0, [True, False, False, True]),
+        ("exp(y)", 0.0, [1e9, 0.0, 1.5, 710.0, -1e9], [True, False, False, True, False]),
+        ("10^y", 0.0, [1e9, 2.0, 308.0, 309.0, -1e9], [True, False, False, True, False]),
+        ("1/t + y", [0.0, 0.5, 0.0, 0.25], [1.0, 1.0, -2.0, 3.0],
+         [True, False, True, False]),
+        ("sin(y) + cos(y)", 0.0, [math.inf, 0.5, -math.inf], [True, False, True]),
+    ])
+    def test_arrays_nan_exactly_at_bad_entries(self, text, t, y, bad):
+        fn = parse_expression(text)
+        t, y = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(y, dtype=float))
+        values = fn(t, y)
+        scalar = np.array([fn(float(a), float(b)) for a, b in zip(t, y)])
+        assert np.array_equal(np.isnan(values), bad)
+        assert np.array_equal(np.isnan(scalar), bad)
+        good = ~np.array(bad)
+        np.testing.assert_allclose(values[good], scalar[good], rtol=1e-15)
