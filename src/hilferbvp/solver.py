@@ -40,6 +40,12 @@ from .fracops import QuadratureRule, boundary_kernel_weights, rl_integral
 INITIAL_GUESS_CONSTANT_LAMBDA = "constant-lambda"
 INITIAL_GUESS_BRACKET_MIDPOINT = "bracket-midpoint"
 
+# Number of past residual differences an Anderson step combines.
+ANDERSON_DEPTH = 5
+# Relative cutoff on the singular values of the column-scaled Gram matrix of
+# those differences; directions below it are left out of the mixing step.
+_ANDERSON_RCOND = 1e-10
+
 
 @dataclass(frozen=True)
 class PicardSettings:
@@ -173,27 +179,92 @@ def initial_iterate(problem: HilferProblem, consts: DerivedConstants,
     return WeightedGridFunction(mesh, consts.gamma, np.asarray(guess, dtype=float))
 
 
+class _AndersonHistory:
+    """Ring buffers of the last ANDERSON_DEPTH differences of the residuals
+    f = Delta(x) - x and of the images Delta(x), with the Gram matrix of the
+    residual differences kept up to date, so that one mixing step costs
+    O(n * ANDERSON_DEPTH).
+
+    Inner products go through numpy's own loops (``einsum``), not BLAS, so
+    the mixing step adds no dependence on the BLAS thread count.
+    """
+
+    def __init__(self, size: int):
+        self.d_f = np.zeros((ANDERSON_DEPTH, size))
+        self.d_g = np.zeros((ANDERSON_DEPTH, size))
+        self.gram = np.zeros((ANDERSON_DEPTH, ANDERSON_DEPTH))
+        self.pushed = 0
+        self.last = None
+
+    def mix(self, f: np.ndarray, g: np.ndarray):
+        """Record (f_k, g_k) and return the Anderson iterate
+        g_k - dG gamma with gamma = argmin ||f_k - dF gamma||_2, or None on
+        the first call, when no difference is known yet, and when the
+        differences overflow."""
+        last, self.last = self.last, (f, g)
+        if last is None:
+            return None
+        slot = self.pushed % ANDERSON_DEPTH
+        np.subtract(f, last[0], out=self.d_f[slot])
+        np.subtract(g, last[1], out=self.d_g[slot])
+        self.pushed += 1
+        used = min(self.pushed, ANDERSON_DEPTH)
+        d_f = self.d_f[:used]
+        with np.errstate(over="ignore", invalid="ignore"):
+            column = np.einsum("ij,j->i", d_f, d_f[slot])
+            self.gram[slot, :used] = column
+            self.gram[:used, slot] = column
+            rhs = np.einsum("ij,j->i", d_f, f)
+        gram = self.gram[:used, :used]
+        if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
+            return None
+        # Scale the columns to unit length so that the cutoff on singular
+        # values measures near collinearity, not the size of a difference.
+        scale = np.sqrt(np.diag(gram))
+        scale[scale == 0.0] = 1.0
+        coef = np.linalg.lstsq(gram / np.outer(scale, scale), rhs / scale,
+                               rcond=_ANDERSON_RCOND)[0] / scale
+        return g - np.einsum("i,ij->j", coef, self.d_g[:used])
+
+
 def solve_picard(problem: HilferProblem, consts: DerivedConstants,
                  settings: PicardSettings, rule: QuadratureRule) -> SolveResult:
-    """Iterate the operator until successive iterates differ by at most
-    ``settings.tol`` in the weighted sup norm.
+    """Find the fixed point of the operator by Anderson-accelerated Picard
+    iteration, stopping once ||Delta(x_k) - x_k|| <= ``settings.tol`` in the
+    weighted sup norm.
+
+    Each iteration applies the operator once, to x_k.  The first two
+    iterations are plain Picard steps; from then on the next iterate mixes
+    the last ANDERSON_DEPTH + 1 residuals and images (Anderson type II,
+    Walker & Ni 2011).  A mixed iterate is accepted only when it is finite
+    and nonnegative at every node, i.e. lies in the positive cone the
+    operator preserves; otherwise the plain step x_{k+1} = Delta(x_k) is
+    taken.  ``history[k]`` is ||Delta(x_k) - x_k||, which on a plain step is
+    the difference of successive iterates, ``iterations`` counts operator
+    applications, and the returned solution is the last image Delta(x_k).
 
     Non-convergence is reported through the ``converged`` flag; the final
-    iterate and the history of successive differences are always returned
-    for diagnosis.
+    image and the history are always returned for diagnosis.
     """
-    w = initial_iterate(problem, consts, settings, rule.mesh)
+    mesh = rule.mesh
+    x = initial_iterate(problem, consts, settings, mesh)
+    mixer = _AndersonHistory(mesh.n + 1)
     history: List[float] = []
     converged = False
     for _ in range(settings.max_iter):
-        w_next = apply_delta(problem, consts, w, rule)
-        diff = float(np.max(np.abs(w_next.values - w.values)))
-        history.append(diff)
-        w = w_next
-        if diff <= settings.tol:
+        image = apply_delta(problem, consts, x, rule)
+        residual = image.values - x.values
+        step = float(np.max(np.abs(residual)))
+        history.append(step)
+        if step <= settings.tol:
             converged = True
             break
-    return SolveResult(solution=w, iterations=len(history),
+        mixed = mixer.mix(residual, image.values)
+        if mixed is not None and np.all(np.isfinite(mixed) & (mixed >= 0.0)):
+            x = WeightedGridFunction(mesh, consts.gamma, mixed)
+        else:
+            x = image
+    return SolveResult(solution=image, iterations=len(history),
                        history=history, converged=converged)
 
 

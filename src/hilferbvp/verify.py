@@ -69,9 +69,14 @@ def residual_check(problem: HilferProblem, consts: DerivedConstants,
 
 def _detect_constant(problem: HilferProblem) -> float:
     c = float(problem.rhs_values(1.0, 1.0))
+    if not math.isfinite(c):
+        raise NotConstantRhs(
+            f"f(1, 1) = {c} is not finite; the constant-rhs oracle needs f "
+            "identically equal to a finite constant"
+        )
     t, y = np.meshgrid(_PROBE_T, _PROBE_Y, indexing="ij")
     values = problem.rhs_values(t, y)
-    off = np.abs(values - c) > _CONST_RTOL * max(1.0, abs(c))
+    off = ~(np.abs(values - c) <= _CONST_RTOL * max(1.0, abs(c)))
     if np.any(off):
         i, j = np.argwhere(off)[0]
         raise NotConstantRhs(

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hilferbvp import config, fracops
+from hilferbvp import config, fracops, solver
 from hilferbvp.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -138,6 +138,28 @@ class TestSolve:
         iterations = int(report.split("iterations = ")[1].split()[0])
         assert 1 <= len(calls) <= iterations + 5
         assert (64,) in calls            # one call over the 64 nodes with t > 0
+
+    def test_solver_hooks_see_every_operator_application(self, tmp_path, monkeypatch):
+        # The benchmark's tracer times solve_picard and apply_delta by
+        # replacing them in the solver module; every application must go
+        # through that name, once per reported iteration.
+        counts = {"solve_picard": 0, "apply_delta": 0}
+
+        def counting(name):
+            fn = getattr(solver, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(solver, name, counting(name))
+        path, out = write_config(tmp_path, rhs="kind = linear\na = 0.25\nb = 0.25")
+        assert main(["solve", str(path)]) == EXIT_OK
+        report = (out / "report.txt").read_text()
+        iterations = int(report.split("iterations = ")[1].split()[0])
+        assert counts == {"solve_picard": 1, "apply_delta": iterations}
 
     def test_overrides(self, tmp_path):
         path, out = write_config(tmp_path)

@@ -173,6 +173,84 @@ class TestSolvePicard:
         assert res.iterations == 1
 
 
+def plain_picard(problem, consts, rule, tol=1e-10, max_iter=1000):
+    """The unaccelerated iteration w <- Delta(w) from the constant-Lambda
+    start, with the successive differences it took."""
+    w = constant_lambda_start(consts, rule.mesh)
+    history = []
+    for _ in range(max_iter):
+        w_next = apply_delta(problem, consts, w, rule)
+        history.append(float(np.max(np.abs(w_next.values - w.values))))
+        w = w_next
+        if history[-1] <= tol:
+            break
+    return w, history
+
+
+class TestPlainPicardReference:
+    def test_contraction_rate_and_same_fixed_point(self):
+        # Criterion 5's problem: the certified q bounds the late ratio of the
+        # plain iteration, whatever acceleration solve_picard applies.
+        q = 0.42385655067671243746
+        p = problem_with(lambda t, y: (y + 1.0) / 4.0, lam=0.2, d=1.0,
+                         lipschitz=0.25)
+        consts, rule = setup(p, n=256)
+        w, history = plain_picard(p, consts, rule)
+        assert history[-1] <= 1e-10
+        ratios = [b / a for a, b in zip(history, history[1:]) if a > 1e-8]
+        assert ratios, "iteration ended before any usable ratio"
+        assert max(ratios[-3:]) <= q + 0.05
+        res = solve_picard(p, consts, PicardSettings(), rule)
+        assert res.converged
+        assert np.max(np.abs(res.solution.values - w.values)) <= 1e-9
+
+
+class TestAnderson:
+    @pytest.mark.parametrize("a", [0.8, 1.0])
+    def test_beyond_contraction_bound(self, a):
+        # Certified q = 1.695 a (1.36 and 1.70), so Banach does not apply;
+        # plain Picard still converges here, in 60 and 128 iterations.
+        p = problem_with(lambda t, y: a * y + 0.25, lam=0.2, d=1.0)
+        consts, rule = setup(p, n=256)
+        res = solve_picard(p, consts, PicardSettings(), rule)
+        assert res.converged
+        assert res.iterations <= 30
+        w, history = plain_picard(p, consts, rule, tol=1e-12)
+        assert history[-1] <= 1e-12
+        assert np.max(np.abs(res.solution.values - w.values)) <= 1e-8
+
+    def test_first_two_steps_are_plain(self):
+        p = problem_with(lambda t, y: (y + 1.0) / 4.0, lam=0.2, d=1.0)
+        consts, rule = setup(p, n=64)
+        res = solve_picard(p, consts, PicardSettings(), rule)
+        _, history = plain_picard(p, consts, rule, max_iter=2)
+        assert res.history[:2] == history
+
+    def test_iterates_stay_in_the_cone(self):
+        # Unguarded, a mixed iterate on this problem is negative near the
+        # origin, and sqrt would turn it into nan.
+        seen = []
+
+        def f(t, y):
+            seen.append(float(np.min(y)))
+            return np.sqrt(y)
+
+        p = problem_with(f, lam=0.3, d=0.01)
+        consts, rule = setup(p, n=128)
+        res = solve_picard(p, consts, PicardSettings(), rule)
+        assert res.converged
+        assert len(seen) == res.iterations
+        assert min(seen) >= 0.0
+
+    def test_deterministic(self):
+        p = problem_with(lambda t, y: 0.8 * y + 0.3 + 0.1 * np.sin(y), lam=0.3)
+        consts, rule = setup(p, n=256)
+        first = solve_picard(p, consts, PicardSettings(), rule)
+        second = solve_picard(p, consts, PicardSettings(), rule)
+        assert first.solution.values.tobytes() == second.solution.values.tobytes()
+        assert first.history == second.history
+
+
 class TestBoundaryIdentity:
     @pytest.mark.parametrize("lam", [0.0, 0.2, 0.6])
     def test_gap_within_ten_tolerances(self, lam):

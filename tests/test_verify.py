@@ -69,6 +69,17 @@ class TestConstantRhsOracle:
         with pytest.raises(NotConstantRhs):
             constant_rhs_oracle(p, consts, mesh)
 
+    @pytest.mark.parametrize("where", [(0.5, 5.0), (1.0, 1.0)])
+    def test_rejects_nan(self, where):
+        # nan at a probe point, and at the reference point f(1, 1)
+        def f(t, y):
+            return np.where((t == where[0]) & (y == where[1]), math.nan, 1.0)
+
+        p = problem_with(f)
+        consts, mesh, _ = setup(p)
+        with pytest.raises(NotConstantRhs):
+            constant_rhs_oracle(p, consts, mesh)
+
 
 class TestPowerRhsOracle:
     def test_sigma_one_reduces_to_constant(self):
