@@ -148,6 +148,35 @@ def _box_moment(p: float, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
     return m0
 
 
+def _fill_block(block: np.ndarray, t: np.ndarray, r0: int, c0: int, order: float,
+                scheme: str) -> None:
+    """Fill the zero block `block` with the rows r0.. and columns c0.. of the
+    convolution matrix of _convolution_matrix.  The row count is
+    block.shape[0], the last column that of the last row.
+
+    The columns hold the nodes c0..r1-1 and the intervals c0..r1-2 between
+    them; an interval ending before c0 contributes nothing, so column c0
+    carries only its own interval's hat moment when c0 > 0."""
+    r1 = r0 + block.shape[0]
+    p = order - 1.0
+    # Distances from each output node to the nodes, clamped so uncovered
+    # intervals produce zero moments.  In u = t_i - s the left node's hat
+    # factor (t_{j+1} - s) becomes (u - ub), the right node's (s - t_j)
+    # becomes (ua - u).
+    dist = np.maximum(t[r0:r1, None] - t[None, c0:r1], 0.0)
+    ua, ub = dist[:, :-1], dist[:, 1:]
+    if scheme == PRODUCT_RECTANGLE:
+        block[:, :-1] += _box_moment(p, ua, ub)
+    else:
+        hb = t[c0 + 1:r1] - t[c0:r1 - 1]
+        lo, hi = _hat_moments(p, ua, ub)
+        lo /= hb
+        hi /= hb
+        block[:, :-1] += lo
+        block[:, 1:] += hi
+    block /= math.gamma(order)
+
+
 def _convolution_matrix(nodes: np.ndarray, order: float, scheme: str) -> np.ndarray:
     """Lower-triangular W with (W g)_i = (1/Gamma(order)) *
     integral_0^{t_i} (t_i - s)^(order-1) R[g](s) ds, R the reconstruction.
@@ -156,37 +185,228 @@ def _convolution_matrix(nodes: np.ndarray, order: float, scheme: str) -> np.ndar
     kernel distances at zero erases every other entry.  W is filled in
     blocks of _block_rows(n) rows, each spanning only the columns its rows
     can reach, so on top of the 8(n+1)^2-byte result the scratch memory is
-    O(_BLOCK_ENTRIES).  The operator cache holding these results is bounded
-    by count (16 matrices), so it can still hold 2 GB at n = 4096.
+    O(_BLOCK_ENTRIES).  rl_integral builds W only below the SOE crossover
+    or where the SOE operator does not apply (see _uses_soe).
     """
-    t = nodes
-    n = t.size - 1
-    h = t[1:] - t[:-1]
-    p = order - 1.0
-    scale = math.gamma(order)
+    n = nodes.size - 1
     w = np.zeros((n + 1, n + 1))
     step = _block_rows(n)
     for r0 in range(0, n + 1, step):
         r1 = min(r0 + step, n + 1)
-        # Distances from each output node to the nodes, clamped so uncovered
-        # intervals produce zero moments.  In u = t_i - s the left node's hat
-        # factor (t_{j+1} - s) becomes (u - ub), the right node's (s - t_j)
-        # becomes (ua - u).
-        dist = np.maximum(t[r0:r1, None] - t[None, :r1], 0.0)
-        ua, ub = dist[:, :-1], dist[:, 1:]
-        hb = h[:r1 - 1]
-        block = w[r0:r1, :r1]
-        if scheme == PRODUCT_RECTANGLE:
-            block[:, :-1] += _box_moment(p, ua, ub)
-        else:
-            lo, hi = _hat_moments(p, ua, ub)
-            lo /= hb
-            hi /= hb
-            block[:, :-1] += lo
-            block[:, 1:] += hi
-        block /= scale
+        _fill_block(w[r0:r1, :r1], nodes, r0, 0, order, scheme)
     w.setflags(write=False)
     return w
+
+
+# --- Sum-of-exponentials (SOE) history -----------------------------------------
+#
+# For the product-trapezoidal scheme at an order in (0, 1), the nodes are
+# split into row blocks of _SOE_BLOCK.  A node's near field (its own block and
+# the interval just before it) keeps the exact hat moments of
+# _convolution_matrix.  Its far history, at distances u in [delta, 1], sees
+# the kernel u^p through u^p ~ sum_k w_k exp(-x_k u), so the history
+# integrals of all nodes of a block share K exponential modes, advanced once
+# per block (Jiang, Zhang, Zhang & Zhang, Commun. Comput. Phys. 21, 2017).
+# Building and applying the operator cost O(n (B + K)), against the dense
+# matrix's O(n^2).
+
+_SOE_BLOCK = 64
+# rl_integral uses the SOE operator from this many intervals on.  Its build
+# and its apply both beat the dense ones from about n = 640 (README,
+# "Numerics"); meshes of up to 1024 intervals, those of the acceptance suite
+# and of the benchmark's lambda sweep among them, keep the dense results
+# bit for bit.
+_SOE_MIN_N = 1025
+# The SOE quadrature (_soe_nodes): its step in ln x, the x below which its
+# nodes merge into one at x = 0, the reach of the kept nodes (x up to at
+# least _SOE_DECAY/delta; the first dropped node adds below 1e-16 relative
+# at u >= delta), and the Gauss nodes replacing those with x <= 1.
+# Together: relative error below 5e-15 on [delta, 1] for every order in
+# (0, 1).
+_SOE_STEP = 0.27
+_SOE_TINY = 1e-17
+_SOE_DECAY = 30.0
+_SOE_GAUSS_NODES = 10
+# Below this x*h the exponential hat moments switch from expm1 to a series.
+_EXP_SERIES_Z = 1.0
+_EXP_SERIES_TERMS = 18
+
+
+def _uses_soe(n: int, order: float, scheme: str) -> bool:
+    """Whether rl_integral applies the SOE operator instead of the dense W."""
+    return scheme == PRODUCT_TRAPEZOIDAL and 0.0 < order < 1.0 and n >= _SOE_MIN_N
+
+
+def _gauss_rule(x: np.ndarray, w: np.ndarray, m: int):
+    """m-point Gauss rule of the discrete measure sum_k w_k delta(x - x_k),
+    by Lanczos on diag(x) (fully reorthogonalised) and Golub-Welsch."""
+    mass = float(np.sum(w))
+    basis = np.zeros((m, x.size))
+    basis[0] = np.sqrt(w / mass)
+    diag, off = np.zeros(m), np.zeros(m - 1)
+    for j in range(m):
+        v = x * basis[j]
+        diag[j] = np.einsum("i,i->", v, basis[j])
+        for _ in range(2):
+            v -= np.einsum("ji,j->i", basis[:j + 1],
+                           np.einsum("ji,i->j", basis[:j + 1], v))
+        if j + 1 < m:
+            off[j] = math.sqrt(np.einsum("i,i->", v, v))
+            basis[j + 1] = v / off[j]
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, mass * vectors[0] ** 2
+
+
+def _soe_nodes(s: float, delta: float):
+    """Nodes x_k and weights w_k with sum_k w_k exp(-x_k u) = u^(-s) to about
+    5e-15 relative for u in [delta, 1], 0 < s <= 1.
+
+    The trapezoidal rule in y = ln x on u^(-s) = (1/Gamma(s)) integral
+    exp(-u e^y + s y) dy.  Above x = _SOE_DECAY/delta its nodes are dropped.
+    Below x = _SOE_TINY, where exp(-u x) = 1 to double precision, they act
+    as one node at x = 0 whose weight is their geometric sum (which grows
+    like 1/s).  The nodes with x <= 1 are then replaced by the Gauss rule of
+    their discrete measure: on u x <= 1, exp(-u x) is a polynomial of degree
+    2 _SOE_GAUSS_NODES - 1 to machine precision.
+    """
+    h = _SOE_STEP
+    k0 = math.floor(math.log(_SOE_TINY) / h)
+    # A mesh with coincident nodes has delta = 0; its zero-width intervals
+    # contribute nothing, so the SOE need not reach below 1e-300.
+    k1 = max(math.ceil(math.log(_SOE_DECAY / max(delta, 1e-300)) / h), 0)
+    y = np.arange(k0, k1 + 1) * h
+    x, w = np.exp(y), h * np.exp(s * y)
+    tail = y <= 0.0
+    lump = h * math.exp(s * h * (k0 - 1)) / -math.expm1(-s * h)
+    gx, gw = _gauss_rule(np.append(0.0, x[tail]), np.append(lump, w[tail]),
+                         _SOE_GAUSS_NODES)
+    return np.concatenate([gx, x[~tail]]), np.concatenate([gw, w[~tail]]) / math.gamma(s)
+
+
+def _exp_hat_moments(z: np.ndarray):
+    """integral_0^1 e^(-z v) v dv and integral_0^1 e^(-z v) (1 - v) dv, z >= 0:
+    closed forms in expm1 and exp, a Taylor series where z < _EXP_SERIES_Z."""
+    em = np.expm1(-z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zz = z * z
+        right = (z + em) / zz
+        left = -(em + z * np.exp(-z)) / zz
+    small = z < _EXP_SERIES_Z
+    zs = -z[small]
+    # sum_m (-z)^m (m+1)/(m+2)! and sum_m (-z)^m/(m+2)!, by Horner.
+    s_left = np.zeros(zs.shape)
+    s_right = np.zeros(zs.shape)
+    for m in range(_EXP_SERIES_TERMS - 1, -1, -1):
+        inv = 1.0 / math.factorial(m + 2)
+        s_left *= zs
+        s_left += (m + 1) * inv
+        s_right *= zs
+        s_right += inv
+    left[small] = s_left
+    right[small] = s_right
+    return left, right
+
+
+def _soe_history_modes(nodes: np.ndarray, order: float):
+    """The SOE nodes and weights of the far history of I^order on `nodes`:
+    none when every node lies in the first block, else accurate down to
+    delta, the least distance from a block's first node to its history."""
+    b = _SOE_BLOCK
+    if nodes.size <= b:
+        return np.zeros(0), np.zeros(0)
+    delta = float(np.min(nodes[b::b] - nodes[b - 1:-1:b]))
+    return _soe_nodes(1.0 - order, delta)
+
+
+def _soe_shapes(n: int, k: int):
+    """Shapes of the near, gather, spread and decay tables for n intervals
+    and k modes."""
+    b = _SOE_BLOCK
+    blocks = -(-(n + 1) // b)
+    hist = blocks - 1
+    return (blocks, b, b + 1), (hist, b + 1, k), (hist, b, k), (hist, k)
+
+
+@dataclass(frozen=True, eq=False)
+class _SoeOperator:
+    """I^order on n + 1 nodes: exact near-field blocks plus K history modes.
+
+    Nodes are taken in blocks of B = _SOE_BLOCK; the window of block b is
+    the nodes bB-1 .. bB+B-1 (node -1 reads zero).
+      near[b]      B x (B+1): block b's rows of W on its window.
+      gather[c]    (B+1) x K: window c's samples -> the increments of the K
+                   history integrals of chunk c (the intervals bB-1 .. bB+B-2
+                   for b = c), referred to T_{c+1} = t_{(c+1)B-1}.
+      decay[c]     exp(-x_k (T_{c+1} - T_c)) (row 0 unused).
+      spread[b-1]  B x K: the history at T_b -> block b's rows, including
+                   w_k and 1/Gamma(order).
+    The apply uses einsum and ufuncs only, never BLAS, so its rounding does
+    not depend on the BLAS thread count.
+    """
+
+    n: int
+    near: np.ndarray
+    gather: np.ndarray
+    spread: np.ndarray
+    decay: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.near, self.gather, self.spread, self.decay))
+
+    def apply(self, g: np.ndarray) -> np.ndarray:
+        blocks, b = self.near.shape[:2]
+        padded = np.zeros(blocks * b + 1)
+        padded[1:self.n + 2] = g
+        window = np.lib.stride_tricks.sliding_window_view(padded, b + 1)[::b]
+        out = np.einsum("bij,bj->bi", self.near, window)
+        if blocks > 1:
+            hist = np.einsum("cjk,cj->ck", self.gather, window[:-1])
+            for c in range(1, blocks - 1):
+                hist[c] += self.decay[c] * hist[c - 1]
+            out[1:] += np.einsum("cik,ck->ci", self.spread, hist)
+        return out.reshape(-1)[:self.n + 1]
+
+
+def _soe_operator(nodes: np.ndarray, order: float) -> _SoeOperator:
+    """The SOE form of the product-trapezoidal I^order, 0 < order < 1.  Its
+    near-field entries are those of _convolution_matrix bit for bit; the far
+    history carries the SOE quadrature's relative error (below 5e-15)."""
+    t = nodes
+    n = t.size - 1
+    b = _SOE_BLOCK
+    x, w = _soe_history_modes(t, order)
+    near_shape, gather_shape, spread_shape, decay_shape = _soe_shapes(n, x.size)
+    near = np.zeros(near_shape)
+    gather = np.zeros(gather_shape)
+    spread = np.zeros(spread_shape)
+    decay = np.zeros(decay_shape)
+    w = w / math.gamma(order)
+    for blk in range(near_shape[0]):
+        r0 = blk * b
+        r1 = min(r0 + b, n + 1)
+        c0 = max(r0 - 1, 0)
+        _fill_block(near[blk, :r1 - r0, c0 - r0 + 1:r1 - r0 + 1], t, r0, c0,
+                    order, PRODUCT_TRAPEZOIDAL)
+        if blk == 0:
+            continue
+        # The intervals j0 .. r0-2 of window c join the K modes, which are
+        # then referred to T_{c+1} = t_{r0-1}.
+        c = blk - 1
+        ref = t[r0 - 1]
+        j0 = max(r0 - b - 1, 0)
+        width = (t[j0 + 1:r0] - t[j0:r0 - 1])[:, None]
+        lift = np.exp(-(ref - t[j0 + 1:r0])[:, None] * x) * width
+        left, right = _exp_hat_moments(width * x)
+        off = j0 - (r0 - b - 1)
+        gather[c, off:b] += lift * left
+        gather[c, off + 1:b + 1] += lift * right
+        if c > 0:
+            decay[c] = np.exp(-(ref - t[r0 - b - 1]) * x)
+        spread[c, :r1 - r0] = w * np.exp(-(t[r0:r1] - ref)[:, None] * x)
+    for table in (near, gather, spread, decay):
+        table.setflags(write=False)
+    return _SoeOperator(n, near, gather, spread, decay)
 
 
 def _pl_kernel_weights(nodes: np.ndarray, p: float, side: str) -> np.ndarray:
@@ -212,6 +432,19 @@ def _pl_kernel_weights(nodes: np.ndarray, p: float, side: str) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _cached_convolution_matrix(n: int, r: float, order: float, scheme: str) -> np.ndarray:
     return _convolution_matrix(GradedMesh(n, r).nodes, order, scheme)
+
+
+@lru_cache(maxsize=16)
+def _cached_soe_operator(n: int, r: float, order: float) -> _SoeOperator:
+    return _soe_operator(GradedMesh(n, r).nodes, order)
+
+
+@lru_cache(maxsize=64)
+def _soe_bytes(n: int, r: float, order: float) -> int:
+    """Bytes of the tables of _cached_soe_operator(n, r, order), from O(n)
+    arrays only."""
+    k = _soe_history_modes(GradedMesh(n, r).nodes, order)[0].size
+    return 8 * sum(math.prod(shape) for shape in _soe_shapes(n, k))
 
 
 @lru_cache(maxsize=32)
@@ -242,20 +475,28 @@ def _physical_memory() -> Optional[int]:
 def rl_integral(order: float, samples, rule: QuadratureRule) -> np.ndarray:
     """Riemann-Liouville integral I^order g at every mesh node.
 
-    Raises MeshTooLarge, before anything is allocated, when the dense
-    operator (8(n+1)^2 bytes) exceeds physical memory.
+    The product-trapezoidal scheme at an order in (0, 1) on at least
+    _SOE_MIN_N intervals uses the sum-of-exponentials operator; everything
+    else uses the dense matrix of _convolution_matrix.  Raises MeshTooLarge,
+    before anything is allocated, when the chosen operator (8(n+1)^2 bytes
+    for the dense one) exceeds physical memory.
     """
     if not (math.isfinite(order) and order > 0.0):
         raise OutOfDomain(f"integral order must be > 0, got {order}")
     g = _check_samples(samples, rule.mesh)
-    n = rule.mesh.n
-    need, have = 8 * (n + 1) ** 2, _physical_memory()
+    n, r, order = rule.mesh.n, rule.mesh.r, float(order)
+    soe = _uses_soe(n, order, rule.scheme)
+    need = _soe_bytes(n, r, order) if soe else 8 * (n + 1) ** 2
+    have = _physical_memory()
     if have is not None and need > have:
+        kind = "sum-of-exponentials" if soe else "dense"
         raise MeshTooLarge(
-            f"a dense operator on {n} mesh intervals needs {need / 2**30:.3g} GiB, "
+            f"a {kind} operator on {n} mesh intervals needs {need / 2**30:.3g} GiB, "
             f"more than the {have / 2**30:.3g} GiB of physical memory"
         )
-    w = _cached_convolution_matrix(n, rule.mesh.r, float(order), rule.scheme)
+    if soe:
+        return _cached_soe_operator(n, r, order).apply(g)
+    w = _cached_convolution_matrix(n, r, order, rule.scheme)
     return w @ g
 
 

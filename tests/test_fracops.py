@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -496,14 +500,54 @@ class TestOperatorCacheHooks:
             fracops._cached_convolution_matrix.cache_clear()
 
 
+def _clear_operator_caches():
+    fracops._cached_convolution_matrix.cache_clear()
+    fracops._cached_soe_operator.cache_clear()
+
+
+def _operator_cache_sizes():
+    return (fracops._cached_convolution_matrix.cache_info().currsize,
+            fracops._cached_soe_operator.cache_info().currsize)
+
+
 class TestMeshTooLarge:
     def test_rejected_before_allocation(self):
         # 8 (n+1)^2 bytes = 8 TB at n = 10^6; only O(n) arrays are built.
-        fracops._cached_convolution_matrix.cache_clear()
-        rule = make_rule(10 ** 6)
+        # The rectangle scheme always takes the dense path.
+        _clear_operator_caches()
+        rule = make_rule(10 ** 6, scheme=PRODUCT_RECTANGLE)
         with pytest.raises(MeshTooLarge, match="physical memory"):
             rl_integral(0.5, np.zeros(10 ** 6 + 1), rule)
-        assert fracops._cached_convolution_matrix.cache_info().currsize == 0
+        assert _operator_cache_sizes() == (0, 0)
+
+    def test_soe_rejected_before_allocation(self, monkeypatch):
+        # At n = 10^6 the SOE tables would take about 2 GB; one byte less
+        # of memory than they need rejects them before they are built.
+        n, r = 10 ** 6, 2.0
+        assert fracops._uses_soe(n, 0.5, PRODUCT_TRAPEZOIDAL)
+        need = fracops._soe_bytes(n, r, 0.5)
+        monkeypatch.setattr(fracops, "_physical_memory", lambda: need - 1)
+        _clear_operator_caches()
+        with pytest.raises(MeshTooLarge, match="physical memory"):
+            rl_integral(0.5, np.zeros(n + 1), make_rule(n, r=r))
+        assert _operator_cache_sizes() == (0, 0)
+
+    def test_soe_threshold_is_table_size(self, monkeypatch):
+        n, r = fracops._SOE_MIN_N, 2.0
+        need = fracops._soe_bytes(n, r, 0.5)
+        assert need < 8 * (n + 1) ** 2 // 4
+        monkeypatch.setattr(fracops, "_physical_memory", lambda: need)
+        _clear_operator_caches()
+        try:
+            rl_integral(0.5, np.zeros(n + 1), make_rule(n, r=r))
+            assert fracops._cached_soe_operator(n, r, 0.5).nbytes == need
+        finally:
+            _clear_operator_caches()
+        # One more block of nodes needs more bytes.
+        m = n + fracops._SOE_BLOCK
+        assert fracops._soe_bytes(m, r, 0.5) > need
+        with pytest.raises(MeshTooLarge):
+            rl_integral(0.5, np.zeros(m + 1), make_rule(m, r=r))
 
     def test_threshold_is_dense_operator_size(self, monkeypatch):
         n = 16
@@ -520,3 +564,169 @@ class TestMeshTooLarge:
         assert fracops._physical_memory.__wrapped__() is None
         monkeypatch.setattr(fracops, "_physical_memory", lambda: None)
         rl_integral(0.5, np.zeros(17), make_rule(16))
+
+
+class TestSoeOperator:
+    """The sum-of-exponentials operator against the dense matrix."""
+
+    B = fracops._SOE_BLOCK
+    ORDERS = (0.05, 0.25, 0.5, 0.75, 0.95)
+
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 3, 777, 4096])
+    def test_matches_dense(self, n):
+        rng = np.random.default_rng(n)
+        for r in (1.0, 2.5, 4.0, 8.0):
+            t = GradedMesh(n, r).nodes
+            gs = (np.ones(n + 1), t ** 0.3, rng.random(n + 1))
+            signed = rng.standard_normal(n + 1)
+            for order in self.ORDERS:
+                w = fracops._convolution_matrix(t, order, PRODUCT_TRAPEZOIDAL)
+                op = fracops._soe_operator(t, order)
+                for g in gs:
+                    dense = w @ g
+                    diff = np.max(np.abs(op.apply(g) - dense))
+                    assert diff <= 1e-12 * np.max(np.abs(dense)), (r, order)
+                # With signs mixed, |W g| can be far below |W| |g|; the dense
+                # entries carry up to ~1e-12 relative error of their own
+                # where _hat_moments switches to its series (_FAR_FIELD).
+                diff = np.max(np.abs(op.apply(signed) - w @ signed))
+                assert diff <= 1e-12 * np.max(np.abs(w) @ np.abs(signed)), (r, order)
+                self._assert_near_field_exact(op, w)
+
+    def _assert_near_field_exact(self, op, w):
+        # Block b's window is the nodes bB-1 .. bB+B-1.  From node bB on its
+        # near-field entries are the dense ones; window column 0 carries only
+        # the interval (t_{bB-1}, t_{bB}), and node -1 of block 0 reads zero.
+        n = w.shape[0] - 1
+        for b in range(op.near.shape[0]):
+            r0, r1 = b * self.B, min((b + 1) * self.B, n + 1)
+            near = op.near[b, :r1 - r0]
+            assert near[:, 1:r1 - r0 + 1].tobytes() == w[r0:r1, r0:r1].tobytes()
+            assert not np.any(near[:, r1 - r0 + 1:])
+            if b == 0:
+                assert not np.any(near[:, 0])
+            else:
+                assert np.all(near[:, 0] <= w[r0:r1, r0 - 1])
+        assert not np.any(op.near[-1, n + 1 - (op.near.shape[0] - 1) * self.B:])
+
+    def test_exponential_moments_against_mpmath(self):
+        mpmath.mp.dps = 40
+        z = np.concatenate([np.geomspace(1e-12, 1e6, 200), [0.99, 1.0, 1.01]])
+        left, right = fracops._exp_hat_moments(z)
+        for zi, lo, hi in zip(z, left, right):
+            x = mpmath.mpf(float(zi))
+            exact_lo = (1 - mpmath.exp(-x) * (1 + x)) / x ** 2
+            exact_hi = (x - 1 + mpmath.exp(-x)) / x ** 2
+            assert abs(lo - exact_lo) <= 1e-15 * exact_lo
+            assert abs(hi - exact_hi) <= 1e-15 * exact_hi
+
+    @pytest.mark.parametrize("order", (1e-12,) + ORDERS + (1.0 - 1e-9,))
+    def test_kernel_sum_relative_error(self, order):
+        # Orders near 1 make u^(order-1) decay slowly in ln x towards x = 0;
+        # that tail is one node, so K stays the same.
+        for delta in (1e-3, 1e-12):
+            x, w = fracops._soe_nodes(1.0 - order, delta)
+            assert x.size < 160
+            u = np.geomspace(delta, 1.0, 2000)
+            approx = np.einsum("uk,k->u", np.exp(-np.outer(u, x)), w)
+            assert np.max(np.abs(approx * u ** (1.0 - order) - 1.0)) <= 1e-14
+
+    def test_rl_integral_takes_soe_path_from_crossover(self, monkeypatch):
+        built = []
+
+        def recording(name):
+            original = getattr(fracops, name)
+
+            def wrapper(*args):
+                built.append(name)
+                return original(*args)
+            return wrapper
+
+        for name in ("_convolution_matrix", "_soe_operator"):
+            monkeypatch.setattr(fracops, name, recording(name))
+        n = fracops._SOE_MIN_N
+        _clear_operator_caches()
+        try:
+            for m, order, scheme, path in (
+                    (n - 1, 0.5, PRODUCT_TRAPEZOIDAL, "_convolution_matrix"),
+                    (n, 0.5, PRODUCT_TRAPEZOIDAL, "_soe_operator"),
+                    (n, 1.0, PRODUCT_TRAPEZOIDAL, "_convolution_matrix"),
+                    (n, 0.5, PRODUCT_RECTANGLE, "_convolution_matrix")):
+                del built[:]
+                rl_integral(order, np.ones(m + 1), make_rule(m, scheme=scheme))
+                assert built == [path], (m, order, scheme)
+        finally:
+            _clear_operator_caches()
+
+    def test_builds_once_per_miss(self, monkeypatch):
+        # Mirrors TestOperatorCacheHooks: the cache reaches the builder
+        # through the module global.
+        calls = []
+        build = fracops._soe_operator
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(fracops, "_soe_operator", counting)
+        _clear_operator_caches()
+        try:
+            rule = make_rule(fracops._SOE_MIN_N, r=1.5)
+            g = smooth_profile(rule.mesh.nodes)
+            first = rl_integral(0.4, g, rule)
+            assert len(calls) == 1
+            second = rl_integral(0.4, g, rule)
+            assert len(calls) == 1
+            assert np.array_equal(first, second)
+            info = fracops._cached_soe_operator.cache_info()
+            assert (info.hits, info.misses) == (1, 1)
+            assert fracops._cached_convolution_matrix.cache_info().currsize == 0
+        finally:
+            _clear_operator_caches()
+
+    def test_independent_of_blas_threads(self):
+        # The SOE apply uses no BLAS, so its output is the same bytes with
+        # one or two OpenBLAS threads.  Nothing is built at import.
+        script = (
+            "import hashlib, numpy as np\n"
+            "from hilferbvp import fracops\n"
+            "from hilferbvp.core import GradedMesh\n"
+            "assert fracops._cached_soe_operator.cache_info().currsize == 0\n"
+            "assert fracops._soe_bytes.cache_info().currsize == 0\n"
+            "mesh = GradedMesh(4096, 8.0 / 3.0)\n"
+            "g = np.sin(7.0 * mesh.nodes) + mesh.nodes ** 0.3\n"
+            "rule = fracops.QuadratureRule(mesh)\n"
+            "out = b''.join(fracops.rl_integral(a, g, rule).tobytes() for a in (0.25, 0.5))\n"
+            "print(hashlib.sha256(out).hexdigest())\n"
+        )
+        src = str(Path(fracops.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            digests.append(done.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
+
+
+class TestPastDenseMemoryWall:
+    def test_power_rule_at_n_40000(self):
+        # The dense operator would take 8 (n+1)^2 bytes = 12.8 GB here.
+        n, alpha = 40000, 0.5
+        mesh = GradedMesh.graded_for(n, alpha)
+        t = mesh.nodes
+        _clear_operator_caches()
+        tracemalloc.start()
+        try:
+            for sigma in (1.0, 2.0):
+                out = rl_integral(alpha, t ** (sigma - 1.0), QuadratureRule(mesh))
+                exact = (math.gamma(sigma) / math.gamma(alpha + sigma)
+                         * t ** (alpha + sigma - 1.0))
+                assert np.max(np.abs(out - exact)) <= 1e-5
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            _clear_operator_caches()
+        assert peak <= 0.01 * 8 * (n + 1) ** 2
