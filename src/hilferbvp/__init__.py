@@ -28,7 +28,6 @@ from .core import (
 from .fracops import (
     QuadratureRule,
     caputo_derivative,
-    gamma_fn,
     hilfer_derivative,
     physical_integral,
     q_kernel,
@@ -81,7 +80,6 @@ __all__ = [
     "default_grading",
     "derive_constants",
     "estimate_lipschitz",
-    "gamma_fn",
     "hilfer_derivative",
     "hypothesis_report",
     "physical_integral",

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 config failure, 2 non-convergence, 3 the mu
 hypothesis failed (singular or non-positive mu), 4 some other certificate
 failed (certify only), 5 numerical failure (for example the rhs evaluated
-to a non-finite value, or a dense operator on the mesh would not fit in
-physical memory).
+to a non-finite value, or the integral operator on the mesh would not
+fit in physical memory).
 """
 
 from __future__ import annotations

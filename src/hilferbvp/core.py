@@ -198,18 +198,3 @@ def to_physical(w: WeightedGridFunction, t: float) -> float:
         raise OutOfDomain(f"t must lie in (0, 1], got {t}")
     wt = float(np.interp(t, w.mesh.nodes, w.values))
     return t ** (w.gamma - 1.0) * wt
-
-
-def physical_values(w: WeightedGridFunction) -> np.ndarray:
-    """Nodal samples of y = t^(gamma-1) w.
-
-    At t = 0 the unweighted solution is unbounded when gamma < 1; that node
-    is filled with the first interior sample so downstream quadrature sees
-    finite numbers (the committed kernel mass is O(t_1^gamma) on the graded
-    mesh).
-    """
-    t = w.mesh.nodes
-    y = np.empty_like(w.values)
-    y[1:] = t[1:] ** (w.gamma - 1.0) * w.values[1:]
-    y[0] = w.values[0] if w.gamma == 1.0 else y[1]
-    return y

@@ -33,7 +33,7 @@ class RhsEvaluationFailure(HilferBvpError):
 
 
 class MeshTooLarge(HilferBvpError):
-    """A dense operator on the requested mesh would not fit in physical memory."""
+    """The integral operator on the requested mesh would not fit in physical memory."""
 
 
 class InvalidInterval(HilferBvpError):

@@ -2,12 +2,12 @@
 
 All quadrature here is product integration: the weakly singular kernels
 (t-s)^(a-1), s^(g-1) and (1-s)^a are integrated in closed form against
-piecewise-constant or piecewise-linear reconstructions of the regular
-factor.  Newton-Cotes rules lose their order on such kernels; exact kernel
-moments keep the product-trapezoidal scheme at O(n^-2) on suitably graded
-meshes.  Derivatives are realized as d/dt of a fractional integral, with
-the nodal derivative taken by three-point finite differences on the
-(nonuniform) mesh.
+piecewise-linear reconstructions of the regular factor.  Newton-Cotes
+rules lose their order on such kernels; exact kernel moments keep the
+product-trapezoidal scheme at O(n^-2) on suitably graded meshes.
+Derivatives are realized as d/dt of a fractional integral, with the nodal
+derivative taken by three-point finite differences on the (nonuniform)
+mesh.
 
 Fractional orders are plain floats, validated per operation: integrals
 accept any order > 0, derivatives need order in (0, 1).
@@ -26,33 +26,17 @@ import numpy as np
 from .core import GradedMesh, WeightedGridFunction, composite_order
 from .errors import InsufficientNodes, MeshMismatch, MeshTooLarge, OutOfDomain
 
-PRODUCT_RECTANGLE = "product-rectangle"
-PRODUCT_TRAPEZOIDAL = "product-trapezoidal"
-_SCHEMES = (PRODUCT_RECTANGLE, PRODUCT_TRAPEZOIDAL)
-
 # Orders this small are collapsed to the identity (they arise from
-# beta*(1-alpha) or 1-gamma evaluating to roundoff instead of exact zero).
+# beta*(1-alpha) or 1-gamma evaluating to roundoff instead of exact zero),
+# and an integral order this close to an integer is that integer.
 _ORDER_EPS = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """A mesh plus the reconstruction class used for the regular factor."""
+    """The mesh the product-trapezoidal operators act on."""
 
     mesh: GradedMesh
-    scheme: str = PRODUCT_TRAPEZOIDAL
-
-    def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"unknown quadrature scheme {self.scheme!r}; "
-                             f"expected one of {_SCHEMES}")
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function on (0, inf); relative error well under 1e-13 on (0, 20]."""
-    if not (math.isfinite(x) and x > 0.0):
-        raise OutOfDomain(f"gamma function requires x > 0, got {x}")
-    return math.gamma(x)
 
 
 def q_kernel(tau: float, alpha: float) -> float:
@@ -94,20 +78,23 @@ def _split_field(ua: np.ndarray, ub: np.ndarray):
     return width, x, far, near
 
 
-def _binomial_sums(p: float, x: np.ndarray, denominators):
-    """sum_k binom(p,k)(-x)^k / d(k) over k < _SERIES_TERMS, one sum per d."""
+def _binomial_sums(p: float, x: np.ndarray):
+    """sum_k binom(p,k)(-x)^k / ((k+1)(k+2)) and sum_k binom(p,k)(-x)^k / (k+2)
+    over k < _SERIES_TERMS."""
     term = np.ones_like(x)
     step = np.empty_like(x)
-    sums = [np.full_like(x, 1.0 / d(0)) for d in denominators]
+    s_lo = np.full_like(x, 0.5)
+    s_hi = np.full_like(x, 0.5)
     for k in range(1, _SERIES_TERMS):
         # x * -(p-k+1) is bitwise (-x) * (p-k+1): rounding is sign-symmetric.
         np.multiply(x, -(p - k + 1.0), out=step)
         step /= k
         term *= step
-        for s, d in zip(sums, denominators):
-            np.divide(term, d(k), out=step)
-            s += step
-    return sums
+        np.divide(term, (k + 1.0) * (k + 2.0), out=step)
+        s_lo += step
+        np.divide(term, k + 2.0, out=step)
+        s_hi += step
+    return s_lo, s_hi
 
 
 def _hat_moments(p: float, ua: np.ndarray, ub: np.ndarray):
@@ -129,27 +116,14 @@ def _hat_moments(p: float, ua: np.ndarray, ub: np.ndarray):
     m1 = (a ** p2 - b ** p2) / p2
     lo[near] = m1 - b * m0
     hi[near] = a * m0 - m1
-    s_lo, s_hi = _binomial_sums(p, x[far], (lambda k: (k + 1.0) * (k + 2.0),
-                                            lambda k: k + 2.0))
+    s_lo, s_hi = _binomial_sums(p, x[far])
     base = ua[far] ** p * width[far] ** 2
     lo[far] = base * s_lo
     hi[far] = base * s_hi
     return lo, hi
 
 
-def _box_moment(p: float, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """integral of u^p over [ub, ua], series-protected in the far field."""
-    p1 = p + 1.0
-    width, x, far, near = _split_field(ua, ub)
-    m0 = np.zeros(width.shape)
-    m0[near] = (ua[near] ** p1 - ub[near] ** p1) / p1
-    (s,) = _binomial_sums(p, x[far], (lambda k: k + 1.0,))
-    m0[far] = ua[far] ** p * width[far] * s
-    return m0
-
-
-def _fill_block(block: np.ndarray, t: np.ndarray, r0: int, c0: int, order: float,
-                scheme: str) -> None:
+def _fill_block(block: np.ndarray, t: np.ndarray, r0: int, c0: int, order: float) -> None:
     """Fill the zero block `block` with the rows r0.. and columns c0.. of the
     convolution matrix of _convolution_matrix.  The row count is
     block.shape[0], the last column that of the last row.
@@ -158,65 +132,58 @@ def _fill_block(block: np.ndarray, t: np.ndarray, r0: int, c0: int, order: float
     them; an interval ending before c0 contributes nothing, so column c0
     carries only its own interval's hat moment when c0 > 0."""
     r1 = r0 + block.shape[0]
-    p = order - 1.0
     # Distances from each output node to the nodes, clamped so uncovered
     # intervals produce zero moments.  In u = t_i - s the left node's hat
     # factor (t_{j+1} - s) becomes (u - ub), the right node's (s - t_j)
     # becomes (ua - u).
     dist = np.maximum(t[r0:r1, None] - t[None, c0:r1], 0.0)
     ua, ub = dist[:, :-1], dist[:, 1:]
-    if scheme == PRODUCT_RECTANGLE:
-        block[:, :-1] += _box_moment(p, ua, ub)
-    else:
-        hb = t[c0 + 1:r1] - t[c0:r1 - 1]
-        lo, hi = _hat_moments(p, ua, ub)
-        lo /= hb
-        hi /= hb
-        block[:, :-1] += lo
-        block[:, 1:] += hi
+    hb = t[c0 + 1:r1] - t[c0:r1 - 1]
+    lo, hi = _hat_moments(order - 1.0, ua, ub)
+    lo /= hb
+    hi /= hb
+    block[:, :-1] += lo
+    block[:, 1:] += hi
     block /= math.gamma(order)
 
 
-def _convolution_matrix(nodes: np.ndarray, order: float, scheme: str) -> np.ndarray:
+def _convolution_matrix(nodes: np.ndarray, order: float) -> np.ndarray:
     """Lower-triangular W with (W g)_i = (1/Gamma(order)) *
-    integral_0^{t_i} (t_i - s)^(order-1) R[g](s) ds, R the reconstruction.
+    integral_0^{t_i} (t_i - s)^(order-1) PL[g](s) ds, PL the piecewise-linear
+    reconstruction.
 
-    Interval j contributes to row i only when t_{j+1} <= t_i; clamping the
-    kernel distances at zero erases every other entry.  W is filled in
-    blocks of _block_rows(n) rows, each spanning only the columns its rows
-    can reach, so on top of the 8(n+1)^2-byte result the scratch memory is
-    O(_BLOCK_ENTRIES).  rl_integral builds W only below the SOE crossover
-    or where the SOE operator does not apply (see _uses_soe).
+    rl_integral never builds W: it is the dense reference that the tests
+    hold the SOE operator to, and the assembly hook of the benchmark tracer
+    (perfbench/tracer.py).  Interval j contributes to row i only when
+    t_{j+1} <= t_i; clamping the kernel distances at zero erases every other
+    entry.  W is filled in blocks of _block_rows(n) rows, each spanning only
+    the columns its rows can reach, so on top of the 8(n+1)^2-byte result
+    the scratch memory is O(_BLOCK_ENTRIES).
     """
     n = nodes.size - 1
     w = np.zeros((n + 1, n + 1))
     step = _block_rows(n)
     for r0 in range(0, n + 1, step):
         r1 = min(r0 + step, n + 1)
-        _fill_block(w[r0:r1, :r1], nodes, r0, 0, order, scheme)
+        _fill_block(w[r0:r1, :r1], nodes, r0, 0, order)
     w.setflags(write=False)
     return w
 
 
 # --- Sum-of-exponentials (SOE) history -----------------------------------------
 #
-# For the product-trapezoidal scheme at an order in (0, 1), the nodes are
-# split into row blocks of _SOE_BLOCK.  A node's near field (its own block and
-# the interval just before it) keeps the exact hat moments of
-# _convolution_matrix.  Its far history, at distances u in [delta, 1], sees
-# the kernel u^p through u^p ~ sum_k w_k exp(-x_k u), so the history
-# integrals of all nodes of a block share K exponential modes, advanced once
-# per block (Jiang, Zhang, Zhang & Zhang, Commun. Comput. Phys. 21, 2017).
+# rl_integral applies the product-trapezoidal I^order, 0 < order < 1, in
+# this form at every n.  The nodes are split into row blocks of _SOE_BLOCK.
+# A node's near field (its own block and the interval just before it) keeps
+# the exact hat moments of _convolution_matrix.  Its far history, at
+# distances u in [delta, 1], sees the kernel u^p through u^p ~ sum_k w_k
+# exp(-x_k u), so the history integrals of all nodes of a block share K
+# exponential modes, advanced once per block (Jiang, Zhang, Zhang & Zhang,
+# Commun. Comput. Phys. 21, 2017).
 # Building and applying the operator cost O(n (B + K)), against the dense
 # matrix's O(n^2).
 
 _SOE_BLOCK = 64
-# rl_integral uses the SOE operator from this many intervals on.  Its build
-# and its apply both beat the dense ones from about n = 640 (README,
-# "Numerics"); meshes of up to 1024 intervals, those of the acceptance suite
-# and of the benchmark's lambda sweep among them, keep the dense results
-# bit for bit.
-_SOE_MIN_N = 1025
 # The SOE quadrature (_soe_nodes): its step in ln x, the x below which its
 # nodes merge into one at x = 0, the reach of the kept nodes (x up to at
 # least _SOE_DECAY/delta; the first dropped node adds below 1e-16 relative
@@ -230,11 +197,6 @@ _SOE_GAUSS_NODES = 10
 # Below this x*h the exponential hat moments switch from expm1 to a series.
 _EXP_SERIES_Z = 1.0
 _EXP_SERIES_TERMS = 18
-
-
-def _uses_soe(n: int, order: float, scheme: str) -> bool:
-    """Whether rl_integral applies the SOE operator instead of the dense W."""
-    return scheme == PRODUCT_TRAPEZOIDAL and 0.0 < order < 1.0 and n >= _SOE_MIN_N
 
 
 def _gauss_rule(x: np.ndarray, w: np.ndarray, m: int):
@@ -386,8 +348,7 @@ def _soe_operator(nodes: np.ndarray, order: float) -> _SoeOperator:
         r0 = blk * b
         r1 = min(r0 + b, n + 1)
         c0 = max(r0 - 1, 0)
-        _fill_block(near[blk, :r1 - r0, c0 - r0 + 1:r1 - r0 + 1], t, r0, c0,
-                    order, PRODUCT_TRAPEZOIDAL)
+        _fill_block(near[blk, :r1 - r0, c0 - r0 + 1:r1 - r0 + 1], t, r0, c0, order)
         if blk == 0:
             continue
         # The intervals j0 .. r0-2 of window c join the K modes, which are
@@ -429,9 +390,10 @@ def _pl_kernel_weights(nodes: np.ndarray, p: float, side: str) -> np.ndarray:
     return v
 
 
+# Unused by the package; kept because perfbench/tracer.py reads cache_info().
 @lru_cache(maxsize=16)
-def _cached_convolution_matrix(n: int, r: float, order: float, scheme: str) -> np.ndarray:
-    return _convolution_matrix(GradedMesh(n, r).nodes, order, scheme)
+def _cached_convolution_matrix(n: int, r: float, order: float) -> np.ndarray:
+    return _convolution_matrix(GradedMesh(n, r).nodes, order)
 
 
 @lru_cache(maxsize=16)
@@ -473,31 +435,36 @@ def _physical_memory() -> Optional[int]:
 
 
 def rl_integral(order: float, samples, rule: QuadratureRule) -> np.ndarray:
-    """Riemann-Liouville integral I^order g at every mesh node.
+    """Riemann-Liouville integral I^order g at every mesh node, in O(n).
 
-    The product-trapezoidal scheme at an order in (0, 1) on at least
-    _SOE_MIN_N intervals uses the sum-of-exponentials operator; everything
-    else uses the dense matrix of _convolution_matrix.  Raises MeshTooLarge,
-    before anything is allocated, when the chosen operator (8(n+1)^2 bytes
-    for the dense one) exceeds physical memory.
+    The order is split into an integer k and a fraction f in [0, 1).  I^f is
+    the sum-of-exponentials form of the product-trapezoidal operator
+    (skipped when f < _ORDER_EPS); I^k is then k passes of the cumulative
+    trapezoidal rule, which is the product-trapezoidal I^1 exactly.  Raises
+    MeshTooLarge, before anything is allocated, when the SOE tables of I^f
+    exceed physical memory.
     """
     if not (math.isfinite(order) and order > 0.0):
         raise OutOfDomain(f"integral order must be > 0, got {order}")
     g = _check_samples(samples, rule.mesh)
-    n, r, order = rule.mesh.n, rule.mesh.r, float(order)
-    soe = _uses_soe(n, order, rule.scheme)
-    need = _soe_bytes(n, r, order) if soe else 8 * (n + 1) ** 2
-    have = _physical_memory()
-    if have is not None and need > have:
-        kind = "sum-of-exponentials" if soe else "dense"
-        raise MeshTooLarge(
-            f"a {kind} operator on {n} mesh intervals needs {need / 2**30:.3g} GiB, "
-            f"more than the {have / 2**30:.3g} GiB of physical memory"
-        )
-    if soe:
-        return _cached_soe_operator(n, r, order).apply(g)
-    w = _cached_convolution_matrix(n, r, order, rule.scheme)
-    return w @ g
+    n, r = rule.mesh.n, rule.mesh.r
+    whole = math.floor(order + _ORDER_EPS)
+    frac = float(order) - whole
+    if frac < _ORDER_EPS:
+        out = g.copy()
+    else:
+        need, have = _soe_bytes(n, r, frac), _physical_memory()
+        if have is not None and need > have:
+            raise MeshTooLarge(
+                f"a sum-of-exponentials operator on {n} mesh intervals needs "
+                f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
+                f"of physical memory"
+            )
+        out = _cached_soe_operator(n, r, frac).apply(g)
+    half_widths = 0.5 * np.diff(rule.mesh.nodes)
+    for _ in range(whole):
+        out = np.concatenate(([0.0], np.cumsum((out[:-1] + out[1:]) * half_widths)))
+    return out
 
 
 def differentiate(samples, mesh: GradedMesh) -> np.ndarray:

@@ -109,7 +109,8 @@ class TestSolve:
         assert "Traceback" not in err
 
     def test_mesh_too_large_exit(self, tmp_path, capsys, monkeypatch):
-        # Less than the 8 * 65^2 bytes of one operator on the n = 64 mesh.
+        # Less than the SOE tables of one operator on the n = 64 mesh, whose
+        # two near-field blocks alone take 8 * 2 * 64 * 65 bytes.
         monkeypatch.setattr(fracops, "_physical_memory", lambda: 8 * 64 ** 2)
         path, _ = write_config(tmp_path)
         assert main(["solve", str(path)]) == EXIT_NUMERICAL

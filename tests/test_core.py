@@ -10,7 +10,6 @@ from hilferbvp.core import (
     composite_order,
     default_grading,
     derive_constants,
-    physical_values,
     to_physical,
     weighted_norm,
 )
@@ -200,15 +199,6 @@ class TestToPhysical:
             to_physical(w, 0.0)
         with pytest.raises(OutOfDomain):
             to_physical(w, 1.0001)
-
-    def test_physical_values_origin_fill(self):
-        mesh = GradedMesh(8, 2.0)
-        w = WeightedGridFunction(mesh, 0.75, np.ones(9))
-        y = physical_values(w)
-        assert y[0] == y[1]
-        assert np.all(np.isfinite(y))
-        w1 = WeightedGridFunction(mesh, 1.0, np.full(9, 2.0))
-        assert physical_values(w1)[0] == 2.0
 
 
 class CountingRhs:

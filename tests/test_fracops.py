@@ -15,13 +15,10 @@ from hilferbvp import fracops
 from hilferbvp.core import GradedMesh, WeightedGridFunction
 from hilferbvp.errors import InsufficientNodes, MeshMismatch, MeshTooLarge, OutOfDomain
 from hilferbvp.fracops import (
-    PRODUCT_RECTANGLE,
-    PRODUCT_TRAPEZOIDAL,
     QuadratureRule,
     boundary_kernel_weights,
     caputo_derivative,
     differentiate,
-    gamma_fn,
     hilfer_derivative,
     physical_integral,
     q_kernel,
@@ -30,30 +27,8 @@ from hilferbvp.fracops import (
 )
 
 
-def make_rule(n, r=2.0, scheme=PRODUCT_TRAPEZOIDAL):
-    return QuadratureRule(GradedMesh(n, r), scheme)
-
-
-class TestGammaFn:
-    def test_classical_values(self):
-        assert gamma_fn(1.0) == 1.0
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-        # mpmath.gamma(1.75) at 30 digits
-        assert gamma_fn(1.75) == pytest.approx(0.91906252684888323385, rel=1e-15)
-
-    def test_relative_error_against_mpmath(self):
-        mpmath.mp.dps = 30
-        xs = np.concatenate([np.linspace(0.01, 1.0, 40),
-                             np.linspace(1.0, 20.0, 60)])
-        for x in xs:
-            exact = float(mpmath.gamma(mpmath.mpf(float(x))))
-            assert abs(gamma_fn(float(x)) - exact) <= 1e-13 * abs(exact)
-
-    def test_domain(self):
-        with pytest.raises(OutOfDomain):
-            gamma_fn(0.0)
-        with pytest.raises(OutOfDomain):
-            gamma_fn(-1.5)
+def make_rule(n, r=2.0):
+    return QuadratureRule(GradedMesh(n, r))
 
 
 class TestQKernel:
@@ -104,12 +79,6 @@ class TestRlIntegral:
             oracle /= math.gamma(0.6)
             assert out[i] == pytest.approx(oracle, abs=5e-9)
 
-    def test_rectangle_scheme_constant(self):
-        rule = make_rule(16, scheme=PRODUCT_RECTANGLE)
-        t = rule.mesh.nodes
-        out = rl_integral(1.0, np.full(17, 2.0), rule)
-        assert np.max(np.abs(out - 2.0 * t)) < 1e-14
-
     def test_mesh_mismatch(self):
         rule = make_rule(16)
         with pytest.raises(MeshMismatch):
@@ -121,11 +90,19 @@ class TestRlIntegral:
             rl_integral(0.0, np.zeros(17), rule)
 
     def test_weights_nonnegative(self):
-        # Positivity preservation of the cone hinges on this.
-        from hilferbvp.fracops import _cached_convolution_matrix
-        for order in (0.3, 0.5, 1.0):
-            w = _cached_convolution_matrix(32, 2.5, order, PRODUCT_TRAPEZOIDAL)
-            assert np.all(w >= 0.0)
+        # Positivity preservation of the cone hinges on this: every table of
+        # the SOE operator rl_integral applies is >= 0 (n = 200 spans four
+        # blocks), and order 1 maps g >= 0 to a nondecreasing function.
+        mesh = GradedMesh(200, 2.5)
+        for order in (0.3, 0.5):
+            op = fracops._soe_operator(mesh.nodes, order)
+            assert op.decay.shape[0] == 3 and op.decay.shape[1] > 0
+            for table in (op.near, op.gather, op.spread, op.decay):
+                assert np.all(table >= 0.0)
+        g = np.random.default_rng(200).random(201)
+        g[::7] = 0.0
+        out = rl_integral(1.0, g, QuadratureRule(mesh))
+        assert np.all(np.diff(out) >= 0.0)
 
     def test_power_rule_convergence_order(self):
         # Error against Gamma(sigma)/Gamma(alpha+sigma) t^(alpha+sigma-1)
@@ -375,36 +352,15 @@ def _ref_hat_moments(p, ua, ub):
     return lo, hi
 
 
-def _ref_box_moment(p, ua, ub):
-    p1 = p + 1.0
-    m0 = (ua ** p1 - ub ** p1) / p1
-    width = ua - ub
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.where(ua > 0.0, width / ua, 0.0)
-    far = (ub > 0.0) & (x < 1e-2)
-    if np.any(far):
-        xf = x[far]
-        term = np.ones_like(xf)
-        s = np.ones_like(xf)
-        for k in range(1, 8):
-            term *= -xf * (p - k + 1.0) / k
-            s += term / (k + 1.0)
-        m0[far] = ua[far] ** p * width[far] * s
-    return m0
-
-
-def _ref_convolution_matrix(t, order, scheme):
+def _ref_convolution_matrix(t, order):
     n = t.size - 1
     h = t[1:] - t[:-1]
     ua = np.maximum(t[:, None] - t[None, :-1], 0.0)
     ub = np.maximum(t[:, None] - t[None, 1:], 0.0)
     w = np.zeros((n + 1, n + 1))
-    if scheme == PRODUCT_RECTANGLE:
-        w[:, :-1] += _ref_box_moment(order - 1.0, ua, ub)
-    else:
-        lo, hi = _ref_hat_moments(order - 1.0, ua, ub)
-        w[:, :-1] += lo / h
-        w[:, 1:] += hi / h
+    lo, hi = _ref_hat_moments(order - 1.0, ua, ub)
+    w[:, :-1] += lo / h
+    w[:, 1:] += hi / h
     w /= math.gamma(order)
     return w
 
@@ -417,13 +373,12 @@ class TestBlockedAssembly:
 
     @staticmethod
     def _assert_bit_equal(n):
-        for scheme in (PRODUCT_TRAPEZOIDAL, PRODUCT_RECTANGLE):
-            for r in (1.0, 2.5, 4.0):
-                t = GradedMesh(n, r).nodes
-                for order in (0.25, 0.5, 1.0, 1.7):
-                    ours = fracops._convolution_matrix(t, order, scheme)
-                    ref = _ref_convolution_matrix(t, order, scheme)
-                    assert ours.tobytes() == ref.tobytes(), (scheme, r, order)
+        for r in (1.0, 2.5, 4.0):
+            t = GradedMesh(n, r).nodes
+            for order in (0.25, 0.5, 1.0, 1.7):
+                ours = fracops._convolution_matrix(t, order)
+                ref = _ref_convolution_matrix(t, order)
+                assert ours.tobytes() == ref.tobytes(), (r, order)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 1000])
     def test_bit_equal_at_default_budget(self, n):
@@ -464,40 +419,11 @@ class TestBlockedAssembly:
         t = GradedMesh(n, 8.0 / 3.0).nodes
         tracemalloc.start()
         try:
-            fracops._convolution_matrix(t, 0.5, PRODUCT_TRAPEZOIDAL)
+            fracops._convolution_matrix(t, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 8 * (n + 1) ** 2
-
-
-class TestOperatorCacheHooks:
-    """The cache reaches _convolution_matrix through the module global, so a
-    wrapper installed there sees every assembly (the benchmark tracer does
-    this)."""
-
-    def test_assembles_once_per_miss(self, monkeypatch):
-        calls = []
-        assemble = fracops._convolution_matrix
-
-        def counting(*args):
-            calls.append(args)
-            return assemble(*args)
-
-        monkeypatch.setattr(fracops, "_convolution_matrix", counting)
-        fracops._cached_convolution_matrix.cache_clear()
-        try:
-            rule = make_rule(24, r=1.5)
-            g = smooth_profile(rule.mesh.nodes)
-            first = rl_integral(0.4, g, rule)
-            assert len(calls) == 1
-            second = rl_integral(0.4, g, rule)
-            assert len(calls) == 1
-            assert np.array_equal(first, second)
-            info = fracops._cached_convolution_matrix.cache_info()
-            assert (info.hits, info.misses) == (1, 1)
-        finally:
-            fracops._cached_convolution_matrix.cache_clear()
 
 
 def _clear_operator_caches():
@@ -511,20 +437,10 @@ def _operator_cache_sizes():
 
 
 class TestMeshTooLarge:
-    def test_rejected_before_allocation(self):
-        # 8 (n+1)^2 bytes = 8 TB at n = 10^6; only O(n) arrays are built.
-        # The rectangle scheme always takes the dense path.
-        _clear_operator_caches()
-        rule = make_rule(10 ** 6, scheme=PRODUCT_RECTANGLE)
-        with pytest.raises(MeshTooLarge, match="physical memory"):
-            rl_integral(0.5, np.zeros(10 ** 6 + 1), rule)
-        assert _operator_cache_sizes() == (0, 0)
-
     def test_soe_rejected_before_allocation(self, monkeypatch):
         # At n = 10^6 the SOE tables would take about 2 GB; one byte less
         # of memory than they need rejects them before they are built.
         n, r = 10 ** 6, 2.0
-        assert fracops._uses_soe(n, 0.5, PRODUCT_TRAPEZOIDAL)
         need = fracops._soe_bytes(n, r, 0.5)
         monkeypatch.setattr(fracops, "_physical_memory", lambda: need - 1)
         _clear_operator_caches()
@@ -533,7 +449,7 @@ class TestMeshTooLarge:
         assert _operator_cache_sizes() == (0, 0)
 
     def test_soe_threshold_is_table_size(self, monkeypatch):
-        n, r = fracops._SOE_MIN_N, 2.0
+        n, r = 1025, 2.0
         need = fracops._soe_bytes(n, r, 0.5)
         assert need < 8 * (n + 1) ** 2 // 4
         monkeypatch.setattr(fracops, "_physical_memory", lambda: need)
@@ -549,12 +465,26 @@ class TestMeshTooLarge:
         with pytest.raises(MeshTooLarge):
             rl_integral(0.5, np.zeros(m + 1), make_rule(m, r=r))
 
-    def test_threshold_is_dense_operator_size(self, monkeypatch):
-        n = 16
-        monkeypatch.setattr(fracops, "_physical_memory", lambda: 8 * (n + 1) ** 2)
-        rl_integral(0.5, np.zeros(n + 1), make_rule(n))
-        with pytest.raises(MeshTooLarge):
-            rl_integral(0.5, np.zeros(n + 2), make_rule(n + 1))
+    def test_threshold_is_one_block_table_size(self, monkeypatch):
+        # n = 16 fills one block and needs no history modes; the tables of
+        # the fractional part are all that is checked, so order 1.5 needs
+        # those of order 0.5 and order 1 needs none.
+        n, r = 16, 2.0
+        need = fracops._soe_bytes(n, r, 0.5)
+        assert need == 8 * fracops._SOE_BLOCK * (fracops._SOE_BLOCK + 1)
+        monkeypatch.setattr(fracops, "_physical_memory", lambda: need)
+        _clear_operator_caches()
+        try:
+            for order in (0.5, 1.5):
+                rl_integral(order, np.zeros(n + 1), make_rule(n, r=r))
+            monkeypatch.setattr(fracops, "_physical_memory", lambda: need - 1)
+            with pytest.raises(MeshTooLarge):
+                rl_integral(0.5, np.zeros(n + 1), make_rule(n, r=r))
+            with pytest.raises(MeshTooLarge):
+                rl_integral(1.5, np.zeros(n + 1), make_rule(n, r=r))
+            rl_integral(1.0, np.zeros(n + 1), make_rule(n, r=r))
+        finally:
+            _clear_operator_caches()
 
     def test_check_skipped_without_sysconf(self, monkeypatch):
         def unavailable(name):
@@ -580,7 +510,7 @@ class TestSoeOperator:
             gs = (np.ones(n + 1), t ** 0.3, rng.random(n + 1))
             signed = rng.standard_normal(n + 1)
             for order in self.ORDERS:
-                w = fracops._convolution_matrix(t, order, PRODUCT_TRAPEZOIDAL)
+                w = fracops._convolution_matrix(t, order)
                 op = fracops._soe_operator(t, order)
                 for g in gs:
                     dense = w @ g
@@ -631,36 +561,39 @@ class TestSoeOperator:
             approx = np.einsum("uk,k->u", np.exp(-np.outer(u, x)), w)
             assert np.max(np.abs(approx * u ** (1.0 - order) - 1.0)) <= 1e-14
 
-    def test_rl_integral_takes_soe_path_from_crossover(self, monkeypatch):
+    def test_rl_integral_builds_only_soe(self, monkeypatch):
+        # No dense path: an assembly raises, and the SOE operator is built
+        # for the fractional part of each order only (none for order 1).
         built = []
+        soe = fracops._soe_operator
 
-        def recording(name):
-            original = getattr(fracops, name)
+        def dense(*args):
+            raise AssertionError("rl_integral assembled a dense matrix")
 
-            def wrapper(*args):
-                built.append(name)
-                return original(*args)
-            return wrapper
+        def recording(nodes, order):
+            built.append(order)
+            return soe(nodes, order)
 
-        for name in ("_convolution_matrix", "_soe_operator"):
-            monkeypatch.setattr(fracops, name, recording(name))
-        n = fracops._SOE_MIN_N
+        monkeypatch.setattr(fracops, "_convolution_matrix", dense)
+        monkeypatch.setattr(fracops, "_soe_operator", recording)
         _clear_operator_caches()
         try:
-            for m, order, scheme, path in (
-                    (n - 1, 0.5, PRODUCT_TRAPEZOIDAL, "_convolution_matrix"),
-                    (n, 0.5, PRODUCT_TRAPEZOIDAL, "_soe_operator"),
-                    (n, 1.0, PRODUCT_TRAPEZOIDAL, "_convolution_matrix"),
-                    (n, 0.5, PRODUCT_RECTANGLE, "_convolution_matrix")):
-                del built[:]
-                rl_integral(order, np.ones(m + 1), make_rule(m, scheme=scheme))
-                assert built == [path], (m, order, scheme)
+            for n in (16, 1024):
+                for order, fraction in ((0.3, 0.3), (1.0, None), (1.2, 0.2)):
+                    del built[:]
+                    rl_integral(order, np.ones(n + 1), make_rule(n))
+                    if fraction is None:
+                        assert built == [], (n, order)
+                    else:
+                        assert len(built) == 1 and built[0] == pytest.approx(fraction), (n, order)
         finally:
             _clear_operator_caches()
 
     def test_builds_once_per_miss(self, monkeypatch):
-        # Mirrors TestOperatorCacheHooks: the cache reaches the builder
-        # through the module global.
+        # The cache reaches the builder through the module global, so a
+        # wrapper installed there sees every build.  The benchmark tracer
+        # wraps _convolution_matrix and reads
+        # _cached_convolution_matrix.cache_info(), which must stay.
         calls = []
         build = fracops._soe_operator
 
@@ -671,7 +604,7 @@ class TestSoeOperator:
         monkeypatch.setattr(fracops, "_soe_operator", counting)
         _clear_operator_caches()
         try:
-            rule = make_rule(fracops._SOE_MIN_N, r=1.5)
+            rule = make_rule(1025, r=1.5)
             g = smooth_profile(rule.mesh.nodes)
             first = rl_integral(0.4, g, rule)
             assert len(calls) == 1
@@ -685,18 +618,22 @@ class TestSoeOperator:
             _clear_operator_caches()
 
     def test_independent_of_blas_threads(self):
-        # The SOE apply uses no BLAS, so its output is the same bytes with
-        # one or two OpenBLAS threads.  Nothing is built at import.
+        # Neither the SOE apply nor the cumulative trapezoid uses BLAS, so
+        # the output is the same bytes with one or two OpenBLAS threads, at
+        # fractional and integer orders alike.  Nothing is built at import.
         script = (
             "import hashlib, numpy as np\n"
             "from hilferbvp import fracops\n"
             "from hilferbvp.core import GradedMesh\n"
             "assert fracops._cached_soe_operator.cache_info().currsize == 0\n"
             "assert fracops._soe_bytes.cache_info().currsize == 0\n"
-            "mesh = GradedMesh(4096, 8.0 / 3.0)\n"
-            "g = np.sin(7.0 * mesh.nodes) + mesh.nodes ** 0.3\n"
-            "rule = fracops.QuadratureRule(mesh)\n"
-            "out = b''.join(fracops.rl_integral(a, g, rule).tobytes() for a in (0.25, 0.5))\n"
+            "out = b''\n"
+            "for n in (1024, 4096):\n"
+            "    mesh = GradedMesh(n, 8.0 / 3.0)\n"
+            "    g = np.sin(7.0 * mesh.nodes) + mesh.nodes ** 0.3\n"
+            "    rule = fracops.QuadratureRule(mesh)\n"
+            "    for a in (0.25, 0.5, 1.0, 1.2):\n"
+            "        out += fracops.rl_integral(a, g, rule).tobytes()\n"
             "print(hashlib.sha256(out).hexdigest())\n"
         )
         src = str(Path(fracops.__file__).resolve().parents[1])
@@ -714,17 +651,21 @@ class TestSoeOperator:
 class TestPastDenseMemoryWall:
     def test_power_rule_at_n_40000(self):
         # The dense operator would take 8 (n+1)^2 bytes = 12.8 GB here.
-        n, alpha = 40000, 0.5
-        mesh = GradedMesh.graded_for(n, alpha)
-        t = mesh.nodes
+        # Order 1 is the cumulative trapezoid, exact on t^0 and t^1; order
+        # 1.5 composes it with the SOE operator of order 0.5.
+        n = 40000
+        cases = ((0.5, 0.5, 1e-5), (1.0, 1.0, 1e-13), (1.5, 0.5, 1e-5))
         _clear_operator_caches()
         tracemalloc.start()
         try:
-            for sigma in (1.0, 2.0):
-                out = rl_integral(alpha, t ** (sigma - 1.0), QuadratureRule(mesh))
-                exact = (math.gamma(sigma) / math.gamma(alpha + sigma)
-                         * t ** (alpha + sigma - 1.0))
-                assert np.max(np.abs(out - exact)) <= 1e-5
+            for order, alpha, tol in cases:
+                mesh = GradedMesh.graded_for(n, alpha)
+                t = mesh.nodes
+                for sigma in (1.0, 2.0):
+                    out = rl_integral(order, t ** (sigma - 1.0), QuadratureRule(mesh))
+                    exact = (math.gamma(sigma) / math.gamma(order + sigma)
+                             * t ** (order + sigma - 1.0))
+                    assert np.max(np.abs(out - exact)) <= tol, (order, sigma)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
