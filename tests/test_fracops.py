@@ -426,6 +426,36 @@ class TestBlockedAssembly:
         assert peak <= 2 * 8 * (n + 1) ** 2
 
 
+class TestOperatorCacheHooks:
+    """The dense-matrix cache reaches _convolution_matrix through the module
+    global, so a wrapper installed there sees every assembly (the benchmark
+    tracer does this).  rl_integral no longer uses this cache, so it is
+    driven directly."""
+
+    def test_assembles_once_per_miss(self, monkeypatch):
+        calls = []
+        assemble = fracops._convolution_matrix
+
+        def counting(*args):
+            calls.append(args)
+            return assemble(*args)
+
+        monkeypatch.setattr(fracops, "_convolution_matrix", counting)
+        fracops._cached_convolution_matrix.cache_clear()
+        try:
+            first = fracops._cached_convolution_matrix(24, 1.5, 0.4)
+            assert len(calls) == 1
+            second = fracops._cached_convolution_matrix(24, 1.5, 0.4)
+            assert len(calls) == 1
+            assert np.array_equal(first, second)
+            expected = assemble(GradedMesh(24, 1.5).nodes, 0.4)
+            assert first.tobytes() == expected.tobytes()
+            info = fracops._cached_convolution_matrix.cache_info()
+            assert (info.hits, info.misses) == (1, 1)
+        finally:
+            fracops._cached_convolution_matrix.cache_clear()
+
+
 def _clear_operator_caches():
     fracops._cached_convolution_matrix.cache_clear()
     fracops._cached_soe_operator.cache_clear()
