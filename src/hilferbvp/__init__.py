@@ -27,7 +27,6 @@ from .core import (
 )
 from .fracops import (
     QuadratureRule,
-    caputo_derivative,
     hilfer_derivative,
     physical_integral,
     q_kernel,
@@ -43,7 +42,6 @@ from .solver import (
     boundary_identity_gap,
     bracket_from_bounds,
     build_control_functions,
-    solution_integral,
     solve_picard,
 )
 from .verify import (
@@ -72,7 +70,6 @@ __all__ = [
     "boundary_identity_gap",
     "bracket_from_bounds",
     "build_control_functions",
-    "caputo_derivative",
     "check_kernel_bound",
     "check_mu",
     "constant_rhs_oracle",
@@ -88,7 +85,6 @@ __all__ = [
     "residual_check",
     "rl_derivative",
     "rl_integral",
-    "solution_integral",
     "solve_picard",
     "to_physical",
     "weighted_norm",

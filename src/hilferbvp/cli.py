@@ -25,6 +25,7 @@ from .analysis import CERT_CONTRACTION, CERT_MU_NONZERO, Certificate
 from .config import (
     RunConfig,
     SweepConfig,
+    check_run_config,
     parse_run_file,
     parse_sweep_file,
 )
@@ -51,18 +52,25 @@ def _fmt(x: float) -> str:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
+    """cfg with the command-line overrides, checked like the config file."""
     updates = {}
     if args.mesh_n is not None:
         updates["mesh_n"] = args.mesh_n
-    if args.mesh_r is not None:
-        updates["mesh_r"] = None if args.mesh_r == "auto" else float(args.mesh_r)
+    if args.mesh_r == "auto":
+        updates["mesh_r"] = None
+    elif args.mesh_r is not None:
+        try:
+            updates["mesh_r"] = float(args.mesh_r)
+        except ValueError:
+            raise ConfigError(f"--mesh-r must be a number or 'auto', "
+                              f"got {args.mesh_r!r}", "command line") from None
     if args.tol is not None:
         updates["tol"] = args.tol
     if args.max_iter is not None:
         updates["max_iter"] = args.max_iter
     if args.output_dir is not None:
         updates["output_dir"] = args.output_dir
-    return replace(cfg, **updates) if updates else cfg
+    return check_run_config(replace(cfg, **updates), "command line") if updates else cfg
 
 
 def _physical_origin(w0: float, gamma: float) -> float:
@@ -252,6 +260,9 @@ def cmd_sweep(args) -> int:
 
 
 def _read_solution_csv(path: str, mesh) -> np.ndarray:
+    """The w column of a solution.csv on `mesh`.  A short row, a non-finite
+    t or w, or nodes off the mesh raise ConfigError."""
+    rows = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
@@ -259,7 +270,16 @@ def _read_solution_csv(path: str, mesh) -> np.ndarray:
             if header is None or [h.strip() for h in header[:2]] != ["t", "w"]:
                 raise ConfigError("solution file must start with a 't,w,...' header",
                                   path, 1)
-            rows = [(float(row[0]), float(row[1])) for row in reader if row]
+            for row in filter(None, reader):
+                if len(row) < 2:
+                    raise ConfigError("solution row needs a t and a w value",
+                                      path, reader.line_num)
+                t, w = float(row[0]), float(row[1])
+                if not (math.isfinite(t) and math.isfinite(w)):
+                    raise ConfigError(f"solution row has a non-finite value "
+                                      f"(t = {row[0]}, w = {row[1]})",
+                                      path, reader.line_num)
+                rows.append((t, w))
     except OSError as exc:
         raise ConfigError(f"cannot read solution: {exc}", path)
     except ValueError as exc:

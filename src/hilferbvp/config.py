@@ -297,18 +297,10 @@ def _parse_run(sections, path: str) -> RunConfig:
             mesh_r = _to_float(r_item.value)
         except Exception as exc:
             raise ConfigError(f"bad value for 'r': {exc}", path, r_item.line)
-    if mesh_n < 4:
-        raise ConfigError(f"mesh n must be >= 4, got {mesh_n}", path)
-    if mesh_r is not None and mesh_r < 1.0:
-        raise ConfigError(f"mesh r must be >= 1 (or 'auto'), got {mesh_r}", path)
 
     picard = _SectionView(sections, "picard", path)
     tol = picard.parse("tol", _to_float, default=1e-10)
     max_iter = picard.parse("max_iter", _to_int, default=200)
-    if tol <= 0.0:
-        raise ConfigError(f"tol must be > 0, got {tol}", path)
-    if max_iter < 1:
-        raise ConfigError(f"max_iter must be >= 1, got {max_iter}", path)
 
     bounds = _SectionView(sections, "bounds", path)
     lower = bounds.parse("lower", _to_float)
@@ -318,10 +310,26 @@ def _parse_run(sections, path: str) -> RunConfig:
     dir_item = output.take("dir")
     output_dir = dir_item.value if dir_item is not None else "."
 
-    cfg = RunConfig(alpha=alpha, beta=beta, lam=lam, d=d, rhs=rhs_spec,
-                    mesh_n=mesh_n, mesh_r=mesh_r, tol=tol, max_iter=max_iter,
-                    lower=lower, upper=upper, lipschitz=lipschitz,
-                    output_dir=output_dir)
+    return check_run_config(
+        RunConfig(alpha=alpha, beta=beta, lam=lam, d=d, rhs=rhs_spec,
+                  mesh_n=mesh_n, mesh_r=mesh_r, tol=tol, max_iter=max_iter,
+                  lower=lower, upper=upper, lipschitz=lipschitz,
+                  output_dir=output_dir),
+        path)
+
+
+def check_run_config(cfg: RunConfig, path: Optional[str]) -> RunConfig:
+    """cfg, once its mesh, Picard settings and problem are in range; the
+    config parser and the CLI overrides both go through this check."""
+    if cfg.mesh_n < 4:
+        raise ConfigError(f"mesh n must be >= 4, got {cfg.mesh_n}", path)
+    if cfg.mesh_r is not None and not (math.isfinite(cfg.mesh_r) and cfg.mesh_r >= 1.0):
+        raise ConfigError(f"mesh r must be finite and >= 1 (or 'auto'), "
+                          f"got {cfg.mesh_r}", path)
+    if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
+        raise ConfigError(f"tol must be > 0, got {cfg.tol}", path)
+    if cfg.max_iter < 1:
+        raise ConfigError(f"max_iter must be >= 1, got {cfg.max_iter}", path)
     try:
         cfg.to_problem()
     except ConfigError:

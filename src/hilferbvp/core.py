@@ -147,10 +147,6 @@ class DerivedConstants:
     mu: float
     capital_lambda: float
 
-    @property
-    def mu_positive(self) -> bool:
-        return self.mu > 0.0
-
 
 def composite_order(alpha: float, beta: float) -> float:
     return alpha + beta * (1.0 - alpha)

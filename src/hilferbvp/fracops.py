@@ -280,15 +280,6 @@ def _soe_history_modes(nodes: np.ndarray, order: float):
     return _soe_nodes(1.0 - order, delta)
 
 
-def _soe_shapes(n: int, k: int):
-    """Shapes of the near, gather, spread and decay tables for n intervals
-    and k modes."""
-    b = _SOE_BLOCK
-    blocks = -(-(n + 1) // b)
-    hist = blocks - 1
-    return (blocks, b, b + 1), (hist, b + 1, k), (hist, b, k), (hist, k)
-
-
 @dataclass(frozen=True, eq=False)
 class _SoeOperator:
     """I^order on n + 1 nodes: exact near-field blocks plus K history modes.
@@ -333,18 +324,32 @@ class _SoeOperator:
 def _soe_operator(nodes: np.ndarray, order: float) -> _SoeOperator:
     """The SOE form of the product-trapezoidal I^order, 0 < order < 1.  Its
     near-field entries are those of _convolution_matrix bit for bit; the far
-    history carries the SOE quadrature's relative error (below 5e-15)."""
+    history carries the SOE quadrature's relative error (below 5e-15).
+
+    Raises MeshTooLarge, before the tables are allocated, when they exceed
+    physical memory."""
     t = nodes
     n = t.size - 1
     b = _SOE_BLOCK
     x, w = _soe_history_modes(t, order)
-    near_shape, gather_shape, spread_shape, decay_shape = _soe_shapes(n, x.size)
-    near = np.zeros(near_shape)
-    gather = np.zeros(gather_shape)
-    spread = np.zeros(spread_shape)
-    decay = np.zeros(decay_shape)
+    k = x.size
+    blocks = -(-(n + 1) // b)
+    hist = blocks - 1
+    # Bytes of near, then of gather, spread and decay.
+    need = 8 * (blocks * b * (b + 1) + hist * (2 * b + 2) * k)
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise MeshTooLarge(
+            f"a sum-of-exponentials operator on {n} mesh intervals needs "
+            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
+            f"of physical memory"
+        )
+    near = np.zeros((blocks, b, b + 1))
+    gather = np.zeros((hist, b + 1, k))
+    spread = np.zeros((hist, b, k))
+    decay = np.zeros((hist, k))
     w = w / math.gamma(order)
-    for blk in range(near_shape[0]):
+    for blk in range(blocks):
         r0 = blk * b
         r1 = min(r0 + b, n + 1)
         c0 = max(r0 - 1, 0)
@@ -401,14 +406,6 @@ def _cached_soe_operator(n: int, r: float, order: float) -> _SoeOperator:
     return _soe_operator(GradedMesh(n, r).nodes, order)
 
 
-@lru_cache(maxsize=64)
-def _soe_bytes(n: int, r: float, order: float) -> int:
-    """Bytes of the tables of _cached_soe_operator(n, r, order), from O(n)
-    arrays only."""
-    k = _soe_history_modes(GradedMesh(n, r).nodes, order)[0].size
-    return 8 * sum(math.prod(shape) for shape in _soe_shapes(n, k))
-
-
 @lru_cache(maxsize=32)
 def _cached_kernel_weights(n: int, r: float, p: float, side: str) -> np.ndarray:
     return _pl_kernel_weights(GradedMesh(n, r).nodes, p, side)
@@ -441,8 +438,8 @@ def rl_integral(order: float, samples, rule: QuadratureRule) -> np.ndarray:
     the sum-of-exponentials form of the product-trapezoidal operator
     (skipped when f < _ORDER_EPS); I^k is then k passes of the cumulative
     trapezoidal rule, which is the product-trapezoidal I^1 exactly.  Raises
-    MeshTooLarge, before anything is allocated, when the SOE tables of I^f
-    exceed physical memory.
+    MeshTooLarge when the SOE tables of I^f would exceed physical memory
+    (see _soe_operator).
     """
     if not (math.isfinite(order) and order > 0.0):
         raise OutOfDomain(f"integral order must be > 0, got {order}")
@@ -453,13 +450,6 @@ def rl_integral(order: float, samples, rule: QuadratureRule) -> np.ndarray:
     if frac < _ORDER_EPS:
         out = g.copy()
     else:
-        need, have = _soe_bytes(n, r, frac), _physical_memory()
-        if have is not None and need > have:
-            raise MeshTooLarge(
-                f"a sum-of-exponentials operator on {n} mesh intervals needs "
-                f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
-                f"of physical memory"
-            )
         out = _cached_soe_operator(n, r, frac).apply(g)
     half_widths = 0.5 * np.diff(rule.mesh.nodes)
     for _ in range(whole):
@@ -498,32 +488,12 @@ def differentiate(samples, mesh: GradedMesh) -> np.ndarray:
     return out
 
 
-def _check_derivative_order(order: float) -> None:
+def rl_derivative(order: float, samples, rule: QuadratureRule) -> np.ndarray:
+    """Riemann-Liouville derivative D^order g = d/dt I^(1-order) g: the
+    Hilfer derivative of type beta = 0."""
     if not (math.isfinite(order) and 0.0 < order < 1.0):
         raise OutOfDomain(f"derivative order must lie in (0, 1), got {order}")
-
-
-def _require_nodes(mesh: GradedMesh) -> None:
-    if mesh.n < 4:
-        raise InsufficientNodes(
-            f"fractional derivatives need >= 4 mesh intervals, got {mesh.n}"
-        )
-
-
-def rl_derivative(order: float, samples, rule: QuadratureRule) -> np.ndarray:
-    """Riemann-Liouville derivative D^order g = d/dt I^(1-order) g."""
-    _check_derivative_order(order)
-    _require_nodes(rule.mesh)
-    h = rl_integral(1.0 - order, samples, rule)
-    return differentiate(h, rule.mesh)
-
-
-def caputo_derivative(order: float, samples, rule: QuadratureRule) -> np.ndarray:
-    """Caputo derivative I^(1-order) g', with g' by finite differences."""
-    _check_derivative_order(order)
-    _require_nodes(rule.mesh)
-    dg = differentiate(samples, rule.mesh)
-    return rl_integral(1.0 - order, dg, rule)
+    return hilfer_derivative(order, 0.0, samples, rule)
 
 
 def hilfer_derivative(alpha: float, beta: float, samples, rule: QuadratureRule) -> np.ndarray:
@@ -531,13 +501,17 @@ def hilfer_derivative(alpha: float, beta: float, samples, rule: QuadratureRule) 
     gamma = alpha + beta(1-alpha).
 
     alpha = 1 is admitted as the classical-derivative limit (all fractional
-    orders collapse to zero).  beta = 0 coincides with rl_derivative.
+    orders collapse to zero).  beta = 0 is the Riemann-Liouville derivative
+    d/dt I^(1-alpha) g, beta = 1 the Caputo derivative I^(1-alpha) g'.
     """
     if not (math.isfinite(alpha) and 0.0 < alpha <= 1.0):
         raise OutOfDomain(f"alpha must lie in (0, 1], got {alpha}")
     if not (0.0 <= beta <= 1.0):
         raise OutOfDomain(f"beta must lie in [0, 1], got {beta}")
-    _require_nodes(rule.mesh)
+    if rule.mesh.n < 4:
+        raise InsufficientNodes(
+            f"fractional derivatives need >= 4 mesh intervals, got {rule.mesh.n}"
+        )
     gamma = composite_order(alpha, beta)
     inner = max(1.0 - gamma, 0.0)
     outer = beta * (1.0 - alpha)

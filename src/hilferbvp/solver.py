@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Union
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -37,9 +37,6 @@ from .errors import (
 )
 from .fracops import QuadratureRule, boundary_kernel_weights, rl_integral
 
-INITIAL_GUESS_CONSTANT_LAMBDA = "constant-lambda"
-INITIAL_GUESS_BRACKET_MIDPOINT = "bracket-midpoint"
-
 # Number of past residual differences an Anderson step combines.
 ANDERSON_DEPTH = 5
 # Relative cutoff on the singular values of the column-scaled Gram matrix of
@@ -51,24 +48,19 @@ _ANDERSON_RCOND = 1e-10
 class PicardSettings:
     """Stopping rule and starting point for the fixed-point iteration.
 
-    ``initial_guess`` is one of the named strategies or an explicit grid of
-    weighted samples.
+    ``initial_guess`` is an explicit grid of weighted samples, or None for
+    the constant start w = Lambda.
     """
 
     tol: float = 1e-10
     max_iter: int = 200
-    initial_guess: Union[str, np.ndarray] = INITIAL_GUESS_CONSTANT_LAMBDA
+    initial_guess: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be > 0, got {self.tol}")
         if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if isinstance(self.initial_guess, str) and self.initial_guess not in (
-            INITIAL_GUESS_CONSTANT_LAMBDA,
-            INITIAL_GUESS_BRACKET_MIDPOINT,
-        ):
-            raise ValueError(f"unknown initial guess {self.initial_guess!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,15 +124,6 @@ def _require_nonsingular(consts: DerivedConstants) -> None:
         )
 
 
-def boundary_functional(problem: HilferProblem, consts: DerivedConstants,
-                        w: WeightedGridFunction, rule: QuadratureRule) -> float:
-    """integral_0^1 (Q(tau)/Gamma(alpha)) f(tau, y(tau)) dtau for the
-    current iterate, with the kernel integrated exactly."""
-    weights = boundary_kernel_weights(problem.alpha, rule.mesh)
-    samples = _rhs_samples(problem, consts, w.values, rule.mesh)
-    return float(weights @ samples)
-
-
 def apply_delta(problem: HilferProblem, consts: DerivedConstants,
                 w: WeightedGridFunction, rule: QuadratureRule) -> WeightedGridFunction:
     """One application of the integral-equation operator, in weighted form.
@@ -166,17 +149,14 @@ def apply_delta(problem: HilferProblem, consts: DerivedConstants,
     return WeightedGridFunction(mesh, gamma, out)
 
 
-def initial_iterate(problem: HilferProblem, consts: DerivedConstants,
-                    settings: PicardSettings, mesh: GradedMesh) -> WeightedGridFunction:
+def initial_iterate(consts: DerivedConstants, settings: PicardSettings,
+                    mesh: GradedMesh) -> WeightedGridFunction:
+    """The start x_0; WeightedGridFunction rejects a wrong-shape or
+    non-finite ``initial_guess`` with ValueError."""
     guess = settings.initial_guess
-    if isinstance(guess, str):
-        if guess == INITIAL_GUESS_CONSTANT_LAMBDA:
-            values = np.full(mesh.n + 1, consts.capital_lambda)
-        else:
-            bracket = bracket_from_bounds(problem, consts, mesh)
-            values = 0.5 * (bracket.lower.values + bracket.upper.values)
-        return WeightedGridFunction(mesh, consts.gamma, values)
-    return WeightedGridFunction(mesh, consts.gamma, np.asarray(guess, dtype=float))
+    if guess is None:
+        guess = np.full(mesh.n + 1, consts.capital_lambda)
+    return WeightedGridFunction(mesh, consts.gamma, guess)
 
 
 class _AndersonHistory:
@@ -247,7 +227,7 @@ def solve_picard(problem: HilferProblem, consts: DerivedConstants,
     image and the history are always returned for diagnosis.
     """
     mesh = rule.mesh
-    x = initial_iterate(problem, consts, settings, mesh)
+    x = initial_iterate(consts, settings, mesh)
     mixer = _AndersonHistory(mesh.n + 1)
     history: List[float] = []
     converged = False
@@ -268,22 +248,19 @@ def solve_picard(problem: HilferProblem, consts: DerivedConstants,
                        history=history, converged=converged)
 
 
-def solution_integral(problem: HilferProblem, consts: DerivedConstants,
-                      w: WeightedGridFunction, rule: QuadratureRule) -> float:
-    """integral_0^1 y(s) ds evaluated through the discrete boundary
-    functional: A = d/(mu Gamma(gamma+1)) + B/mu, the same closed form the
-    operator itself uses, so the boundary identity closes to stopping
-    tolerance rather than quadrature tolerance."""
-    _require_nonsingular(consts)
-    b = boundary_functional(problem, consts, w, rule)
-    return problem.d / (consts.mu * math.gamma(consts.gamma + 1.0)) + b / consts.mu
-
-
 def boundary_identity_gap(problem: HilferProblem, consts: DerivedConstants,
                           w: WeightedGridFunction, rule: QuadratureRule) -> float:
-    """|Gamma(gamma) w(0) - lam * integral_0^1 y - d| for a computed solution;
-    the integral is the solver-consistent closed form of solution_integral."""
-    a = solution_integral(problem, consts, w, rule)
+    """|Gamma(gamma) w(0) - lam A - d| for a computed solution, where
+    A = integral_0^1 y is taken in the closed form the operator itself
+    uses, A = d/(mu Gamma(gamma+1)) + B/mu with the discrete boundary
+    functional B = integral_0^1 (Q(tau)/Gamma(alpha)) f(tau, y(tau)) dtau.
+    The identity therefore closes to stopping tolerance rather than
+    quadrature tolerance; verify.residual_check measures the same defect
+    with A by direct quadrature."""
+    _require_nonsingular(consts)
+    weights = boundary_kernel_weights(problem.alpha, rule.mesh)
+    b = float(weights @ _rhs_samples(problem, consts, w.values, rule.mesh))
+    a = problem.d / (consts.mu * math.gamma(consts.gamma + 1.0)) + b / consts.mu
     lhs = math.gamma(consts.gamma) * float(w.values[0])
     return abs(lhs - problem.lam * a - problem.d)
 

@@ -1,5 +1,10 @@
 import csv
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,8 +115,11 @@ class TestSolve:
 
     def test_mesh_too_large_exit(self, tmp_path, capsys, monkeypatch):
         # Less than the SOE tables of one operator on the n = 64 mesh, whose
-        # two near-field blocks alone take 8 * 2 * 64 * 65 bytes.
+        # two near-field blocks alone take 8 * 2 * 64 * 65 bytes.  The guard
+        # runs when the tables are built, so the cache starts empty, as in a
+        # fresh CLI process.
         monkeypatch.setattr(fracops, "_physical_memory", lambda: 8 * 64 ** 2)
+        fracops._cached_soe_operator.cache_clear()
         path, _ = write_config(tmp_path)
         assert main(["solve", str(path)]) == EXIT_NUMERICAL
         err = capsys.readouterr().err
@@ -250,6 +258,7 @@ class TestSweep:
 
     def test_mesh_too_large_cell_recorded(self, tmp_path, monkeypatch):
         monkeypatch.setattr(fracops, "_physical_memory", lambda: 8 * 64 ** 2)
+        fracops._cached_soe_operator.cache_clear()     # as in a fresh process
         path, out = write_config(tmp_path)
         sweep = path.read_text() + (
             "\n[sweep]\naxis1 = lambda\naxis1_start = 0.0\n"
@@ -286,3 +295,75 @@ class TestVerify:
         assert main(["solve", str(path)]) == EXIT_OK
         assert main(["verify", str(path), str(out / "solution.csv"),
                      "--mesh-n", "32"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("edit", ["w_nan", "short_row", "t_nan"])
+    def test_bad_solution_file_is_config_error(self, tmp_path, capsys, edit):
+        path, out = write_config(tmp_path)
+        assert main(["solve", str(path)]) == EXIT_OK
+        solution = out / "solution.csv"
+        rows = read_csv(solution)
+        if edit == "w_nan":
+            rows[3][1] = "nan"
+        elif edit == "short_row":
+            rows[3] = rows[3][:1]
+        else:
+            rows[3][0] = "nan"
+        solution.write_text("".join(",".join(row) + "\n" for row in rows),
+                            encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", str(path), str(solution)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "solution.csv:4:" in err
+
+
+def _sweep_config(tmp_path):
+    path, out = write_config(tmp_path)
+    path.write_text(path.read_text() + (
+        "\n[sweep]\naxis1 = lambda\naxis1_start = 0.0\n"
+        "axis1_stop = 0.2\naxis1_steps = 2\n"), encoding="utf-8")
+    return path, out
+
+
+class TestOverrideValidation:
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("override", [
+        ["--tol", "0"], ["--tol", "nan"], ["--max-iter", "0"], ["--mesh-n", "0"],
+        ["--mesh-n", "2"], ["--mesh-r", "0.5"], ["--mesh-r", "nan"],
+    ], ids=" ".join)
+    def test_rejected_like_config_keys(self, tmp_path, capsys, command, override):
+        path, out = (write_config if command == "solve" else _sweep_config)(tmp_path)
+        assert main([command, str(path), *override]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: command line: ")
+        assert not out.exists()
+
+
+class TestBenchmarkTracer:
+    """perfbench/tracer.py patches names in the package's modules; a run
+    under it must still succeed and record a span for each of them."""
+
+    LAYERS = {"solver.apply_delta", "fracops.rl_integral",
+              "fracops.boundary_kernel_weights", "fracops.physical_integral",
+              "verify.residual_check"}
+
+    @staticmethod
+    def _trace(tmp_path, *cli_args):
+        root = Path(__file__).resolve().parents[1]
+        trace = tmp_path / "trace.json"
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run([sys.executable, str(root / "perfbench" / "tracer.py"),
+                               str(trace), *cli_args],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return {span["name"] for span in json.loads(trace.read_text())["spans"]}
+
+    def test_solve(self, tmp_path):
+        path, _ = write_config(tmp_path)
+        names = self._trace(tmp_path, "solve", str(path))
+        assert self.LAYERS | {"solver.boundary_identity_gap"} <= names
+
+    def test_sweep(self, tmp_path):
+        path, _ = _sweep_config(tmp_path)
+        names = self._trace(tmp_path, "sweep", str(path))
+        assert self.LAYERS | {"cli._sweep_cell"} <= names

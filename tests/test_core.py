@@ -100,7 +100,7 @@ class TestDeriveConstants:
         c = derive_constants(const_problem(lam=0.2, d=1.0))
         assert c.mu == pytest.approx(0.78238694957379653838, rel=1e-15)
         assert c.capital_lambda == pytest.approx(1.0430247328931083689, rel=1e-14)
-        assert c.mu_positive
+        assert c.mu > 0.0
 
     def test_exact_cancellation_is_singular(self):
         gamma = composite_order(0.5, 0.5)
@@ -111,7 +111,7 @@ class TestDeriveConstants:
     def test_negative_mu_not_fatal(self):
         c = derive_constants(const_problem(alpha=0.9, beta=0.0, lam=2.0))
         assert c.mu < 0.0
-        assert not c.mu_positive
+        assert not c.mu > 0.0
 
     @pytest.mark.parametrize("alpha", np.linspace(0.05, 1.0, 7))
     @pytest.mark.parametrize("beta", np.linspace(0.0, 1.0, 7))

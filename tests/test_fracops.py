@@ -17,7 +17,6 @@ from hilferbvp.errors import InsufficientNodes, MeshMismatch, MeshTooLarge, OutO
 from hilferbvp.fracops import (
     QuadratureRule,
     boundary_kernel_weights,
-    caputo_derivative,
     differentiate,
     hilfer_derivative,
     physical_integral,
@@ -180,9 +179,11 @@ class TestRlDerivative:
 
 
 class TestCaputoDerivative:
+    """The Caputo derivative is the Hilfer derivative of type beta = 1."""
+
     def test_constant_annihilated(self):
         rule = make_rule(64)
-        out = caputo_derivative(0.5, np.full(65, 2.0), rule)
+        out = hilfer_derivative(0.5, 1.0, np.full(65, 2.0), rule)
         assert np.max(np.abs(out)) < 1e-12
 
     def test_identity_power_rule(self):
@@ -190,7 +191,7 @@ class TestCaputoDerivative:
         # 1.1283791670955125739 (mpmath).
         rule = make_rule(128)
         t = rule.mesh.nodes
-        out = caputo_derivative(0.5, t.copy(), rule)
+        out = hilfer_derivative(0.5, 1.0, t.copy(), rule)
         assert np.max(np.abs(out - 1.1283791670955125739 * t ** 0.5)) < 1e-10
 
     def test_quadratic_power_rule(self):
@@ -198,9 +199,18 @@ class TestCaputoDerivative:
         # 1.5045055561273500985 (mpmath).
         rule = make_rule(512, r=2.0)
         t = rule.mesh.nodes
-        out = caputo_derivative(0.5, t ** 2, rule)
+        out = hilfer_derivative(0.5, 1.0, t ** 2, rule)
         exact = 1.5045055561273500985 * t ** 1.5
         assert np.max(np.abs(out - exact)) < 2e-5
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_is_integral_of_nodal_derivative(self, alpha):
+        # I^(1-alpha) g' byte for byte, on one block and past it.
+        for n in (64, 1024):
+            rule = make_rule(n)
+            g = np.sin(3.0 * rule.mesh.nodes)
+            caputo = rl_integral(1.0 - alpha, differentiate(g, rule.mesh), rule)
+            assert np.array_equal(hilfer_derivative(alpha, 1.0, g, rule), caputo)
 
 
 class TestHilferDerivative:
@@ -466,13 +476,23 @@ def _operator_cache_sizes():
             fracops._cached_soe_operator.cache_info().currsize)
 
 
+def _built_nbytes(n, r, order):
+    """Bytes of the SOE tables of I^order on GradedMesh(n, r), from a build
+    that is then dropped from the cache."""
+    _clear_operator_caches()
+    try:
+        return fracops._cached_soe_operator(n, r, order).nbytes
+    finally:
+        _clear_operator_caches()
+
+
 class TestMeshTooLarge:
     def test_soe_rejected_before_allocation(self, monkeypatch):
-        # At n = 10^6 the SOE tables would take about 2 GB; one byte less
-        # of memory than they need rejects them before they are built.
+        # At n = 10^6 the SOE tables would take about 2 GB.  With memory far
+        # below that they are rejected before they are built, and neither
+        # cache keeps an entry.
         n, r = 10 ** 6, 2.0
-        need = fracops._soe_bytes(n, r, 0.5)
-        monkeypatch.setattr(fracops, "_physical_memory", lambda: need - 1)
+        monkeypatch.setattr(fracops, "_physical_memory", lambda: 2 ** 20)
         _clear_operator_caches()
         with pytest.raises(MeshTooLarge, match="physical memory"):
             rl_integral(0.5, np.zeros(n + 1), make_rule(n, r=r))
@@ -480,33 +500,39 @@ class TestMeshTooLarge:
 
     def test_soe_threshold_is_table_size(self, monkeypatch):
         n, r = 1025, 2.0
-        need = fracops._soe_bytes(n, r, 0.5)
+        need = _built_nbytes(n, r, 0.5)
         assert need < 8 * (n + 1) ** 2 // 4
         monkeypatch.setattr(fracops, "_physical_memory", lambda: need)
         _clear_operator_caches()
         try:
             rl_integral(0.5, np.zeros(n + 1), make_rule(n, r=r))
-            assert fracops._cached_soe_operator(n, r, 0.5).nbytes == need
+            assert fracops._cached_soe_operator.cache_info().currsize == 1
+            _clear_operator_caches()
+            # One more block of nodes needs more bytes.
+            m = n + fracops._SOE_BLOCK
+            with pytest.raises(MeshTooLarge):
+                rl_integral(0.5, np.zeros(m + 1), make_rule(m, r=r))
+            monkeypatch.setattr(fracops, "_physical_memory", lambda: need - 1)
+            with pytest.raises(MeshTooLarge):
+                rl_integral(0.5, np.zeros(n + 1), make_rule(n, r=r))
+            assert _operator_cache_sizes() == (0, 0)
         finally:
             _clear_operator_caches()
-        # One more block of nodes needs more bytes.
-        m = n + fracops._SOE_BLOCK
-        assert fracops._soe_bytes(m, r, 0.5) > need
-        with pytest.raises(MeshTooLarge):
-            rl_integral(0.5, np.zeros(m + 1), make_rule(m, r=r))
 
     def test_threshold_is_one_block_table_size(self, monkeypatch):
         # n = 16 fills one block and needs no history modes; the tables of
         # the fractional part are all that is checked, so order 1.5 needs
         # those of order 0.5 and order 1 needs none.
         n, r = 16, 2.0
-        need = fracops._soe_bytes(n, r, 0.5)
+        need = _built_nbytes(n, r, 0.5)
         assert need == 8 * fracops._SOE_BLOCK * (fracops._SOE_BLOCK + 1)
         monkeypatch.setattr(fracops, "_physical_memory", lambda: need)
         _clear_operator_caches()
         try:
             for order in (0.5, 1.5):
                 rl_integral(order, np.zeros(n + 1), make_rule(n, r=r))
+            # The guard runs on a cache miss, when the tables are built.
+            _clear_operator_caches()
             monkeypatch.setattr(fracops, "_physical_memory", lambda: need - 1)
             with pytest.raises(MeshTooLarge):
                 rl_integral(0.5, np.zeros(n + 1), make_rule(n, r=r))
@@ -656,7 +682,6 @@ class TestSoeOperator:
             "from hilferbvp import fracops\n"
             "from hilferbvp.core import GradedMesh\n"
             "assert fracops._cached_soe_operator.cache_info().currsize == 0\n"
-            "assert fracops._soe_bytes.cache_info().currsize == 0\n"
             "out = b''\n"
             "for n in (1024, 4096):\n"
             "    mesh = GradedMesh(n, 8.0 / 3.0)\n"

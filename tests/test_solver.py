@@ -19,7 +19,6 @@ from hilferbvp.solver import (
     boundary_identity_gap,
     bracket_from_bounds,
     build_control_functions,
-    solution_integral,
     solve_picard,
 )
 
@@ -159,16 +158,21 @@ class TestSolvePicard:
             PicardSettings(tol=0.0)
         with pytest.raises(ValueError):
             PicardSettings(max_iter=0)
-        with pytest.raises(ValueError):
-            PicardSettings(initial_guess="nonsense")
+        p = problem_with(lambda t, y: 1.0)
+        consts, rule = setup(p)
+        for start in (np.ones(rule.mesh.n), np.full(rule.mesh.n + 1, np.nan)):
+            with pytest.raises(ValueError):
+                solve_picard(p, consts, PicardSettings(initial_guess=start), rule)
 
     def test_bracket_midpoint_start(self):
         p = problem_with(lambda t, y: 1.0, lam=0.0,
                          lower_bound=1.0, upper_bound=1.0)
         consts, rule = setup(p)
+        bracket = bracket_from_bounds(p, consts, rule.mesh)
         res = solve_picard(p, consts,
-                           PicardSettings(initial_guess="bracket-midpoint"), rule)
-        # with A1 = A2 = c the midpoint start IS the solution
+                           PicardSettings(initial_guess=bracket.lower.values), rule)
+        # with A1 = A2 = c the lower envelope is the bracket midpoint and
+        # IS the solution
         assert res.converged
         assert res.iterations == 1
 
@@ -263,13 +267,15 @@ class TestBoundaryIdentity:
         assert gap <= 10.0 * settings.tol
 
     def test_integral_closed_form_matches_direct_quadrature(self):
-        # Same number two ways: the closed-form route through the discrete
-        # boundary functional vs direct singular quadrature of t^(g-1) w.
-        from hilferbvp.fracops import physical_integral
+        # Same number two ways: the closed form A = d/(mu Gamma(gamma+1)) + B/mu
+        # of boundary_identity_gap, with the discrete boundary functional B,
+        # vs direct singular quadrature of t^(g-1) w.
+        from hilferbvp.fracops import boundary_kernel_weights, physical_integral
         p = problem_with(lambda t, y: 1.0, lam=0.2)
         consts, rule = setup(p, n=512)
         res = solve_picard(p, consts, PicardSettings(), rule)
-        closed = solution_integral(p, consts, res.solution, rule)
+        b = float(boundary_kernel_weights(p.alpha, rule.mesh) @ np.ones(rule.mesh.n + 1))
+        closed = p.d / (consts.mu * math.gamma(consts.gamma + 1.0)) + b / consts.mu
         direct = physical_integral(res.solution)
         assert closed == pytest.approx(direct, abs=2e-6)
 
