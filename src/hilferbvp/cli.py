@@ -16,7 +16,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -70,6 +70,8 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         updates["max_iter"] = args.max_iter
     if args.output_dir is not None:
         updates["output_dir"] = args.output_dir
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}", "command line")
     return check_run_config(replace(cfg, **updates), "command line") if updates else cfg
 
 
@@ -84,16 +86,32 @@ def _physical_origin(w0: float, gamma: float) -> float:
     return 0.0
 
 
+# Rows of solution.csv formatted per write.  Blocks keep the text out of
+# memory: the whole file at once raised the peak RSS of an n = 4096 solve
+# by 1 MB, and is 5.7 MiB at n = 10^5.
+_CSV_BLOCK_ROWS = 256
+
+
 def _write_solution_csv(path: Path, w: WeightedGridFunction) -> None:
-    t = w.mesh.nodes
+    """The t, w and y columns in csv.writer's dialect (CRLF rows, no value
+    needs quoting).  y is t^(gamma-1) w by libm pow, node by node: numpy's
+    vectorised power rounds differently."""
+    w0 = float(w.values[0])
+    e = w.gamma - 1.0
     with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "w", "y"])
-        writer.writerow(["0", _fmt(w.values[0]),
-                         _fmt(_physical_origin(float(w.values[0]), w.gamma))])
-        for j in range(1, t.size):
-            y = t[j] ** (w.gamma - 1.0) * w.values[j]
-            writer.writerow([_fmt(t[j]), _fmt(w.values[j]), _fmt(y)])
+        handle.write(f"t,w,y\r\n0,{_fmt(w0)},{_fmt(_physical_origin(w0, w.gamma))}\r\n")
+        for start in range(1, w.values.size, _CSV_BLOCK_ROWS):
+            stop = start + _CSV_BLOCK_ROWS
+            rows = []
+            for t, v in zip(w.mesh.nodes[start:stop].tolist(),
+                            w.values[start:stop].tolist()):
+                try:
+                    y = math.pow(t, e) * v
+                except (OverflowError, ValueError):     # numpy's inf where pow overflows
+                    with np.errstate(all="ignore"):
+                        y = float(np.float64(t) ** e * v)
+                rows.append(f"{t:.17g},{v:.17g},{y:.17g}\r\n")
+            handle.write("".join(rows))
 
 
 def _certificate_rows(problem: HilferProblem) -> List[List[str]]:
@@ -193,35 +211,96 @@ def cmd_certify(args) -> int:
     return EXIT_CERTIFICATE
 
 
-def _sweep_cell(cell_cfg: RunConfig):
-    """Metrics for one sweep cell; exceptions become a status, never a crash."""
+def _cell_problem(cell_cfg: RunConfig):
+    """The problem and constants of a sweep cell, or the record of a cell
+    that has none."""
     try:
         problem = cell_cfg.to_problem()
-        consts = derive_constants(problem)
+        return problem, derive_constants(problem)
     except SingularProblem:
         return {"status": "singular"}
     except HilferBvpError as exc:
         return {"status": f"failed:{type(exc).__name__}"}
+
+
+def _sweep_cell(cell_cfg: RunConfig, setup, solved):
+    """Metrics for one sweep cell from its _cell_problem ``setup`` and
+    ``solved``, the SolveResult of its stacked solve or the exception that
+    ended it; exceptions become a status, never a crash."""
+    if isinstance(setup, dict):
+        return setup
+    problem, consts = setup
     record = {"mu": consts.mu, "status": "ok"}
     lipschitz = cell_cfg.effective_lipschitz()
     if lipschitz is not None and consts.mu > 0.0:
         record["contraction"] = analysis.contraction_certificate(
             consts, problem.alpha, problem.lam, lipschitz).value
     try:
+        if isinstance(solved, Exception):
+            raise solved
         rule = QuadratureRule(cell_cfg.mesh())
-        settings = solver.PicardSettings(tol=cell_cfg.tol, max_iter=cell_cfg.max_iter)
-        result = solver.solve_picard(problem, consts, settings, rule)
-        residual = verify.residual_check(problem, consts, result.solution, rule)
+        residual = verify.residual_check(problem, consts, solved.solution, rule)
     except HilferBvpError as exc:
         record["status"] = f"failed:{type(exc).__name__}"
         return record
     record.update(
-        converged=result.converged,
-        iterations=result.iterations,
+        converged=solved.converged,
+        iterations=solved.iterations,
         interior_residual=residual.interior_residual,
         boundary_residual=residual.boundary_residual,
     )
     return record
+
+
+# Workspace bytes one stack of sweep cells may hold, so that peak memory
+# stays near that of one cell: the solver keeps 16 doubles per mesh node and
+# stacked cell (two Anderson ring buffers of depth 5, the iterate, image,
+# residual and mixed iterate, the last residual and image).  The operator's
+# temporaries add about 6 more at the peak of an iteration.
+_STACK_BYTES = 1 << 20
+_STACK_DOUBLES_PER_NODE = 16
+
+
+def _settings(cfg: RunConfig) -> solver.PicardSettings:
+    return solver.PicardSettings(tol=cfg.tol, max_iter=cfg.max_iter)
+
+
+def _sweep_stacks(cells: List[RunConfig]) -> List[List[int]]:
+    """Indices of the cells to solve together.  Cells that share alpha,
+    beta, the mesh, the rhs and the Picard settings iterate the same
+    operator and differ only in lambda, d or the Lipschitz constant; each
+    such group is cut into stacks of nearly equal size, none larger than
+    the workspace budget allows."""
+    groups: Dict[tuple, List[int]] = {}
+    for i, cfg in enumerate(cells):
+        key = (cfg.alpha, cfg.beta, cfg.mesh_n, cfg.mesh_r, cfg.rhs, _settings(cfg))
+        groups.setdefault(key, []).append(i)
+    stacks = []
+    for members in groups.values():
+        per_cell = 8 * _STACK_DOUBLES_PER_NODE * cells[members[0]].mesh_n
+        count = -(-len(members) // max(1, _STACK_BYTES // per_cell))
+        cuts = [len(members) * k // count for k in range(count + 1)]
+        stacks += [members[a:b] for a, b in zip(cuts, cuts[1:])]
+    return stacks
+
+
+def _sweep_stack(cells: List[RunConfig]) -> List[dict]:
+    """Records of cells that _sweep_stacks put together: one stacked Picard
+    solve, then _sweep_cell for each cell."""
+    setups = [_cell_problem(cfg) for cfg in cells]
+    solvable = [i for i, setup in enumerate(setups) if not isinstance(setup, dict)]
+    solved = [None] * len(cells)
+    if solvable:
+        # The stack evaluates one rhs callable for all its problems.
+        rhs = setups[solvable[0]][0].rhs
+        problems = [replace(setups[i][0], rhs=rhs) for i in solvable]
+        cfg = cells[solvable[0]]
+        outcomes = solver._solve_stack(problems, [setups[i][1] for i in solvable],
+                                       _settings(cfg), QuadratureRule(cfg.mesh()))
+        for i, outcome in zip(solvable, outcomes):
+            solved[i] = outcome
+    return [_sweep_cell(cfg, setup, outcome)
+            for cfg, setup, outcome in zip(cells, setups, solved)]
 
 
 def cmd_sweep(args) -> int:
@@ -229,12 +308,18 @@ def cmd_sweep(args) -> int:
     base = _apply_overrides(sweep.base, args)
     sweep = SweepConfig(base=base, axes=sweep.axes)
     cells = sweep.cells()
-    workers = max(1, args.workers)
-    if workers == 1:
-        records = [_sweep_cell(cfg) for _, cfg in cells]
+    configs = [cfg for _, cfg in cells]
+    stacks = _sweep_stacks(configs)
+    members = ([configs[i] for i in stack] for stack in stacks)
+    if args.workers == 1:
+        done = [_sweep_stack(stack) for stack in members]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_sweep_cell, (cfg for _, cfg in cells)))
+        with ThreadPoolExecutor(max_workers=args.workers) as pool:
+            done = list(pool.map(_sweep_stack, members))
+    records: List[dict] = [{}] * len(cells)
+    for stack, stack_records in zip(stacks, done):
+        for i, record in zip(stack, stack_records):
+            records[i] = record
 
     outdir = Path(base.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -327,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-iter", type=int, default=None,
                         help="override the Picard iteration cap")
     common.add_argument("--workers", type=int, default=1,
-                        help="concurrent sweep cells (sweep only)")
+                        help="concurrent stacks of sweep cells (sweep only)")
     common.add_argument("--output-dir", default=None,
                         help="override the output directory")
 

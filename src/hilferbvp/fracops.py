@@ -294,7 +294,9 @@ class _SoeOperator:
       spread[b-1]  B x K: the history at T_b -> block b's rows, including
                    w_k and 1/Gamma(order).
     The apply uses einsum and ufuncs only, never BLAS, so its rounding does
-    not depend on the BLAS thread count.
+    not depend on the BLAS thread count.  It takes one sample row or a stack
+    of rows, shape (m, n+1); each row of a stack comes out bit for bit as
+    its own one-row apply.
     """
 
     n: int
@@ -309,16 +311,21 @@ class _SoeOperator:
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         blocks, b = self.near.shape[:2]
-        padded = np.zeros(blocks * b + 1)
-        padded[1:self.n + 2] = g
-        window = np.lib.stride_tricks.sliding_window_view(padded, b + 1)[::b]
-        out = np.einsum("bij,bj->bi", self.near, window)
+        stack = g.shape[:-1]
+        padded = np.zeros(stack + (blocks * b + 1,))
+        padded[..., 1:self.n + 2] = g
+        # The overlapping windows as a strided view of `padded`.
+        step = padded.itemsize
+        window = np.ndarray(stack + (blocks, b + 1), buffer=padded,
+                            strides=padded.strides[:-1] + (b * step, step))
+        out = np.einsum("bij,...bj->...bi", self.near, window)
         if blocks > 1:
-            hist = np.einsum("cjk,cj->ck", self.gather, window[:-1])
+            hist = np.einsum("cjk,...cj->...ck", self.gather, window[..., :-1, :])
+            chunks = hist.swapaxes(0, -2)
             for c in range(1, blocks - 1):
-                hist[c] += self.decay[c] * hist[c - 1]
-            out[1:] += np.einsum("cik,ck->ci", self.spread, hist)
-        return out.reshape(-1)[:self.n + 1]
+                chunks[c] += self.decay[c] * chunks[c - 1]
+            out[..., 1:, :] += np.einsum("cik,...ck->...ci", self.spread, hist)
+        return out.reshape(stack + (-1,))[..., :self.n + 1]
 
 
 def _soe_operator(nodes: np.ndarray, order: float) -> _SoeOperator:
@@ -411,9 +418,11 @@ def _cached_kernel_weights(n: int, r: float, p: float, side: str) -> np.ndarray:
     return _pl_kernel_weights(GradedMesh(n, r).nodes, p, side)
 
 
-def _check_samples(samples, mesh: GradedMesh) -> np.ndarray:
+def _check_samples(samples, mesh: GradedMesh, max_ndim: int = 1) -> np.ndarray:
+    """The samples as floats: one value per node along the last of at most
+    max_ndim axes."""
     g = np.asarray(samples, dtype=float)
-    if g.shape != (mesh.n + 1,):
+    if not (1 <= g.ndim <= max_ndim and g.shape[-1] == mesh.n + 1):
         raise MeshMismatch(
             f"expected {mesh.n + 1} samples for a mesh with {mesh.n} intervals, "
             f"got shape {g.shape}"
@@ -440,10 +449,14 @@ def rl_integral(order: float, samples, rule: QuadratureRule) -> np.ndarray:
     trapezoidal rule, which is the product-trapezoidal I^1 exactly.  Raises
     MeshTooLarge when the SOE tables of I^f would exceed physical memory
     (see _soe_operator).
+
+    ``samples`` is one row of n + 1 node values or a stack of m such rows,
+    shape (m, n+1); each row of the result equals the one-row call bit for
+    bit.
     """
     if not (math.isfinite(order) and order > 0.0):
         raise OutOfDomain(f"integral order must be > 0, got {order}")
-    g = _check_samples(samples, rule.mesh)
+    g = _check_samples(samples, rule.mesh, max_ndim=2)
     n, r = rule.mesh.n, rule.mesh.r
     whole = math.floor(order + _ORDER_EPS)
     frac = float(order) - whole
@@ -453,7 +466,8 @@ def rl_integral(order: float, samples, rule: QuadratureRule) -> np.ndarray:
         out = _cached_soe_operator(n, r, frac).apply(g)
     half_widths = 0.5 * np.diff(rule.mesh.nodes)
     for _ in range(whole):
-        out = np.concatenate(([0.0], np.cumsum((out[:-1] + out[1:]) * half_widths)))
+        steps = np.cumsum((out[..., :-1] + out[..., 1:]) * half_widths, axis=-1)
+        out = np.concatenate((np.zeros(steps.shape[:-1] + (1,)), steps), axis=-1)
     return out
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .core import (
     WeightedGridFunction,
 )
 from .errors import (
+    HilferBvpError,
     InvalidInterval,
     MissingBounds,
     RhsEvaluationFailure,
@@ -62,6 +63,22 @@ class PicardSettings:
         if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
+    def _key(self):
+        """The fields, with ``initial_guess`` as its shape and values."""
+        guess = self.initial_guess
+        if guess is not None:
+            guess = np.asarray(guess, dtype=float)
+            guess = (guess.shape, tuple(guess.ravel().tolist()))
+        return self.tol, self.max_iter, guess
+
+    def __eq__(self, other):
+        if not isinstance(other, PicardSettings):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
@@ -91,62 +108,128 @@ class SolutionBracket:
 
 def _rhs_samples(problem: HilferProblem, consts: DerivedConstants,
                  w: np.ndarray, mesh: GradedMesh) -> np.ndarray:
-    """Evaluate f(t_j, y_j) with y_j = t_j^(gamma-1) w_j.
+    """Evaluate f(t_j, y_j) with y_j = t_j^(gamma-1) w_j for one grid of
+    weighted samples; see _rhs_sample_stack."""
+    samples, (failure,) = _rhs_sample_stack(problem, consts.gamma, w[None], mesh)
+    if failure is not None:
+        raise failure
+    return samples[0]
 
-    f is only defined for t > 0 and y may be unbounded at the origin, so the
-    first node reuses the first interior sample; the kernel mass it carries
-    is O(t_1^gamma) on the graded mesh.
+
+def _rhs_sample_stack(problem: HilferProblem, gamma: float, w: np.ndarray,
+                      mesh: GradedMesh):
+    """Evaluate f(t_j, y_j) with y_j = t_j^(gamma-1) w_j for every row of the
+    (m, n+1) array ``w`` in one rhs call, which receives the rows as one
+    flat pair of 1-D arrays, as for a single grid.
+
+    Returns the samples and, per row, None or the RhsEvaluationFailure or
+    RhsNegative that rejects it.  f is only defined for t > 0 and y may be
+    unbounded at the origin, so the first node reuses the first interior
+    sample; the kernel mass it carries is O(t_1^gamma) on the graded mesh.
     """
     t = mesh.nodes
+    rows = w.shape[0]
+    y = (t[1:] ** (gamma - 1.0) * w[:, 1:]).reshape(-1)
     out = np.empty_like(w)
-    out[1:] = problem.rhs_values(t[1:], t[1:] ** (consts.gamma - 1.0) * w[1:])
-    bad = ~np.isfinite(out[1:])
-    if np.any(bad):
-        j = int(np.argmax(bad)) + 1
-        raise RhsEvaluationFailure(
-            f"f({t[j]}, .) evaluated to a non-finite value {out[j]}"
+    out[:, 1:] = problem.rhs_values(np.tile(t[1:], rows), y).reshape(rows, -1)
+    out[:, 0] = out[:, 1]
+    finite = np.isfinite(out[:, 1:])
+    all_finite = finite.all(axis=1)
+    failures: List[Optional[HilferBvpError]] = [None] * rows
+    for r in np.flatnonzero(~all_finite):
+        j = int(np.argmin(finite[r])) + 1
+        failures[r] = RhsEvaluationFailure(
+            f"f({t[j]}, .) evaluated to a non-finite value {out[r, j]}"
         )
-    out[0] = out[1]
-    if np.any(out < 0.0):
-        j = int(np.argmin(out))
-        raise RhsNegative(
-            f"f evaluated to {out[j]} < 0 at t={t[j]}; "
+    for r in np.flatnonzero(all_finite & (out < 0.0).any(axis=1)):
+        j = int(np.argmin(out[r]))
+        failures[r] = RhsNegative(
+            f"f evaluated to {out[r, j]} < 0 at t={t[j]}; "
             "the positive-solution iteration requires f >= 0"
         )
-    return out
+    return out, failures
 
 
-def _require_nonsingular(consts: DerivedConstants) -> None:
+def _singularity(consts: DerivedConstants) -> Optional[SingularProblem]:
+    """The SingularProblem that rules out the integral equation, if any."""
     if abs(consts.mu) < MU_TOLERANCE:
-        raise SingularProblem(
+        return SingularProblem(
             f"mu = {consts.mu:.3e} is numerically zero: the integral equation "
             "is unavailable (it requires mu != 0)"
         )
+    return None
 
 
-def apply_delta(problem: HilferProblem, consts: DerivedConstants,
-                w: WeightedGridFunction, rule: QuadratureRule) -> WeightedGridFunction:
+def apply_delta(problem: Union[HilferProblem, Sequence[HilferProblem]],
+                consts: Union[DerivedConstants, Sequence[DerivedConstants]],
+                w: Union[WeightedGridFunction, np.ndarray], rule: QuadratureRule):
     """One application of the integral-equation operator, in weighted form.
 
     Output nodes carry t^(1-gamma) times the operator value; at t = 0 that
     is the weighted limit Lambda + lam B / (Gamma(gamma) mu), the convolution
     term contributing zero there.
+
+    For one problem, ``problem`` is a HilferProblem, ``consts`` its
+    DerivedConstants and ``w`` a WeightedGridFunction; the image is returned
+    as a WeightedGridFunction.  For a stack of m problems sharing alpha,
+    beta, the rhs callable and the mesh, ``problem`` and ``consts`` are
+    sequences and ``w`` is the (m, n+1) array of their weighted samples.
+    The stack costs one rhs call and one convolution, and the result is the
+    (m, n+1) array of images with, per problem, None or the exception its
+    one-problem call raises (its row then means nothing).  Each image equals
+    that of the one-problem call bit for bit.
     """
-    _require_nonsingular(consts)
+    if isinstance(problem, HilferProblem):
+        images, (failure,) = _apply_stack((problem,), (consts,), w.values[None], rule)
+        if failure is not None:
+            raise failure
+        return WeightedGridFunction(rule.mesh, consts.gamma, images[0])
+    return _apply_stack(problem, consts, w, rule)
+
+
+def _apply_stack(problems: Sequence[HilferProblem],
+                 consts: Sequence[DerivedConstants], w: np.ndarray,
+                 rule: QuadratureRule):
+    """apply_delta of a stack; see there."""
+    lead = problems[0]
+    if any(p.alpha != lead.alpha or p.beta != lead.beta or p.rhs is not lead.rhs
+           for p in problems):
+        raise ValueError("a stack of problems must share alpha, beta and the rhs")
     mesh = rule.mesh
     t = mesh.nodes
-    gamma = consts.gamma
-    samples = _rhs_samples(problem, consts, w.values, mesh)
-    conv = rl_integral(problem.alpha, samples, rule)
-    head = consts.capital_lambda
-    if problem.lam != 0.0:
-        weights = boundary_kernel_weights(problem.alpha, mesh)
-        b = float(weights @ samples)
-        head += problem.lam * b / (math.gamma(gamma) * consts.mu)
-    out = np.empty_like(w.values)
-    out[0] = head
-    out[1:] = head + t[1:] ** (1.0 - gamma) * conv[1:]
-    return WeightedGridFunction(mesh, gamma, out)
+    gamma = consts[0].gamma
+    samples, failures = _rhs_sample_stack(lead, gamma, w, mesh)
+    # A one-problem call checks mu before it evaluates f.
+    failures = [_singularity(c) or failure for c, failure in zip(consts, failures)]
+    heads = np.zeros(len(problems))
+    out = np.zeros_like(w)
+    for i, failure in enumerate(failures):
+        if failure is not None:
+            samples[i] = 0.0        # a failed row must not warn below
+    try:
+        conv = rl_integral(lead.alpha, samples, rule)
+    except HilferBvpError as exc:
+        return out, [failure or exc for failure in failures]
+    weights = None
+    for i, (problem, c) in enumerate(zip(problems, consts)):
+        if failures[i] is not None:
+            continue
+        heads[i] = c.capital_lambda
+        if problem.lam != 0.0:
+            if weights is None:
+                weights = boundary_kernel_weights(lead.alpha, mesh)
+            b = float(weights @ samples[i])
+            heads[i] += problem.lam * b / (math.gamma(gamma) * c.mu)
+    out[:, 0] = heads
+    out[:, 1:] = heads[:, None] + t[1:] ** (1.0 - gamma) * conv[:, 1:]
+    for r in np.flatnonzero(~np.isfinite(out).all(axis=1)):
+        if failures[r] is None:
+            # The ValueError with which WeightedGridFunction rejects the row.
+            try:
+                WeightedGridFunction(mesh, gamma, out[r])
+            except ValueError as exc:
+                failures[r] = exc
+    return out, failures
 
 
 def initial_iterate(consts: DerivedConstants, settings: PicardSettings,
@@ -161,50 +244,63 @@ def initial_iterate(consts: DerivedConstants, settings: PicardSettings,
 
 class _AndersonHistory:
     """Ring buffers of the last ANDERSON_DEPTH differences of the residuals
-    f = Delta(x) - x and of the images Delta(x), with the Gram matrix of the
-    residual differences kept up to date, so that one mixing step costs
-    O(n * ANDERSON_DEPTH).
+    f = Delta(x) - x and of the images Delta(x), one set per stacked column,
+    with the Gram matrices of the residual differences kept up to date, so
+    that one mixing step costs O(n * ANDERSON_DEPTH) per column.
 
     Inner products go through numpy's own loops (``einsum``), not BLAS, so
-    the mixing step adds no dependence on the BLAS thread count.
+    the mixing step adds no dependence on the BLAS thread count; each
+    column's numbers are those of a one-column history, bit for bit.
     """
 
-    def __init__(self, size: int):
-        self.d_f = np.zeros((ANDERSON_DEPTH, size))
-        self.d_g = np.zeros((ANDERSON_DEPTH, size))
-        self.gram = np.zeros((ANDERSON_DEPTH, ANDERSON_DEPTH))
+    def __init__(self, columns: int, size: int):
+        self.d_f = np.zeros((columns, ANDERSON_DEPTH, size))
+        self.d_g = np.zeros((columns, ANDERSON_DEPTH, size))
+        self.gram = np.zeros((columns, ANDERSON_DEPTH, ANDERSON_DEPTH))
         self.pushed = 0
         self.last = None
 
+    def keep(self, columns: List[int]) -> None:
+        """Drop every column not listed."""
+        self.d_f = self.d_f[columns]
+        self.d_g = self.d_g[columns]
+        self.gram = self.gram[columns]
+        if self.last is not None:
+            self.last = (self.last[0][columns], self.last[1][columns])
+
     def mix(self, f: np.ndarray, g: np.ndarray):
-        """Record (f_k, g_k) and return the Anderson iterate
-        g_k - dG gamma with gamma = argmin ||f_k - dF gamma||_2, or None on
-        the first call, when no difference is known yet, and when the
-        differences overflow."""
+        """Record the rows of (f_k, g_k) and return, per column, the Anderson
+        iterate g_k - dG gamma with gamma = argmin ||f_k - dF gamma||_2, and
+        whether it exists: it does not on the first call, when no
+        difference is known yet, nor where the differences overflow."""
         last, self.last = self.last, (f, g)
         if last is None:
-            return None
+            return g, np.zeros(len(g), dtype=bool)
         slot = self.pushed % ANDERSON_DEPTH
-        np.subtract(f, last[0], out=self.d_f[slot])
-        np.subtract(g, last[1], out=self.d_g[slot])
+        np.subtract(f, last[0], out=self.d_f[:, slot])
+        np.subtract(g, last[1], out=self.d_g[:, slot])
         self.pushed += 1
         used = min(self.pushed, ANDERSON_DEPTH)
-        d_f = self.d_f[:used]
-        with np.errstate(over="ignore", invalid="ignore"):
-            column = np.einsum("ij,j->i", d_f, d_f[slot])
-            self.gram[slot, :used] = column
-            self.gram[:used, slot] = column
-            rhs = np.einsum("ij,j->i", d_f, f)
-        gram = self.gram[:used, :used]
-        if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
-            return None
-        # Scale the columns to unit length so that the cutoff on singular
-        # values measures near collinearity, not the size of a difference.
-        scale = np.sqrt(np.diag(gram))
-        scale[scale == 0.0] = 1.0
-        coef = np.linalg.lstsq(gram / np.outer(scale, scale), rhs / scale,
-                               rcond=_ANDERSON_RCOND)[0] / scale
-        return g - np.einsum("i,ij->j", coef, self.d_g[:used])
+        d_f = self.d_f[:, :used]
+        coef = np.zeros((len(f), used))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            column = np.einsum("mij,mj->mi", d_f, self.d_f[:, slot])
+            self.gram[:, slot, :used] = column
+            self.gram[:, :used, slot] = column
+            rhs = np.einsum("mij,mj->mi", d_f, f)
+            gram = self.gram[:, :used, :used]
+            finite = np.isfinite(gram).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
+            # Scale the columns to unit length so that the cutoff on singular
+            # values measures near collinearity, not the size of a difference.
+            scale = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+            scale[scale == 0.0] = 1.0
+            gram = gram / (scale[:, :, None] * scale[:, None, :])
+            rhs = rhs / scale
+            for r in np.flatnonzero(finite):
+                coef[r] = np.linalg.lstsq(gram[r], rhs[r],
+                                          rcond=_ANDERSON_RCOND)[0] / scale[r]
+            mixed = g - np.einsum("mi,mij->mj", coef, self.d_g[:, :used])
+        return mixed, finite
 
 
 def solve_picard(problem: HilferProblem, consts: DerivedConstants,
@@ -226,26 +322,59 @@ def solve_picard(problem: HilferProblem, consts: DerivedConstants,
     Non-convergence is reported through the ``converged`` flag; the final
     image and the history are always returned for diagnosis.
     """
+    (outcome,) = _solve_stack((problem,), (consts,), settings, rule)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _solve_stack(problems: Sequence[HilferProblem], consts: Sequence[DerivedConstants],
+                 settings: PicardSettings,
+                 rule: QuadratureRule) -> List[Union[SolveResult, Exception]]:
+    """solve_picard of every problem of a stack that shares alpha, beta, the
+    rhs callable and the mesh, run in lock-step: each iteration makes one
+    apply_delta call for the problems still running.  Residuals, stopping
+    test, Anderson history, cone safeguard and iteration count are kept per
+    problem, and a problem leaves the stack when it converges, reaches
+    ``settings.max_iter`` or fails.  Its entry is then the SolveResult that
+    solve_picard returns for it alone, bit for bit, or the exception that
+    call raises.
+    """
     mesh = rule.mesh
-    x = initial_iterate(consts, settings, mesh)
-    mixer = _AndersonHistory(mesh.n + 1)
-    history: List[float] = []
-    converged = False
-    for _ in range(settings.max_iter):
-        image = apply_delta(problem, consts, x, rule)
-        residual = image.values - x.values
-        step = float(np.max(np.abs(residual)))
-        history.append(step)
-        if step <= settings.tol:
-            converged = True
-            break
-        mixed = mixer.mix(residual, image.values)
-        if mixed is not None and np.all(np.isfinite(mixed) & (mixed >= 0.0)):
-            x = WeightedGridFunction(mesh, consts.gamma, mixed)
-        else:
-            x = image
-    return SolveResult(solution=image, iterations=len(history),
-                       history=history, converged=converged)
+    x = np.stack([initial_iterate(c, settings, mesh).values for c in consts])
+    mixer = _AndersonHistory(len(problems), mesh.n + 1)
+    histories: List[List[float]] = [[] for _ in problems]
+    outcomes: List[Union[SolveResult, Exception, None]] = [None] * len(problems)
+    running = list(range(len(problems)))        # the problem of each row of x
+    while running:
+        g, failures = apply_delta([problems[i] for i in running],
+                                  [consts[i] for i in running], x, rule)
+        residual = g - x
+        steps = np.max(np.abs(residual), axis=1)
+        rows = []
+        for r, (i, failure) in enumerate(zip(running, failures)):
+            if failure is not None:
+                outcomes[i] = failure
+                continue
+            step = float(steps[r])
+            history = histories[i]
+            history.append(step)
+            if step <= settings.tol or len(history) == settings.max_iter:
+                image = WeightedGridFunction(mesh, consts[i].gamma, g[r])
+                outcomes[i] = SolveResult(solution=image, iterations=len(history),
+                                          history=history,
+                                          converged=step <= settings.tol)
+            else:
+                rows.append(r)
+        if len(rows) < len(running):
+            running = [running[r] for r in rows]
+            residual, g = residual[rows], g[rows]
+            mixer.keep(rows)
+        if running:
+            mixed, usable = mixer.mix(residual, g)
+            usable &= np.all(np.isfinite(mixed) & (mixed >= 0.0), axis=1)
+            x = np.where(usable[:, None], mixed, g)
+    return outcomes
 
 
 def boundary_identity_gap(problem: HilferProblem, consts: DerivedConstants,
@@ -257,7 +386,9 @@ def boundary_identity_gap(problem: HilferProblem, consts: DerivedConstants,
     The identity therefore closes to stopping tolerance rather than
     quadrature tolerance; verify.residual_check measures the same defect
     with A by direct quadrature."""
-    _require_nonsingular(consts)
+    singular = _singularity(consts)
+    if singular is not None:
+        raise singular
     weights = boundary_kernel_weights(problem.alpha, rule.mesh)
     b = float(weights @ _rhs_samples(problem, consts, w.values, rule.mesh))
     a = problem.d / (consts.mu * math.gamma(consts.gamma + 1.0)) + b / consts.mu

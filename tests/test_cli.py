@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hilferbvp import config, fracops, solver
+from hilferbvp import cli, config, fracops, solver
 from hilferbvp.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -19,6 +21,7 @@ from hilferbvp.cli import (
     EXIT_SINGULAR,
     main,
 )
+from hilferbvp.core import GradedMesh, WeightedGridFunction
 
 CONFIG = """
 [problem]
@@ -268,6 +271,64 @@ class TestSweep:
         rows = read_csv(out / "sweep.csv")
         assert [r[-1] for r in rows[1:]] == ["failed:MeshTooLarge"] * 2
 
+    LAMBDA_D = ("axis1 = lambda\naxis1_start = 0.0\naxis1_stop = 0.3\naxis1_steps = {}\n"
+                "axis2 = d\naxis2_start = 0.5\naxis2_stop = 2.0\naxis2_steps = {}\n")
+    ALPHA_LAMBDA = ("axis1 = alpha\naxis1_start = 0.4\naxis1_stop = 0.6\naxis1_steps = 2\n"
+                    "axis2 = lambda\naxis2_start = 0.0\naxis2_stop = 0.3\naxis2_steps = 9\n")
+
+    @staticmethod
+    def _sweep(tmp_path, axes, mesh_n):
+        path, out = write_config(tmp_path, rhs="kind = expression\n"
+                                 "expr = 0.8*y + 0.3 + 0.1*sin(y)\nlipschitz = 0.9")
+        path.write_text(path.read_text() + "\n[sweep]\n" + axes, encoding="utf-8")
+        cells = [replace(cfg, mesh_n=mesh_n)
+                 for _, cfg in config.parse_sweep_file(str(path)).cells()]
+        return path, out, cells
+
+    @pytest.mark.parametrize("axes, mesh_n, stacks", [
+        (LAMBDA_D.format(4, 3), 64, [12]),
+        (ALPHA_LAMBDA, 1024, [4, 5, 4, 5]),
+    ], ids=["lambda-d", "alpha-lambda"])
+    def test_stacking_keeps_sweep_bytes(self, tmp_path, monkeypatch, axes, mesh_n, stacks):
+        # Cells sharing alpha, beta, mesh, rhs and Picard settings are solved
+        # in stacks (at n = 1024 at most 8 cells each); sweep.csv must be the
+        # same bytes for any worker count and equal to solving each cell
+        # alone.
+        path, out, cells = self._sweep(tmp_path, axes, mesh_n)
+        assert [len(stack) for stack in cli._sweep_stacks(cells)] == stacks
+        args = ["sweep", str(path), "--mesh-n", str(mesh_n)]
+        texts = []
+        for workers in ("1", "3"):
+            assert main(args + ["--workers", workers]) == EXIT_OK
+            texts.append((out / "sweep.csv").read_bytes())
+        monkeypatch.setattr(cli, "_sweep_stacks",
+                            lambda cells: [[i] for i in range(len(cells))])
+        assert main(args) == EXIT_OK
+        texts.append((out / "sweep.csv").read_bytes())
+        assert texts[0] == texts[1] == texts[2]
+        rows = read_csv(out / "sweep.csv")
+        assert len(rows) == len(cells) + 1
+        assert all(r[-1] == "ok" and r[-5] == "True" for r in rows[1:])
+
+    def test_stack_workspace_within_budget(self, tmp_path):
+        # The 42 cells of a 7 x 6 lambda x d sweep at n = 1024 form one group,
+        # cut into stacks of 7.  The traced peak of a stack stays within the
+        # 1 MiB workspace budget plus half for the operator's temporaries;
+        # one stack of all 42 cells would take about 7 MB.
+        _, _, cells = self._sweep(tmp_path, self.LAMBDA_D.format(7, 6), 1024)
+        stacks = cli._sweep_stacks(cells)
+        assert [len(stack) for stack in stacks] == [7] * 6
+        stack = [cells[i] for i in stacks[-1]]
+        cli._sweep_stack(stack)                 # builds the operators
+        tracemalloc.start()
+        try:
+            records = cli._sweep_stack(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(record["converged"] for record in records)
+        assert peak <= 1.5 * cli._STACK_BYTES
+
     def test_workers_deterministic(self, tmp_path):
         path, out = write_config(tmp_path)
         sweep = path.read_text() + (
@@ -337,6 +398,43 @@ class TestOverrideValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: command line: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
+        path, out = _sweep_config(tmp_path)
+        assert main(["sweep", str(path), "--workers", workers]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: command line: ")
+        assert "--workers" in err
+        assert not out.exists()
+
+
+def _csv_writer_solution(path, w):
+    """The csv.writer code that wrote solution.csv before the row-string
+    writer: the bytes it must keep."""
+    t = w.mesh.nodes
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["t", "w", "y"])
+        writer.writerow(["0", cli._fmt(w.values[0]),
+                         cli._fmt(cli._physical_origin(float(w.values[0]), w.gamma))])
+        for j in range(1, t.size):
+            y = t[j] ** (w.gamma - 1.0) * w.values[j]
+            writer.writerow([cli._fmt(t[j]), cli._fmt(w.values[j]), cli._fmt(y)])
+
+
+class TestSolutionCsv:
+    @pytest.mark.parametrize("n", [8, 4096])
+    @pytest.mark.parametrize("gamma", [0.75, 1.0])
+    @pytest.mark.parametrize("w0", [0.0, 1.3])
+    def test_same_bytes_as_csv_writer(self, tmp_path, n, gamma, w0):
+        mesh = GradedMesh(n, 2.0 / gamma)
+        values = np.random.default_rng(n).uniform(0.0, 3.0, n + 1)
+        values[0] = w0
+        w = WeightedGridFunction(mesh, gamma, values)
+        cli._write_solution_csv(tmp_path / "rows.csv", w)
+        _csv_writer_solution(tmp_path / "csv.csv", w)
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
 
 
 class TestBenchmarkTracer:

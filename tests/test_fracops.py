@@ -88,6 +88,37 @@ class TestRlIntegral:
         with pytest.raises(OutOfDomain):
             rl_integral(0.0, np.zeros(17), rule)
 
+    @pytest.mark.parametrize("n", [16, 64, 65, 1024, 4096])
+    def test_stacked_rows_equal_one_row_calls(self, n):
+        # A stack of m sample rows is one apply for all of them; each row
+        # must come out as its own call, bit for bit, across block edges
+        # (n = 64, 65), at SOE, integer and composite orders.
+        rule = make_rule(n, r=8.0 / 3.0)
+        t = rule.mesh.nodes
+        rng = np.random.default_rng(n)
+        rows = np.vstack([smooth_profile(t), np.sin(7.0 * t) - t ** 0.3,
+                          rng.uniform(-1.0, 3.0, (14, n + 1))])
+        for order in (0.25, 0.5, 1.0, 1.2):
+            for m in (1, 2, 7, 16):
+                stacked = rl_integral(order, rows[:m], rule)
+                assert stacked.shape == (m, n + 1)
+                for row, g in zip(stacked, rows[:m]):
+                    assert np.array_equal(row, rl_integral(order, g, rule)), (order, m)
+
+    def test_stacked_shape_checks(self):
+        rule = make_rule(16)
+        with pytest.raises(MeshMismatch):
+            rl_integral(0.5, np.zeros((3, 16)), rule)
+        with pytest.raises(MeshMismatch):
+            rl_integral(0.5, np.zeros((2, 3, 17)), rule)
+        with pytest.raises(MeshMismatch):
+            rl_integral(0.5, 1.0, rule)
+        # The derivatives take one row only.
+        with pytest.raises(MeshMismatch):
+            differentiate(np.zeros((2, 17)), rule.mesh)
+        with pytest.raises(MeshMismatch):
+            hilfer_derivative(0.5, 0.5, np.zeros((2, 17)), rule)
+
     def test_weights_nonnegative(self):
         # Positivity preservation of the cone hinges on this: every table of
         # the SOE operator rl_integral applies is >= 0 (n = 200 spans four
@@ -689,6 +720,8 @@ class TestSoeOperator:
             "    rule = fracops.QuadratureRule(mesh)\n"
             "    for a in (0.25, 0.5, 1.0, 1.2):\n"
             "        out += fracops.rl_integral(a, g, rule).tobytes()\n"
+            "    stack = np.vstack([g, g ** 2, np.cos(g)])\n"
+            "    out += fracops.rl_integral(0.5, stack, rule).tobytes()\n"
             "print(hashlib.sha256(out).hexdigest())\n"
         )
         src = str(Path(fracops.__file__).resolve().parents[1])

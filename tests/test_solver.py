@@ -11,7 +11,13 @@ from hilferbvp.core import (
     default_grading,
     derive_constants,
 )
-from hilferbvp.errors import InvalidInterval, MissingBounds, RhsNegative
+from hilferbvp import solver
+from hilferbvp.errors import (
+    InvalidInterval,
+    MissingBounds,
+    RhsEvaluationFailure,
+    RhsNegative,
+)
 from hilferbvp.fracops import QuadratureRule
 from hilferbvp.solver import (
     PicardSettings,
@@ -164,6 +170,22 @@ class TestSolvePicard:
             with pytest.raises(ValueError):
                 solve_picard(p, consts, PicardSettings(initial_guess=start), rule)
 
+    def test_settings_compare_and_hash_by_value(self):
+        # Equal settings must hash equal, so that they can key a dict, also
+        # with an explicit start grid.
+        a = PicardSettings(initial_guess=np.zeros(3))
+        b = PicardSettings(initial_guess=np.zeros(3))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != PicardSettings(initial_guess=np.array([0.0, 0.0, 1.0]))
+        assert a != PicardSettings(initial_guess=np.zeros((1, 3)))
+        assert a != PicardSettings()
+        assert PicardSettings() != a
+        assert PicardSettings() == PicardSettings()
+        assert hash(PicardSettings()) == hash(PicardSettings())
+        assert PicardSettings(tol=1e-8) != PicardSettings()
+
     def test_bracket_midpoint_start(self):
         p = problem_with(lambda t, y: 1.0, lam=0.0,
                          lower_bound=1.0, upper_bound=1.0)
@@ -253,6 +275,77 @@ class TestAnderson:
         second = solve_picard(p, consts, PicardSettings(), rule)
         assert first.solution.values.tobytes() == second.solution.values.tobytes()
         assert first.history == second.history
+
+
+class TestStackedSolve:
+    """Problems that share alpha, beta, the rhs and the mesh are solved in
+    one stack; every column must be its own solve_picard, bit for bit."""
+
+    # exp(y - 1000) is 0 to double precision until y nears 1000 and inf
+    # beyond 1709: the column near mu = 0 (lam = 0.8) grows and fails at its
+    # sixth iteration, while the others converge in 9 or 10.
+    @staticmethod
+    def rhs(t, y):
+        return 0.25 * y + 0.25 + np.exp(y - 1000.0)
+
+    CASES = [(0.0, 0.5), (0.3, 1.0), (0.8, 1.0), (0.6, 2.0), (0.7, 1.0)]
+
+    @pytest.mark.parametrize("max_iter", [9, 200])
+    def test_columns_equal_solo_solves(self, max_iter):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(np.shape(t))
+            return self.rhs(t, y)
+
+        problems = [problem_with(rhs, lam=lam, d=d) for lam, d in self.CASES]
+        consts = [derive_constants(p) for p in problems]
+        rule = QuadratureRule(GradedMesh(64, default_grading(consts[0].gamma)))
+        settings = PicardSettings(max_iter=max_iter)
+        stacked = solver._solve_stack(problems, consts, settings, rule)
+        stack_calls, calls[:] = len(calls), []
+        stopped = []
+        for p, c, got in zip(problems, consts, stacked):
+            try:
+                want = solve_picard(p, c, settings, rule)
+            except RhsEvaluationFailure as exc:
+                assert type(got) is RhsEvaluationFailure
+                assert str(got) == str(exc)
+                stopped.append(6)
+                continue
+            assert got.solution.values.tobytes() == want.solution.values.tobytes()
+            assert got.history == want.history
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+            stopped.append(got.iterations)
+        # One rhs call per stacked iteration, for the whole stack.
+        assert stack_calls == max(stopped)
+        assert stopped == ([9, 9, 6, 9, 9] if max_iter == 9 else [9, 9, 6, 10, 10])
+        assert [type(r) for r in stacked].count(RhsEvaluationFailure) == 1
+        if max_iter == 9:
+            assert [r.converged for r in stacked if isinstance(r, solver.SolveResult)] \
+                == [True, True, False, False]
+
+    def test_apply_delta_rows_equal_single_calls(self):
+        problems = [problem_with(self.rhs, lam=lam, d=d) for lam, d in self.CASES]
+        consts = [derive_constants(p) for p in problems]
+        rule = QuadratureRule(GradedMesh(200, default_grading(consts[0].gamma)))
+        rng = np.random.default_rng(3)
+        w = rng.uniform(0.0, 3.0, (len(problems), 201))
+        images, failures = apply_delta(problems, consts, w, rule)
+        assert failures == [None] * len(problems)
+        for p, c, row, image in zip(problems, consts, w, images):
+            single = apply_delta(p, c, WeightedGridFunction(rule.mesh, c.gamma, row), rule)
+            assert single.values.tobytes() == image.tobytes()
+
+    def test_stack_must_share_the_operator(self):
+        rhs = self.rhs
+        rule = QuadratureRule(GradedMesh(64, 2.0))
+        w = np.ones((2, 65))
+        for other in (problem_with(rhs, alpha=0.6), problem_with(rhs, beta=0.4),
+                      problem_with(lambda t, y: rhs(t, y))):
+            stack = [problem_with(rhs), other]
+            with pytest.raises(ValueError):
+                apply_delta(stack, [derive_constants(p) for p in stack], w, rule)
 
 
 class TestBoundaryIdentity:
