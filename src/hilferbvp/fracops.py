@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 import os
+import weakref
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .core import GradedMesh, WeightedGridFunction, composite_order
+from .core import GradedMesh, WeightedGridFunction
 from .errors import InsufficientNodes, MeshMismatch, MeshTooLarge, OutOfDomain
 
 # Orders this small are collapsed to the identity (they arise from
@@ -116,10 +117,11 @@ def _hat_moments(p: float, ua: np.ndarray, ub: np.ndarray):
     m1 = (a ** p2 - b ** p2) / p2
     lo[near] = m1 - b * m0
     hi[near] = a * m0 - m1
-    s_lo, s_hi = _binomial_sums(p, x[far])
-    base = ua[far] ** p * width[far] ** 2
-    lo[far] = base * s_lo
-    hi[far] = base * s_hi
+    if far.any():
+        s_lo, s_hi = _binomial_sums(p, x[far])
+        base = ua[far] ** p * width[far] ** 2
+        lo[far] = base * s_lo
+        hi[far] = base * s_hi
     return lo, hi
 
 
@@ -181,7 +183,8 @@ def _convolution_matrix(nodes: np.ndarray, order: float) -> np.ndarray:
 # exponential modes, advanced once per block (Jiang, Zhang, Zhang & Zhang,
 # Commun. Comput. Phys. 21, 2017).
 # Building and applying the operator cost O(n (B + K)), against the dense
-# matrix's O(n^2).
+# matrix's O(n^2).  All but 10 of the K modes do not depend on the order:
+# their tables are built once per mesh and shared by every order on it.
 
 _SOE_BLOCK = 64
 # The SOE quadrature (_soe_nodes): its step in ln x, the x below which its
@@ -197,6 +200,10 @@ _SOE_GAUSS_NODES = 10
 # Below this x*h the exponential hat moments switch from expm1 to a series.
 _EXP_SERIES_Z = 1.0
 _EXP_SERIES_TERMS = 18
+# Table entries below exp(-_SOE_FLUSH) are stored as exact zeros (_soe_exp):
+# numpy's SIMD exp leaves its fast path below about -707, and such entries
+# leave subnormals in the tables that slow every einsum reading them.
+_SOE_FLUSH = 700.0
 
 
 def _gauss_rule(x: np.ndarray, w: np.ndarray, m: int):
@@ -219,6 +226,14 @@ def _gauss_rule(x: np.ndarray, w: np.ndarray, m: int):
     return nodes, mass * vectors[0] ** 2
 
 
+def _soe_reach(delta: float) -> int:
+    """k1, the last trapezoid step of _soe_nodes: its nodes are x = exp(k h)
+    for k <= k1, reaching at least _SOE_DECAY/delta."""
+    # A mesh with coincident nodes has delta = 0; its zero-width intervals
+    # contribute nothing, so the SOE need not reach below 1e-300.
+    return max(math.ceil(math.log(_SOE_DECAY / max(delta, 1e-300)) / _SOE_STEP), 0)
+
+
 def _soe_nodes(s: float, delta: float):
     """Nodes x_k and weights w_k with sum_k w_k exp(-x_k u) = u^(-s) to about
     5e-15 relative for u in [delta, 1], 0 < s <= 1.
@@ -229,20 +244,27 @@ def _soe_nodes(s: float, delta: float):
     as one node at x = 0 whose weight is their geometric sum (which grows
     like 1/s).  The nodes with x <= 1 are then replaced by the Gauss rule of
     their discrete measure: on u x <= 1, exp(-u x) is a polynomial of degree
-    2 _SOE_GAUSS_NODES - 1 to machine precision.
+    2 _SOE_GAUSS_NODES - 1 to machine precision.  The result lists the
+    _SOE_GAUSS_NODES Gauss nodes first; the trapezoid nodes after them,
+    exp(k h) for 1 <= k <= _soe_reach(delta), do not depend on s.
     """
     h = _SOE_STEP
     k0 = math.floor(math.log(_SOE_TINY) / h)
-    # A mesh with coincident nodes has delta = 0; its zero-width intervals
-    # contribute nothing, so the SOE need not reach below 1e-300.
-    k1 = max(math.ceil(math.log(_SOE_DECAY / max(delta, 1e-300)) / h), 0)
-    y = np.arange(k0, k1 + 1) * h
+    y = np.arange(k0, _soe_reach(delta) + 1) * h
     x, w = np.exp(y), h * np.exp(s * y)
     tail = y <= 0.0
     lump = h * math.exp(s * h * (k0 - 1)) / -math.expm1(-s * h)
     gx, gw = _gauss_rule(np.append(0.0, x[tail]), np.append(lump, w[tail]),
                          _SOE_GAUSS_NODES)
     return np.concatenate([gx, x[~tail]]), np.concatenate([gw, w[~tail]]) / math.gamma(s)
+
+
+def _soe_exp(z: np.ndarray) -> np.ndarray:
+    """exp(-z) for z >= 0, flushed to exact zero where z > _SOE_FLUSH."""
+    flush = z > _SOE_FLUSH
+    e = np.exp(-np.minimum(z, _SOE_FLUSH))
+    e[flush] = 0.0
+    return e
 
 
 def _exp_hat_moments(z: np.ndarray):
@@ -252,7 +274,7 @@ def _exp_hat_moments(z: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         zz = z * z
         right = (z + em) / zz
-        left = -(em + z * np.exp(-z)) / zz
+        left = -(em + z * _soe_exp(z)) / zz
     small = z < _EXP_SERIES_Z
     zs = -z[small]
     # sum_m (-z)^m (m+1)/(m+2)! and sum_m (-z)^m/(m+2)!, by Horner.
@@ -269,30 +291,106 @@ def _exp_hat_moments(z: np.ndarray):
     return left, right
 
 
-def _soe_history_modes(nodes: np.ndarray, order: float):
-    """The SOE nodes and weights of the far history of I^order on `nodes`:
-    none when every node lies in the first block, else accurate down to
-    delta, the least distance from a block's first node to its history."""
+def _history_delta(nodes: np.ndarray) -> Optional[float]:
+    """delta, the least distance from a block's first node to its history:
+    the SOE modes must be accurate down to it.  None when every node lies
+    in the first block, which has no history."""
     b = _SOE_BLOCK
     if nodes.size <= b:
-        return np.zeros(0), np.zeros(0)
-    delta = float(np.min(nodes[b::b] - nodes[b - 1:-1:b]))
-    return _soe_nodes(1.0 - order, delta)
+        return None
+    return float(np.min(nodes[b::b] - nodes[b - 1:-1:b]))
+
+
+def _history_tables(t: np.ndarray, x: np.ndarray):
+    """The gather ((B+1) x K per chunk) and spread (B x K per block) tables
+    of the modes x on the nodes t, as in _SoeOperator; spread holds
+    exp(-(t_i - T_b) x_k) alone, without weights.  The tables are returned
+    writable."""
+    n = t.size - 1
+    b = _SOE_BLOCK
+    hist = -(-(n + 1) // b) - 1
+    gather = np.zeros((hist, b + 1, x.size))
+    spread = np.zeros((hist, b, x.size))
+    for c in range(hist):
+        # The intervals j0 .. r0-2 of window c join the modes, which are
+        # then referred to T_{c+1} = t_{r0-1}; block c + 1 starts at r0.
+        r0 = (c + 1) * b
+        r1 = min(r0 + b, n + 1)
+        ref = t[r0 - 1]
+        j0 = max(r0 - b - 1, 0)
+        width = (t[j0 + 1:r0] - t[j0:r0 - 1])[:, None]
+        lift = _soe_exp((ref - t[j0 + 1:r0])[:, None] * x) * width
+        left, right = _exp_hat_moments(width * x)
+        off = j0 - (r0 - b - 1)
+        gather[c, off:b] += lift * left
+        gather[c, off + 1:b + 1] += lift * right
+        # Products of entries near exp(-_SOE_FLUSH) can still be subnormal.
+        gather[c][gather[c] < np.finfo(float).tiny] = 0.0
+        spread[c, :r1 - r0] = _soe_exp((t[r0:r1] - ref)[:, None] * x)
+    return gather, spread
+
+
+def _decay_table(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """decay[c] = exp(-x_k (T_{c+1} - T_c)), T_c = t_{cB-1}, as _SoeOperator
+    lays it out (row 0 unused)."""
+    b = _SOE_BLOCK
+    hist = -(-t.size // b) - 1
+    decay = np.zeros((hist, x.size))
+    ends = t[b - 1:hist * b:b]
+    decay[1:] = _soe_exp((ends[1:] - ends[:-1])[:, None] * x)
+    return decay
+
+
+@dataclass(frozen=True, eq=False)
+class _SoeModes:
+    """The history modes that every order shares on one mesh: the trapezoid
+    nodes x_k > 1 of _soe_nodes, which depend on the mesh only (through
+    delta), with their gather table and, as spread, the table
+    exp(-(t_i - T_b) x_k) without the weights (see _SoeOperator)."""
+
+    x: np.ndarray
+    gather: np.ndarray
+    spread: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.x, self.gather, self.spread))
+
+
+def _soe_modes(nodes: np.ndarray) -> _SoeModes:
+    """The shared history modes of the SOE operators on `nodes`."""
+    delta = _history_delta(nodes)
+    k = 0 if delta is None else _soe_reach(delta)
+    x = np.exp(np.arange(1, k + 1) * _SOE_STEP)
+    modes = _SoeModes(x, *_history_tables(nodes, x))
+    for table in (modes.x, modes.gather, modes.spread):
+        table.setflags(write=False)
+    return modes
 
 
 @dataclass(frozen=True, eq=False)
 class _SoeOperator:
-    """I^order on n + 1 nodes: exact near-field blocks plus K history modes.
+    """I^order on n + 1 nodes: exact near-field blocks plus K history modes,
+    the G = _SOE_GAUSS_NODES Gauss modes of this order and the trapezoid
+    modes of `modes`, which all orders on the mesh share.
 
     Nodes are taken in blocks of B = _SOE_BLOCK; the window of block b is
     the nodes bB-1 .. bB+B-1 (node -1 reads zero).
       near[b]      B x (B+1): block b's rows of W on its window.
-      gather[c]    (B+1) x K: window c's samples -> the increments of the K
-                   history integrals of chunk c (the intervals bB-1 .. bB+B-2
-                   for b = c), referred to T_{c+1} = t_{(c+1)B-1}.
-      decay[c]     exp(-x_k (T_{c+1} - T_c)) (row 0 unused).
-      spread[b-1]  B x K: the history at T_b -> block b's rows, including
-                   w_k and 1/Gamma(order).
+      gather[c]    G x (B+1): window c's samples -> the increments of the
+                   Gauss modes' history integrals over chunk c (the
+                   intervals bB-1 .. bB+B-2 for b = c), referred to
+                   T_{c+1} = t_{(c+1)B-1}.
+      decay[c]     exp(-x_k (T_{c+1} - T_c)) of all K modes, Gauss modes
+                   first (row 0 unused).
+      spread[b-1]  G x B: the Gauss modes' history at T_b -> block b's rows,
+                   including w_k and 1/Gamma(order).
+      weights      w_k/Gamma(order) of the trapezoid modes.
+    modes.gather[c] ((B+1) x K_t) and modes.spread[b-1] (B x K_t) serve the
+    trapezoid modes the same way, but without weights: the apply scales
+    their history by `weights` instead.  The narrow Gauss tables are stored
+    mode-major, which einsum runs faster.  nbytes counts this order's
+    tables, not those of `modes`.
     The apply uses einsum and ufuncs only, never BLAS, so its rounding does
     not depend on the BLAS thread count.  It takes one sample row or a stack
     of rows, shape (m, n+1); each row of a stack comes out bit for bit as
@@ -304,10 +402,13 @@ class _SoeOperator:
     gather: np.ndarray
     spread: np.ndarray
     decay: np.ndarray
+    weights: np.ndarray
+    modes: _SoeModes
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.near, self.gather, self.spread, self.decay))
+        return sum(a.nbytes for a in (self.near, self.gather, self.spread, self.decay,
+                                      self.weights))
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         blocks, b = self.near.shape[:2]
@@ -320,30 +421,45 @@ class _SoeOperator:
                             strides=padded.strides[:-1] + (b * step, step))
         out = np.einsum("bij,...bj->...bi", self.near, window)
         if blocks > 1:
-            hist = np.einsum("cjk,...cj->...ck", self.gather, window[..., :-1, :])
+            modes, gauss = self.modes, self.gather.shape[1]
+            hist = np.empty(stack + (blocks - 1, gauss + modes.x.size))
+            np.einsum("ckj,...cj->...ck", self.gather, window[..., :-1, :],
+                      out=hist[..., :gauss])
+            np.einsum("cjk,...cj->...ck", modes.gather, window[..., :-1, :],
+                      out=hist[..., gauss:])
             chunks = hist.swapaxes(0, -2)
             for c in range(1, blocks - 1):
                 chunks[c] += self.decay[c] * chunks[c - 1]
-            out[..., 1:, :] += np.einsum("cik,...ck->...ci", self.spread, hist)
+            hist[..., gauss:] *= self.weights
+            out[..., 1:, :] += np.einsum("cki,...ck->...ci", self.spread, hist[..., :gauss])
+            out[..., 1:, :] += np.einsum("cik,...ck->...ci", modes.spread, hist[..., gauss:])
         return out.reshape(stack + (-1,))[..., :self.n + 1]
 
 
-def _soe_operator(nodes: np.ndarray, order: float) -> _SoeOperator:
+def _soe_operator(nodes: np.ndarray, order: float,
+                  modes: Optional[_SoeModes] = None) -> _SoeOperator:
     """The SOE form of the product-trapezoidal I^order, 0 < order < 1.  Its
     near-field entries are those of _convolution_matrix bit for bit; the far
     history carries the SOE quadrature's relative error (below 5e-15).
+    `modes` are the shared tables _soe_modes(nodes), built here when not
+    given.
 
-    Raises MeshTooLarge, before the tables are allocated, when they exceed
-    physical memory."""
+    Raises MeshTooLarge, before any table is allocated, when the tables
+    this call builds exceed physical memory."""
     t = nodes
     n = t.size - 1
     b = _SOE_BLOCK
-    x, w = _soe_history_modes(t, order)
-    k = x.size
     blocks = -(-(n + 1) // b)
+    delta = _history_delta(t)
+    x, w = (np.zeros(0), np.zeros(0)) if delta is None else _soe_nodes(1.0 - order, delta)
+    gauss = min(x.size, _SOE_GAUSS_NODES)
+    k = x.size - gauss
+    # Bytes of near, of the Gauss modes' gather and spread, of decay and of
+    # the weights; then of the shared x, gather and spread if built here.
     hist = blocks - 1
-    # Bytes of near, then of gather, spread and decay.
-    need = 8 * (blocks * b * (b + 1) + hist * (2 * b + 2) * k)
+    need = 8 * (blocks * b * (b + 1) + hist * (2 * b + 1) * gauss + hist * x.size + k)
+    if modes is None:
+        need += 8 * (hist * (2 * b + 1) * k + k)
     have = _physical_memory()
     if have is not None and need > have:
         raise MeshTooLarge(
@@ -351,35 +467,25 @@ def _soe_operator(nodes: np.ndarray, order: float) -> _SoeOperator:
             f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
             f"of physical memory"
         )
+    if modes is None:
+        modes = _soe_modes(t)
     near = np.zeros((blocks, b, b + 1))
-    gather = np.zeros((hist, b + 1, k))
-    spread = np.zeros((hist, b, k))
-    decay = np.zeros((hist, k))
-    w = w / math.gamma(order)
     for blk in range(blocks):
         r0 = blk * b
         r1 = min(r0 + b, n + 1)
         c0 = max(r0 - 1, 0)
         _fill_block(near[blk, :r1 - r0, c0 - r0 + 1:r1 - r0 + 1], t, r0, c0, order)
-        if blk == 0:
-            continue
-        # The intervals j0 .. r0-2 of window c join the K modes, which are
-        # then referred to T_{c+1} = t_{r0-1}.
-        c = blk - 1
-        ref = t[r0 - 1]
-        j0 = max(r0 - b - 1, 0)
-        width = (t[j0 + 1:r0] - t[j0:r0 - 1])[:, None]
-        lift = np.exp(-(ref - t[j0 + 1:r0])[:, None] * x) * width
-        left, right = _exp_hat_moments(width * x)
-        off = j0 - (r0 - b - 1)
-        gather[c, off:b] += lift * left
-        gather[c, off + 1:b + 1] += lift * right
-        if c > 0:
-            decay[c] = np.exp(-(ref - t[r0 - b - 1]) * x)
-        spread[c, :r1 - r0] = w * np.exp(-(t[r0:r1] - ref)[:, None] * x)
-    for table in (near, gather, spread, decay):
+    gather, spread = _history_tables(t, x[:gauss])
+    decay = _decay_table(t, x)
+    w = w / math.gamma(order)
+    spread *= w[:gauss]
+    # Mode-major: einsum runs these narrow tables faster along the rows.
+    gather = np.ascontiguousarray(gather.transpose(0, 2, 1))
+    spread = np.ascontiguousarray(spread.transpose(0, 2, 1))
+    weights = w[gauss:]
+    for table in (near, gather, spread, decay, weights):
         table.setflags(write=False)
-    return _SoeOperator(n, near, gather, spread, decay)
+    return _SoeOperator(n, near, gather, spread, decay, weights, modes)
 
 
 def _pl_kernel_weights(nodes: np.ndarray, p: float, side: str) -> np.ndarray:
@@ -408,9 +514,16 @@ def _cached_convolution_matrix(n: int, r: float, order: float) -> np.ndarray:
     return _convolution_matrix(GradedMesh(n, r).nodes, order)
 
 
+# The shared SOE modes of each mesh (n, r), built on the first SOE miss on
+# it; they live while a cached operator on that mesh does.
+_soe_mesh_modes = weakref.WeakValueDictionary()
+
+
 @lru_cache(maxsize=16)
 def _cached_soe_operator(n: int, r: float, order: float) -> _SoeOperator:
-    return _soe_operator(GradedMesh(n, r).nodes, order)
+    op = _soe_operator(GradedMesh(n, r).nodes, order, _soe_mesh_modes.get((n, r)))
+    _soe_mesh_modes[n, r] = op.modes
+    return op
 
 
 @lru_cache(maxsize=32)
@@ -526,8 +639,9 @@ def hilfer_derivative(alpha: float, beta: float, samples, rule: QuadratureRule) 
         raise InsufficientNodes(
             f"fractional derivatives need >= 4 mesh intervals, got {rule.mesh.n}"
         )
-    gamma = composite_order(alpha, beta)
-    inner = max(1.0 - gamma, 0.0)
+    # 1 - gamma as (1-alpha)(1-beta): at beta = 1/2 it is then bitwise the
+    # outer order beta(1-alpha), and both stages share one SOE operator.
+    inner = (1.0 - alpha) * (1.0 - beta)
     outer = beta * (1.0 - alpha)
     g = _check_samples(samples, rule.mesh)
     stage = g if inner < _ORDER_EPS else rl_integral(inner, g, rule)

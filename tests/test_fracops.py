@@ -122,12 +122,15 @@ class TestRlIntegral:
     def test_weights_nonnegative(self):
         # Positivity preservation of the cone hinges on this: every table of
         # the SOE operator rl_integral applies is >= 0 (n = 200 spans four
-        # blocks), and order 1 maps g >= 0 to a nondecreasing function.
+        # blocks): this order's tables and weights and the shared tables of
+        # the mesh.  Order 1 maps g >= 0 to a nondecreasing function.
         mesh = GradedMesh(200, 2.5)
         for order in (0.3, 0.5):
             op = fracops._soe_operator(mesh.nodes, order)
-            assert op.decay.shape[0] == 3 and op.decay.shape[1] > 0
-            for table in (op.near, op.gather, op.spread, op.decay):
+            assert op.decay.shape[0] == 3 and op.gather.shape[1] > 0
+            assert op.modes.x.size > 0 and op.weights.size == op.modes.x.size
+            for table in (op.near, op.gather, op.spread, op.decay, op.weights,
+                          op.modes.x, op.modes.gather, op.modes.spread):
                 assert np.all(table >= 0.0)
         g = np.random.default_rng(200).random(201)
         g[::7] = 0.0
@@ -503,16 +506,21 @@ def _clear_operator_caches():
 
 
 def _operator_cache_sizes():
+    """Entries of the dense-matrix cache, the SOE operator cache and the
+    shared SOE tables of each mesh."""
     return (fracops._cached_convolution_matrix.cache_info().currsize,
-            fracops._cached_soe_operator.cache_info().currsize)
+            fracops._cached_soe_operator.cache_info().currsize,
+            len(fracops._soe_mesh_modes))
 
 
 def _built_nbytes(n, r, order):
     """Bytes of the SOE tables of I^order on GradedMesh(n, r), from a build
-    that is then dropped from the cache."""
+    that is then dropped from the cache: those of the order itself, and
+    those that every order on the mesh shares."""
     _clear_operator_caches()
     try:
-        return fracops._cached_soe_operator(n, r, order).nbytes
+        op = fracops._cached_soe_operator(n, r, order)
+        return op.nbytes, op.modes.nbytes
     finally:
         _clear_operator_caches()
 
@@ -520,24 +528,27 @@ def _built_nbytes(n, r, order):
 class TestMeshTooLarge:
     def test_soe_rejected_before_allocation(self, monkeypatch):
         # At n = 10^6 the SOE tables would take about 2 GB.  With memory far
-        # below that they are rejected before they are built, and neither
-        # cache keeps an entry.
+        # below that they are rejected before they are built, and no cache
+        # keeps an entry.
         n, r = 10 ** 6, 2.0
         monkeypatch.setattr(fracops, "_physical_memory", lambda: 2 ** 20)
         _clear_operator_caches()
         with pytest.raises(MeshTooLarge, match="physical memory"):
             rl_integral(0.5, np.zeros(n + 1), make_rule(n, r=r))
-        assert _operator_cache_sizes() == (0, 0)
+        assert _operator_cache_sizes() == (0, 0, 0)
 
     def test_soe_threshold_is_table_size(self, monkeypatch):
+        # The first order on a mesh builds its own tables and the shared
+        # ones, and needs the bytes of both.
         n, r = 1025, 2.0
-        need = _built_nbytes(n, r, 0.5)
+        own, shared = _built_nbytes(n, r, 0.5)
+        need = own + shared
         assert need < 8 * (n + 1) ** 2 // 4
         monkeypatch.setattr(fracops, "_physical_memory", lambda: need)
         _clear_operator_caches()
         try:
             rl_integral(0.5, np.zeros(n + 1), make_rule(n, r=r))
-            assert fracops._cached_soe_operator.cache_info().currsize == 1
+            assert _operator_cache_sizes() == (0, 1, 1)
             _clear_operator_caches()
             # One more block of nodes needs more bytes.
             m = n + fracops._SOE_BLOCK
@@ -546,7 +557,24 @@ class TestMeshTooLarge:
             monkeypatch.setattr(fracops, "_physical_memory", lambda: need - 1)
             with pytest.raises(MeshTooLarge):
                 rl_integral(0.5, np.zeros(n + 1), make_rule(n, r=r))
-            assert _operator_cache_sizes() == (0, 0)
+            assert _operator_cache_sizes() == (0, 0, 0)
+        finally:
+            _clear_operator_caches()
+
+    def test_later_order_needs_only_its_own_tables(self, monkeypatch):
+        n, r = 1025, 2.0
+        own, shared = _built_nbytes(n, r, 0.25)
+        assert own < shared
+        _clear_operator_caches()
+        try:
+            rl_integral(0.5, np.zeros(n + 1), make_rule(n, r=r))
+            monkeypatch.setattr(fracops, "_physical_memory", lambda: own - 1)
+            with pytest.raises(MeshTooLarge):
+                rl_integral(0.25, np.zeros(n + 1), make_rule(n, r=r))
+            assert _operator_cache_sizes() == (0, 1, 1)
+            monkeypatch.setattr(fracops, "_physical_memory", lambda: own)
+            rl_integral(0.25, np.zeros(n + 1), make_rule(n, r=r))
+            assert _operator_cache_sizes() == (0, 2, 1)
         finally:
             _clear_operator_caches()
 
@@ -555,7 +583,8 @@ class TestMeshTooLarge:
         # the fractional part are all that is checked, so order 1.5 needs
         # those of order 0.5 and order 1 needs none.
         n, r = 16, 2.0
-        need = _built_nbytes(n, r, 0.5)
+        own, shared = _built_nbytes(n, r, 0.5)
+        need = own + shared
         assert need == 8 * fracops._SOE_BLOCK * (fracops._SOE_BLOCK + 1)
         monkeypatch.setattr(fracops, "_physical_memory", lambda: need)
         _clear_operator_caches()
@@ -569,6 +598,7 @@ class TestMeshTooLarge:
                 rl_integral(0.5, np.zeros(n + 1), make_rule(n, r=r))
             with pytest.raises(MeshTooLarge):
                 rl_integral(1.5, np.zeros(n + 1), make_rule(n, r=r))
+            assert _operator_cache_sizes() == (0, 0, 0)
             rl_integral(1.0, np.zeros(n + 1), make_rule(n, r=r))
         finally:
             _clear_operator_caches()
@@ -657,9 +687,9 @@ class TestSoeOperator:
         def dense(*args):
             raise AssertionError("rl_integral assembled a dense matrix")
 
-        def recording(nodes, order):
+        def recording(nodes, order, *shared):
             built.append(order)
-            return soe(nodes, order)
+            return soe(nodes, order, *shared)
 
         monkeypatch.setattr(fracops, "_convolution_matrix", dense)
         monkeypatch.setattr(fracops, "_soe_operator", recording)
@@ -722,6 +752,10 @@ class TestSoeOperator:
             "        out += fracops.rl_integral(a, g, rule).tobytes()\n"
             "    stack = np.vstack([g, g ** 2, np.cos(g)])\n"
             "    out += fracops.rl_integral(0.5, stack, rule).tobytes()\n"
+            "    # Orders 0.7 and 0.3 built on the warm mesh, sharing its tables.\n"
+            "    out += fracops.hilfer_derivative(0.3, 0.8, g, rule).tobytes()\n"
+            "    ops = [fracops._cached_soe_operator(n, mesh.r, a) for a in (0.25, 0.7)]\n"
+            "    assert ops[0].modes is ops[1].modes\n"
             "print(hashlib.sha256(out).hexdigest())\n"
         )
         src = str(Path(fracops.__file__).resolve().parents[1])
@@ -734,6 +768,115 @@ class TestSoeOperator:
             digests.append(done.stdout.strip())
         assert len(digests[0]) == 64
         assert digests[0] == digests[1]
+
+
+class TestSharedSoeTables:
+    """The trapezoid modes of the SOE operators are built once per mesh and
+    shared by every order on it."""
+
+    @pytest.mark.parametrize("n", [65, 1025, 4096])
+    def test_shared_tables_match_dense(self, n):
+        # Within test_matches_dense's bounds, whichever order builds the
+        # shared tables.
+        t = GradedMesh(n, 2.5).nodes
+        rng = np.random.default_rng(n)
+        gs = (np.ones(n + 1), t ** 0.3, rng.random(n + 1))
+        signed = rng.standard_normal(n + 1)
+        orders = (0.25, 0.5, 0.75)
+        dense = {order: fracops._convolution_matrix(t, order) for order in orders}
+        _clear_operator_caches()
+        try:
+            for build in (orders, orders[::-1]):
+                _clear_operator_caches()
+                ops = [fracops._cached_soe_operator(n, 2.5, order) for order in build]
+                assert all(op.modes is ops[0].modes for op in ops)
+                for order, op in zip(build, ops):
+                    w = dense[order]
+                    for g in gs:
+                        diff = np.max(np.abs(op.apply(g) - w @ g))
+                        assert diff <= 1e-12 * np.max(np.abs(w @ g)), (build, order)
+                    diff = np.max(np.abs(op.apply(signed) - w @ signed))
+                    assert diff <= 1e-12 * np.max(np.abs(w) @ np.abs(signed)), (build, order)
+        finally:
+            _clear_operator_caches()
+
+    def test_built_once_read_only_and_shared(self, monkeypatch):
+        built = []
+        build = fracops._soe_modes
+
+        def counting(nodes):
+            built.append(nodes.size)
+            return build(nodes)
+
+        monkeypatch.setattr(fracops, "_soe_modes", counting)
+        _clear_operator_caches()
+        try:
+            n, r = 1025, 8.0 / 3.0
+            ops = [fracops._cached_soe_operator(n, r, order) for order in (0.25, 0.5, 0.75)]
+            assert built == [n + 1]
+            modes = ops[0].modes
+            delta = fracops._history_delta(GradedMesh(n, r).nodes)
+            for order, op in zip((0.25, 0.5, 0.75), ops):
+                assert op.modes is modes
+                for name in ("x", "gather", "spread"):
+                    assert getattr(op.modes, name) is getattr(modes, name)
+                for table in (op.near, op.gather, op.spread, op.decay, op.weights,
+                              modes.x, modes.gather, modes.spread):
+                    assert not table.flags.writeable
+                # The shared nodes are the trapezoid nodes of every order.
+                x, _ = fracops._soe_nodes(1.0 - order, delta)
+                assert x[fracops._SOE_GAUSS_NODES:].tobytes() == modes.x.tobytes()
+            # Another mesh builds its own.
+            fracops._cached_soe_operator(n + 1, r, 0.5)
+            assert built == [n + 1, n + 2]
+        finally:
+            _clear_operator_caches()
+
+    def test_tables_held_by_a_solve_and_its_check(self):
+        # alpha = beta = 1/2 at n = 4096 on its default mesh: the solve
+        # applies order 1/2, the residual check order 1/4 twice.
+        n, r = 4096, 8.0 / 3.0
+        _clear_operator_caches()
+        try:
+            ops = [fracops._cached_soe_operator(n, r, order) for order in (0.5, 0.25)]
+            held = sum(op.nbytes for op in ops) + ops[0].modes.nbytes
+        finally:
+            _clear_operator_caches()
+        assert held <= 9.7 * 2 ** 20
+
+    def test_no_subnormal_table_entries(self):
+        # Entries below exp(-_SOE_FLUSH) are exact zeros, and no subnormal
+        # is left to slow the applies.
+        z = np.array([0.0, 1.0, 699.0, 700.0, 700.5, 707.0, 745.0, 800.0])
+        e = fracops._soe_exp(z)
+        assert e[:4].tobytes() == np.exp(-z[:4]).tobytes()
+        assert not np.any(e[4:])
+        tiny = np.finfo(float).tiny
+        for n in (1024, 4096):
+            op = fracops._soe_operator(GradedMesh(n, 8.0 / 3.0).nodes, 0.5)
+            for table in (op.near, op.gather, op.spread, op.decay, op.weights,
+                          op.modes.gather, op.modes.spread):
+                assert not np.any((table != 0.0) & (np.abs(table) < tiny)), n
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.2, 0.3, 0.4])
+    def test_hilfer_derivative_builds_one_operator_at_beta_half(self, alpha, monkeypatch):
+        # At beta = 1/2 the inner order (1-alpha)(1-beta) and the outer one
+        # beta(1-alpha) are the same float, so one operator serves both.
+        built = []
+        build = fracops._soe_operator
+
+        def counting(*args):
+            built.append(args[1])
+            return build(*args)
+
+        monkeypatch.setattr(fracops, "_soe_operator", counting)
+        _clear_operator_caches()
+        try:
+            rule = make_rule(256, r=2.0)
+            hilfer_derivative(alpha, 0.5, smooth_profile(rule.mesh.nodes), rule)
+            assert len(built) == 1, built
+        finally:
+            _clear_operator_caches()
 
 
 class TestPastDenseMemoryWall:
