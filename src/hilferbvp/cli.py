@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 config failure, 2 non-convergence, 3 the mu
 hypothesis failed (singular or non-positive mu), 4 some other certificate
 failed (certify only), 5 numerical failure (for example the rhs evaluated
-to a non-finite value, or the integral operator on the mesh would not
-fit in physical memory).
+to a non-finite value, an iterate overflowed (NonFiniteIterate), or the
+integral operator on the mesh would not fit in physical memory).
 """
 
 from __future__ import annotations
@@ -152,6 +152,10 @@ def _report_lines(cfg: RunConfig, consts, certs: List[Certificate],
     return lines
 
 
+def _settings(cfg: RunConfig) -> solver.PicardSettings:
+    return solver.PicardSettings(tol=cfg.tol, max_iter=cfg.max_iter)
+
+
 def cmd_solve(args) -> int:
     cfg = _apply_overrides(parse_run_file(args.config), args)
     problem = cfg.to_problem()
@@ -162,8 +166,7 @@ def cmd_solve(args) -> int:
         return EXIT_SINGULAR
     mesh = cfg.mesh()
     rule = QuadratureRule(mesh)
-    settings = solver.PicardSettings(tol=cfg.tol, max_iter=cfg.max_iter)
-    result = solver.solve_picard(problem, consts, settings, rule)
+    result = solver.solve_picard(problem, consts, _settings(cfg), rule)
     certs = analysis.hypothesis_report(problem)
     residual = verify.residual_check(problem, consts, result.solution, rule)
     gap = solver.boundary_identity_gap(problem, consts, result.solution, rule)
@@ -223,10 +226,10 @@ def _cell_problem(cell_cfg: RunConfig):
         return {"status": f"failed:{type(exc).__name__}"}
 
 
-def _sweep_cell(cell_cfg: RunConfig, setup, solved):
+def _sweep_cell(cell_cfg: RunConfig, setup, solved: Optional[solver.SolveResult]):
     """Metrics for one sweep cell from its _cell_problem ``setup`` and
-    ``solved``, the SolveResult of its stacked solve or the exception that
-    ended it; exceptions become a status, never a crash."""
+    ``solved``, the SolveResult of its stacked solve, or None to solve the
+    cell alone; exceptions become a status, never a crash."""
     if isinstance(setup, dict):
         return setup
     problem, consts = setup
@@ -236,9 +239,9 @@ def _sweep_cell(cell_cfg: RunConfig, setup, solved):
         record["contraction"] = analysis.contraction_certificate(
             consts, problem.alpha, problem.lam, lipschitz).value
     try:
-        if isinstance(solved, Exception):
-            raise solved
         rule = QuadratureRule(cell_cfg.mesh())
+        if solved is None:
+            solved = solver.solve_picard(problem, consts, _settings(cell_cfg), rule)
         residual = verify.residual_check(problem, consts, solved.solution, rule)
     except HilferBvpError as exc:
         record["status"] = f"failed:{type(exc).__name__}"
@@ -259,10 +262,6 @@ def _sweep_cell(cell_cfg: RunConfig, setup, solved):
 # temporaries add about 6 more at the peak of an iteration.
 _STACK_BYTES = 1 << 20
 _STACK_DOUBLES_PER_NODE = 16
-
-
-def _settings(cfg: RunConfig) -> solver.PicardSettings:
-    return solver.PicardSettings(tol=cfg.tol, max_iter=cfg.max_iter)
 
 
 def _sweep_stacks(cells: List[RunConfig]) -> List[List[int]]:
@@ -286,21 +285,26 @@ def _sweep_stacks(cells: List[RunConfig]) -> List[List[int]]:
 
 def _sweep_stack(cells: List[RunConfig]) -> List[dict]:
     """Records of cells that _sweep_stacks put together: one stacked Picard
-    solve, then _sweep_cell for each cell."""
+    solve, then _sweep_cell for each cell.  When the stacked solve fails,
+    _sweep_cell solves each cell alone, which gives the record of the
+    failing cell and, bit for bit, the stacked results of the others."""
     setups = [_cell_problem(cfg) for cfg in cells]
     solvable = [i for i, setup in enumerate(setups) if not isinstance(setup, dict)]
-    solved = [None] * len(cells)
+    solved: List[Optional[solver.SolveResult]] = [None] * len(cells)
     if solvable:
         # The stack evaluates one rhs callable for all its problems.
         rhs = setups[solvable[0]][0].rhs
         problems = [replace(setups[i][0], rhs=rhs) for i in solvable]
         cfg = cells[solvable[0]]
-        outcomes = solver._solve_stack(problems, [setups[i][1] for i in solvable],
-                                       _settings(cfg), QuadratureRule(cfg.mesh()))
-        for i, outcome in zip(solvable, outcomes):
-            solved[i] = outcome
-    return [_sweep_cell(cfg, setup, outcome)
-            for cfg, setup, outcome in zip(cells, setups, solved)]
+        try:
+            results = solver._solve_stack(problems, [setups[i][1] for i in solvable],
+                                          _settings(cfg), QuadratureRule(cfg.mesh()))
+        except HilferBvpError:
+            results = [None] * len(solvable)
+        for i, result in zip(solvable, results):
+            solved[i] = result
+    return [_sweep_cell(cfg, setup, result)
+            for cfg, setup, result in zip(cells, setups, solved)]
 
 
 def cmd_sweep(args) -> int:

@@ -8,9 +8,10 @@ for the full grammar and an annotated example.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .core import GradedMesh, HilferProblem, composite_order, default_grading
 from .errors import ConfigError
@@ -134,15 +135,11 @@ class SweepConfig:
         """Axis values and per-cell configs in deterministic order, the
         first axis outermost."""
         out = []
-        if len(self.axes) == 1:
-            for v in self.axes[0].values():
-                out.append(((v,), apply_parameter(self.base, self.axes[0].parameter, v)))
-        else:
-            ax1, ax2 = self.axes
-            for v1 in ax1.values():
-                cfg1 = apply_parameter(self.base, ax1.parameter, v1)
-                for v2 in ax2.values():
-                    out.append(((v1, v2), apply_parameter(cfg1, ax2.parameter, v2)))
+        for values in itertools.product(*(axis.values() for axis in self.axes)):
+            cfg = self.base
+            for axis, v in zip(self.axes, values):
+                cfg = apply_parameter(cfg, axis.parameter, v)
+            out.append((values, cfg))
         return out
 
 
@@ -244,7 +241,8 @@ def _to_int(text: str) -> int:
     return int(text, 10)
 
 
-def _unknown_key_check(sections, known: Dict[str, Tuple[str, ...]], path: str):
+def _unknown_key_check(sections, known: FrozenSet[str], path: str):
+    """Reject a section not in ``known`` and a key that no parser read."""
     for name, items in sections.items():
         if name not in known:
             line = min(item.line for item in items.values()) if items else None
@@ -429,17 +427,5 @@ def emit_run_config(cfg: RunConfig) -> str:
     return "\n".join(lines)
 
 
-_KNOWN_RUN: Dict[str, Tuple[str, ...]] = {
-    "problem": ("alpha", "beta", "lambda", "d"),
-    "rhs": ("kind", "c", "a", "b", "sigma", "scale", "expr", "lipschitz"),
-    "mesh": ("n", "r"),
-    "picard": ("tol", "max_iter"),
-    "bounds": ("lower", "upper"),
-    "output": ("dir",),
-}
-
-_KNOWN_SWEEP: Dict[str, Tuple[str, ...]] = {
-    **_KNOWN_RUN,
-    "sweep": ("axis1", "axis1_start", "axis1_stop", "axis1_steps",
-              "axis2", "axis2_start", "axis2_stop", "axis2_steps"),
-}
+_KNOWN_RUN = frozenset({"problem", "rhs", "mesh", "picard", "bounds", "output"})
+_KNOWN_SWEEP = _KNOWN_RUN | {"sweep"}

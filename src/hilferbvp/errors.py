@@ -32,6 +32,10 @@ class RhsEvaluationFailure(HilferBvpError):
     """The right-hand side raised or returned a non-finite value."""
 
 
+class NonFiniteIterate(HilferBvpError):
+    """An image of the integral operator overflowed to a non-finite value."""
+
+
 class MeshTooLarge(HilferBvpError):
     """The integral operator on the requested mesh would not fit in physical memory."""
 

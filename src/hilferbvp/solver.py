@@ -29,9 +29,9 @@ from .core import (
     WeightedGridFunction,
 )
 from .errors import (
-    HilferBvpError,
     InvalidInterval,
     MissingBounds,
+    NonFiniteIterate,
     RhsEvaluationFailure,
     RhsNegative,
     SingularProblem,
@@ -106,26 +106,17 @@ class SolutionBracket:
     upper: WeightedGridFunction
 
 
-def _rhs_samples(problem: HilferProblem, consts: DerivedConstants,
-                 w: np.ndarray, mesh: GradedMesh) -> np.ndarray:
-    """Evaluate f(t_j, y_j) with y_j = t_j^(gamma-1) w_j for one grid of
-    weighted samples; see _rhs_sample_stack."""
-    samples, (failure,) = _rhs_sample_stack(problem, consts.gamma, w[None], mesh)
-    if failure is not None:
-        raise failure
-    return samples[0]
-
-
-def _rhs_sample_stack(problem: HilferProblem, gamma: float, w: np.ndarray,
-                      mesh: GradedMesh):
+def _rhs_samples(problem: HilferProblem, gamma: float, w: np.ndarray,
+                 mesh: GradedMesh) -> np.ndarray:
     """Evaluate f(t_j, y_j) with y_j = t_j^(gamma-1) w_j for every row of the
     (m, n+1) array ``w`` in one rhs call, which receives the rows as one
     flat pair of 1-D arrays, as for a single grid.
 
-    Returns the samples and, per row, None or the RhsEvaluationFailure or
-    RhsNegative that rejects it.  f is only defined for t > 0 and y may be
-    unbounded at the origin, so the first node reuses the first interior
-    sample; the kernel mass it carries is O(t_1^gamma) on the graded mesh.
+    f is only defined for t > 0 and y may be unbounded at the origin, so the
+    first node reuses the first interior sample; the kernel mass it carries
+    is O(t_1^gamma) on the graded mesh.  The first row with a non-finite
+    sample raises RhsEvaluationFailure, else the first row with a negative
+    one raises RhsNegative.
     """
     t = mesh.nodes
     rows = w.shape[0]
@@ -134,30 +125,30 @@ def _rhs_sample_stack(problem: HilferProblem, gamma: float, w: np.ndarray,
     out[:, 1:] = problem.rhs_values(np.tile(t[1:], rows), y).reshape(rows, -1)
     out[:, 0] = out[:, 1]
     finite = np.isfinite(out[:, 1:])
-    all_finite = finite.all(axis=1)
-    failures: List[Optional[HilferBvpError]] = [None] * rows
-    for r in np.flatnonzero(~all_finite):
+    if not finite.all():
+        r = int(np.argmin(finite.all(axis=1)))
         j = int(np.argmin(finite[r])) + 1
-        failures[r] = RhsEvaluationFailure(
+        raise RhsEvaluationFailure(
             f"f({t[j]}, .) evaluated to a non-finite value {out[r, j]}"
         )
-    for r in np.flatnonzero(all_finite & (out < 0.0).any(axis=1)):
+    negative = out < 0.0
+    if negative.any():
+        r = int(np.argmax(negative.any(axis=1)))
         j = int(np.argmin(out[r]))
-        failures[r] = RhsNegative(
+        raise RhsNegative(
             f"f evaluated to {out[r, j]} < 0 at t={t[j]}; "
             "the positive-solution iteration requires f >= 0"
         )
-    return out, failures
+    return out
 
 
-def _singularity(consts: DerivedConstants) -> Optional[SingularProblem]:
-    """The SingularProblem that rules out the integral equation, if any."""
+def _check_mu(consts: DerivedConstants) -> None:
+    """Raise SingularProblem when mu rules out the integral equation."""
     if abs(consts.mu) < MU_TOLERANCE:
-        return SingularProblem(
+        raise SingularProblem(
             f"mu = {consts.mu:.3e} is numerically zero: the integral equation "
             "is unavailable (it requires mu != 0)"
         )
-    return None
 
 
 def apply_delta(problem: Union[HilferProblem, Sequence[HilferProblem]],
@@ -174,62 +165,55 @@ def apply_delta(problem: Union[HilferProblem, Sequence[HilferProblem]],
     as a WeightedGridFunction.  For a stack of m problems sharing alpha,
     beta, the rhs callable and the mesh, ``problem`` and ``consts`` are
     sequences and ``w`` is the (m, n+1) array of their weighted samples.
-    The stack costs one rhs call and one convolution, and the result is the
-    (m, n+1) array of images with, per problem, None or the exception its
-    one-problem call raises (its row then means nothing).  Each image equals
-    that of the one-problem call bit for bit.
+    The stack costs one rhs call and one convolution and returns the
+    (m, n+1) array of images, each equal to that of the one-problem call
+    bit for bit.  A stack raises what the one-problem call of its first
+    failing row raises: SingularProblem, RhsEvaluationFailure, RhsNegative,
+    or NonFiniteIterate when an image overflows.
     """
     if isinstance(problem, HilferProblem):
-        images, (failure,) = _apply_stack((problem,), (consts,), w.values[None], rule)
-        if failure is not None:
-            raise failure
+        images = _apply_stack((problem,), (consts,), w.values[None], rule)
         return WeightedGridFunction(rule.mesh, consts.gamma, images[0])
     return _apply_stack(problem, consts, w, rule)
 
 
 def _apply_stack(problems: Sequence[HilferProblem],
                  consts: Sequence[DerivedConstants], w: np.ndarray,
-                 rule: QuadratureRule):
+                 rule: QuadratureRule) -> np.ndarray:
     """apply_delta of a stack; see there."""
     lead = problems[0]
     if any(p.alpha != lead.alpha or p.beta != lead.beta or p.rhs is not lead.rhs
            for p in problems):
         raise ValueError("a stack of problems must share alpha, beta and the rhs")
+    for c in consts:
+        _check_mu(c)
     mesh = rule.mesh
     t = mesh.nodes
     gamma = consts[0].gamma
-    samples, failures = _rhs_sample_stack(lead, gamma, w, mesh)
-    # A one-problem call checks mu before it evaluates f.
-    failures = [_singularity(c) or failure for c, failure in zip(consts, failures)]
-    heads = np.zeros(len(problems))
-    out = np.zeros_like(w)
-    for i, failure in enumerate(failures):
-        if failure is not None:
-            samples[i] = 0.0        # a failed row must not warn below
-    try:
-        conv = rl_integral(lead.alpha, samples, rule)
-    except HilferBvpError as exc:
-        return out, [failure or exc for failure in failures]
+    samples = _rhs_samples(lead, gamma, w, mesh)
+    heads = np.array([c.capital_lambda for c in consts])
     weights = None
-    for i, (problem, c) in enumerate(zip(problems, consts)):
-        if failures[i] is not None:
-            continue
-        heads[i] = c.capital_lambda
-        if problem.lam != 0.0:
-            if weights is None:
-                weights = boundary_kernel_weights(lead.alpha, mesh)
-            b = float(weights @ samples[i])
-            heads[i] += problem.lam * b / (math.gamma(gamma) * c.mu)
-    out[:, 0] = heads
-    out[:, 1:] = heads[:, None] + t[1:] ** (1.0 - gamma) * conv[:, 1:]
-    for r in np.flatnonzero(~np.isfinite(out).all(axis=1)):
-        if failures[r] is None:
-            # The ValueError with which WeightedGridFunction rejects the row.
-            try:
-                WeightedGridFunction(mesh, gamma, out[r])
-            except ValueError as exc:
-                failures[r] = exc
-    return out, failures
+    out = np.empty_like(w)
+    # Overflow shows as a non-finite image, which is checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        conv = rl_integral(lead.alpha, samples, rule)
+        for i, (problem, c) in enumerate(zip(problems, consts)):
+            if problem.lam != 0.0:
+                if weights is None:
+                    weights = boundary_kernel_weights(lead.alpha, mesh)
+                b = float(weights @ samples[i])
+                heads[i] += problem.lam * b / (math.gamma(gamma) * c.mu)
+        out[:, 0] = heads
+        out[:, 1:] = heads[:, None] + t[1:] ** (1.0 - gamma) * conv[:, 1:]
+    finite = np.isfinite(out)
+    if not finite.all():
+        r = int(np.argmin(finite.all(axis=1)))
+        j = int(np.argmin(finite[r]))
+        raise NonFiniteIterate(
+            f"the operator image is {out[r, j]} at t={t[j]}: the iterate "
+            "overflowed double precision"
+        )
+    return out
 
 
 def initial_iterate(consts: DerivedConstants, settings: PicardSettings,
@@ -322,48 +306,41 @@ def solve_picard(problem: HilferProblem, consts: DerivedConstants,
     Non-convergence is reported through the ``converged`` flag; the final
     image and the history are always returned for diagnosis.
     """
-    (outcome,) = _solve_stack((problem,), (consts,), settings, rule)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return _solve_stack((problem,), (consts,), settings, rule)[0]
 
 
 def _solve_stack(problems: Sequence[HilferProblem], consts: Sequence[DerivedConstants],
-                 settings: PicardSettings,
-                 rule: QuadratureRule) -> List[Union[SolveResult, Exception]]:
+                 settings: PicardSettings, rule: QuadratureRule) -> List[SolveResult]:
     """solve_picard of every problem of a stack that shares alpha, beta, the
     rhs callable and the mesh, run in lock-step: each iteration makes one
     apply_delta call for the problems still running.  Residuals, stopping
     test, Anderson history, cone safeguard and iteration count are kept per
-    problem, and a problem leaves the stack when it converges, reaches
-    ``settings.max_iter`` or fails.  Its entry is then the SolveResult that
-    solve_picard returns for it alone, bit for bit, or the exception that
-    call raises.
+    problem, and a problem leaves the stack when it converges or reaches
+    ``settings.max_iter``.  Each result is the SolveResult that solve_picard
+    returns for its problem alone, bit for bit.  When the operator fails on
+    a problem still running, the stack raises what apply_delta raises.
     """
     mesh = rule.mesh
     x = np.stack([initial_iterate(c, settings, mesh).values for c in consts])
     mixer = _AndersonHistory(len(problems), mesh.n + 1)
     histories: List[List[float]] = [[] for _ in problems]
-    outcomes: List[Union[SolveResult, Exception, None]] = [None] * len(problems)
+    results: List[Optional[SolveResult]] = [None] * len(problems)
     running = list(range(len(problems)))        # the problem of each row of x
     while running:
-        g, failures = apply_delta([problems[i] for i in running],
-                                  [consts[i] for i in running], x, rule)
+        g = apply_delta([problems[i] for i in running],
+                        [consts[i] for i in running], x, rule)
         residual = g - x
         steps = np.max(np.abs(residual), axis=1)
         rows = []
-        for r, (i, failure) in enumerate(zip(running, failures)):
-            if failure is not None:
-                outcomes[i] = failure
-                continue
+        for r, i in enumerate(running):
             step = float(steps[r])
             history = histories[i]
             history.append(step)
             if step <= settings.tol or len(history) == settings.max_iter:
                 image = WeightedGridFunction(mesh, consts[i].gamma, g[r])
-                outcomes[i] = SolveResult(solution=image, iterations=len(history),
-                                          history=history,
-                                          converged=step <= settings.tol)
+                results[i] = SolveResult(solution=image, iterations=len(history),
+                                         history=history,
+                                         converged=step <= settings.tol)
             else:
                 rows.append(r)
         if len(rows) < len(running):
@@ -374,7 +351,7 @@ def _solve_stack(problems: Sequence[HilferProblem], consts: Sequence[DerivedCons
             mixed, usable = mixer.mix(residual, g)
             usable &= np.all(np.isfinite(mixed) & (mixed >= 0.0), axis=1)
             x = np.where(usable[:, None], mixed, g)
-    return outcomes
+    return results
 
 
 def boundary_identity_gap(problem: HilferProblem, consts: DerivedConstants,
@@ -386,11 +363,10 @@ def boundary_identity_gap(problem: HilferProblem, consts: DerivedConstants,
     The identity therefore closes to stopping tolerance rather than
     quadrature tolerance; verify.residual_check measures the same defect
     with A by direct quadrature."""
-    singular = _singularity(consts)
-    if singular is not None:
-        raise singular
+    _check_mu(consts)
     weights = boundary_kernel_weights(problem.alpha, rule.mesh)
-    b = float(weights @ _rhs_samples(problem, consts, w.values, rule.mesh))
+    b = float(weights @ _rhs_samples(problem, consts.gamma, w.values[None],
+                                     rule.mesh)[0])
     a = problem.d / (consts.mu * math.gamma(consts.gamma + 1.0)) + b / consts.mu
     lhs = math.gamma(consts.gamma) * float(w.values[0])
     return abs(lhs - problem.lam * a - problem.d)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,6 +45,10 @@ max_iter = {max_iter}
 [output]
 dir = {out}
 """
+
+
+# A constant rhs whose operator image overflows double precision.
+OVERFLOW_RHS = "kind = constant\nc = 1.7e308"
 
 
 def write_config(tmp_path, rhs="kind = constant\nc = 1.0", lam="0.2", d="1.0",
@@ -114,6 +119,17 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "non-finite" in err
+        assert "Traceback" not in err
+
+    def test_overflowing_iterate_exit_without_traceback(self, tmp_path, capsys):
+        # f = 1.7e308 is finite, but the integral operator's image is not.
+        path, _ = write_config(tmp_path, rhs=OVERFLOW_RHS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", str(path)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "overflow" in err
         assert "Traceback" not in err
 
     def test_mesh_too_large_exit(self, tmp_path, capsys, monkeypatch):
@@ -270,6 +286,38 @@ class TestSweep:
         assert main(["sweep", str(path)]) == EXIT_OK
         rows = read_csv(out / "sweep.csv")
         assert [r[-1] for r in rows[1:]] == ["failed:MeshTooLarge"] * 2
+
+    def test_overflowing_cells_recorded(self, tmp_path):
+        path, out = write_config(tmp_path, rhs=OVERFLOW_RHS)
+        sweep = path.read_text() + (
+            "\n[sweep]\naxis1 = lambda\naxis1_start = 0.0\n"
+            "axis1_stop = 0.2\naxis1_steps = 2\n")
+        path.write_text(sweep, encoding="utf-8")
+        assert main(["sweep", str(path)]) == EXIT_OK
+        rows = read_csv(out / "sweep.csv")
+        assert [r[-1] for r in rows[1:]] == ["failed:NonFiniteIterate"] * 2
+
+    def test_failed_stack_keeps_solo_bytes(self, tmp_path, monkeypatch):
+        # exp(y - 1000) turns non-finite on the lambda = 0.8 cell only (see
+        # TestStackedSolve in test_solver.py).  Its stack fails, and each of
+        # its cells is solved alone: sweep.csv must be the bytes of an
+        # all-solo sweep, with the other cells solved.
+        path, out = write_config(tmp_path, rhs="kind = expression\n"
+                                 "expr = 0.25*y + 0.25 + exp(y - 1000)")
+        path.write_text(path.read_text() + (
+            "\n[sweep]\naxis1 = lambda\naxis1_start = 0.0\n"
+            "axis1_stop = 0.8\naxis1_steps = 5\n"), encoding="utf-8")
+        cells = [cfg for _, cfg in config.parse_sweep_file(str(path)).cells()]
+        assert cli._sweep_stacks(cells) == [[0, 1, 2, 3, 4]]
+        assert main(["sweep", str(path)]) == EXIT_OK
+        stacked = (out / "sweep.csv").read_bytes()
+        monkeypatch.setattr(cli, "_sweep_stacks",
+                            lambda cells: [[i] for i in range(len(cells))])
+        assert main(["sweep", str(path)]) == EXIT_OK
+        assert (out / "sweep.csv").read_bytes() == stacked
+        rows = read_csv(out / "sweep.csv")
+        assert [r[-1] for r in rows[1:]] == ["ok"] * 4 + ["failed:RhsEvaluationFailure"]
+        assert all(r[-5] == "True" for r in rows[1:-1])
 
     LAMBDA_D = ("axis1 = lambda\naxis1_start = 0.0\naxis1_stop = 0.3\naxis1_steps = {}\n"
                 "axis2 = d\naxis2_start = 0.5\naxis2_stop = 2.0\naxis2_steps = {}\n")

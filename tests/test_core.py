@@ -228,7 +228,7 @@ class TestRhsValues:
         rule = QuadratureRule(GradedMesh.graded_for(32, consts.gamma))
         w = WeightedGridFunction(rule.mesh, consts.gamma,
                                  np.linspace(1.0, 2.0, 33))
-        samples = _rhs_samples(p, consts, w.values, rule.mesh)
+        samples = _rhs_samples(p, consts.gamma, w.values[None], rule.mesh)[0]
         assert f.calls == 1
         t = rule.mesh.nodes
         y = t[1:] ** (consts.gamma - 1.0) * w.values[1:]

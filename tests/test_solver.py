@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hilferbvp import solver
 from hilferbvp.errors import (
     InvalidInterval,
     MissingBounds,
+    NonFiniteIterate,
     RhsEvaluationFailure,
     RhsNegative,
 )
@@ -93,6 +95,15 @@ class TestApplyDelta:
         w = constant_lambda_start(consts, rule.mesh)
         with pytest.raises(RhsNegative):
             apply_delta(p, consts, w, rule)
+
+    def test_overflowing_image_rejected(self):
+        p = problem_with(lambda t, y: 1.7e308, lam=0.2)
+        consts, rule = setup(p, n=64)
+        w = constant_lambda_start(consts, rule.mesh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteIterate):
+                apply_delta(p, consts, w, rule)
 
     def test_positivity_preservation(self):
         # nonnegative rhs, mu > 0, d >= 0: the cone maps into itself.
@@ -279,7 +290,8 @@ class TestAnderson:
 
 class TestStackedSolve:
     """Problems that share alpha, beta, the rhs and the mesh are solved in
-    one stack; every column must be its own solve_picard, bit for bit."""
+    one stack; every column must be its own solve_picard, bit for bit, and a
+    failing column must make the stack raise what its solo solve raises."""
 
     # exp(y - 1000) is 0 to double precision until y nears 1000 and inf
     # beyond 1709: the column near mu = 0 (lam = 0.8) grows and fails at its
@@ -289,6 +301,7 @@ class TestStackedSolve:
         return 0.25 * y + 0.25 + np.exp(y - 1000.0)
 
     CASES = [(0.0, 0.5), (0.3, 1.0), (0.8, 1.0), (0.6, 2.0), (0.7, 1.0)]
+    FAILING = (0.8, 1.0)
 
     @pytest.mark.parametrize("max_iter", [9, 200])
     def test_columns_equal_solo_solves(self, max_iter):
@@ -298,32 +311,37 @@ class TestStackedSolve:
             calls.append(np.shape(t))
             return self.rhs(t, y)
 
-        problems = [problem_with(rhs, lam=lam, d=d) for lam, d in self.CASES]
+        cases = [case for case in self.CASES if case != self.FAILING]
+        problems = [problem_with(rhs, lam=lam, d=d) for lam, d in cases]
         consts = [derive_constants(p) for p in problems]
         rule = QuadratureRule(GradedMesh(64, default_grading(consts[0].gamma)))
         settings = PicardSettings(max_iter=max_iter)
         stacked = solver._solve_stack(problems, consts, settings, rule)
         stack_calls, calls[:] = len(calls), []
-        stopped = []
         for p, c, got in zip(problems, consts, stacked):
-            try:
-                want = solve_picard(p, c, settings, rule)
-            except RhsEvaluationFailure as exc:
-                assert type(got) is RhsEvaluationFailure
-                assert str(got) == str(exc)
-                stopped.append(6)
-                continue
+            want = solve_picard(p, c, settings, rule)
             assert got.solution.values.tobytes() == want.solution.values.tobytes()
             assert got.history == want.history
             assert (got.iterations, got.converged) == (want.iterations, want.converged)
-            stopped.append(got.iterations)
+        stopped = [r.iterations for r in stacked]
         # One rhs call per stacked iteration, for the whole stack.
         assert stack_calls == max(stopped)
-        assert stopped == ([9, 9, 6, 9, 9] if max_iter == 9 else [9, 9, 6, 10, 10])
-        assert [type(r) for r in stacked].count(RhsEvaluationFailure) == 1
+        assert stopped == ([9, 9, 9, 9] if max_iter == 9 else [9, 9, 10, 10])
         if max_iter == 9:
-            assert [r.converged for r in stacked if isinstance(r, solver.SolveResult)] \
-                == [True, True, False, False]
+            assert [r.converged for r in stacked] == [True, True, False, False]
+
+    def test_failing_column_raises_its_solo_error(self):
+        problems = [problem_with(self.rhs, lam=lam, d=d) for lam, d in self.CASES]
+        consts = [derive_constants(p) for p in problems]
+        rule = QuadratureRule(GradedMesh(64, default_grading(consts[0].gamma)))
+        settings = PicardSettings()
+        failing = self.CASES.index(self.FAILING)
+        with pytest.raises(RhsEvaluationFailure) as solo:
+            solve_picard(problems[failing], consts[failing], settings, rule)
+        with pytest.raises(RhsEvaluationFailure) as stacked:
+            solver._solve_stack(problems, consts, settings, rule)
+        assert type(stacked.value) is type(solo.value)
+        assert str(stacked.value) == str(solo.value)
 
     def test_apply_delta_rows_equal_single_calls(self):
         problems = [problem_with(self.rhs, lam=lam, d=d) for lam, d in self.CASES]
@@ -331,8 +349,8 @@ class TestStackedSolve:
         rule = QuadratureRule(GradedMesh(200, default_grading(consts[0].gamma)))
         rng = np.random.default_rng(3)
         w = rng.uniform(0.0, 3.0, (len(problems), 201))
-        images, failures = apply_delta(problems, consts, w, rule)
-        assert failures == [None] * len(problems)
+        images = apply_delta(problems, consts, w, rule)
+        assert images.shape == w.shape
         for p, c, row, image in zip(problems, consts, w, images):
             single = apply_delta(p, c, WeightedGridFunction(rule.mesh, c.gamma, row), rule)
             assert single.values.tobytes() == image.tobytes()
