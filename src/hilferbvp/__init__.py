@@ -8,11 +8,9 @@ meshes; existence/uniqueness hypotheses are evaluated as certificates.
 
 from .analysis import (
     Certificate,
-    LipschitzEstimate,
     check_kernel_bound,
     check_mu,
     contraction_certificate,
-    estimate_lipschitz,
     hypothesis_report,
 )
 from .core import (
@@ -22,26 +20,21 @@ from .core import (
     WeightedGridFunction,
     default_grading,
     derive_constants,
-    to_physical,
-    weighted_norm,
 )
 from .fracops import (
     QuadratureRule,
     hilfer_derivative,
     physical_integral,
-    q_kernel,
     rl_derivative,
     rl_integral,
 )
 from .solver import (
-    ControlFunctions,
     PicardSettings,
     SolutionBracket,
     SolveResult,
     apply_delta,
     boundary_identity_gap,
     bracket_from_bounds,
-    build_control_functions,
     solve_picard,
 )
 from .verify import (
@@ -55,11 +48,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Certificate",
-    "ControlFunctions",
     "DerivedConstants",
     "GradedMesh",
     "HilferProblem",
-    "LipschitzEstimate",
     "PicardSettings",
     "QuadratureRule",
     "ResidualReport",
@@ -69,23 +60,18 @@ __all__ = [
     "apply_delta",
     "boundary_identity_gap",
     "bracket_from_bounds",
-    "build_control_functions",
     "check_kernel_bound",
     "check_mu",
     "constant_rhs_oracle",
     "contraction_certificate",
     "default_grading",
     "derive_constants",
-    "estimate_lipschitz",
     "hilfer_derivative",
     "hypothesis_report",
     "physical_integral",
     "power_rhs_oracle",
-    "q_kernel",
     "residual_check",
     "rl_derivative",
     "rl_integral",
     "solve_picard",
-    "to_physical",
-    "weighted_norm",
 ]

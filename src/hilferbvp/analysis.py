@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
 from .core import MU_TOLERANCE, DerivedConstants, HilferProblem, unguarded_constants
-from .errors import RhsEvaluationFailure, SingularProblem
+from .errors import SingularProblem
 
 CERT_RHS_NONNEGATIVE = "rhs-nonnegative"
 CERT_MU_NONZERO = "mu-nonzero"
@@ -32,21 +32,6 @@ class Certificate:
     value: float
     threshold: float
     detail: str
-
-
-@dataclass(frozen=True)
-class LipschitzEstimate:
-    """A Lipschitz constant for f in its second argument.
-
-    Sampled estimates are lower bounds of the true constant: a certificate
-    built from one is only sound if the user confirms the constant
-    analytically.
-    """
-
-    value: float
-    method: str                      # "user-supplied" | "sampled"
-    t_samples: int = 0
-    y_samples: int = 0
 
 
 def check_mu(consts: DerivedConstants) -> Certificate:
@@ -83,35 +68,6 @@ def check_kernel_bound(alpha: float, grid_size: int = 1000) -> Certificate:
                 f"alpha={alpha:.17g}; closed-form sup is 1/Gamma(alpha+1) = "
                 f"{1.0 / math.gamma(alpha + 1.0):.17g}"),
     )
-
-
-def estimate_lipschitz(problem: HilferProblem, t_grid: int, y_grid: int,
-                       y_range: Tuple[float, float]) -> LipschitzEstimate:
-    """Largest slope |f(t, y+) - f(t, y)| / dy over adjacent points of a
-    uniform y-grid, maximized over a t-grid in (0, 1].
-
-    The estimate never decreases under nested refinement (doubling t_grid,
-    or growing the y-grid through 2^k + 1 point counts).
-    """
-    if t_grid < 2 or y_grid < 2:
-        raise ValueError(f"grids must have >= 2 points, got {t_grid}x{y_grid}")
-    y_lo, y_hi = y_range
-    if not (math.isfinite(y_lo) and math.isfinite(y_hi) and y_lo < y_hi):
-        raise ValueError(f"invalid y_range [{y_lo}, {y_hi}]")
-    ts = np.arange(1, t_grid + 1) / t_grid
-    ys = np.linspace(y_lo, y_hi, y_grid)
-    t, y = np.meshgrid(ts, ys, indexing="ij")
-    try:
-        vals = problem.rhs_values(t, y)
-    except Exception as exc:
-        raise RhsEvaluationFailure(f"f failed on the t x y grid: {exc}") from exc
-    bad = ~np.all(np.isfinite(vals), axis=1)
-    if np.any(bad):
-        raise RhsEvaluationFailure(
-            f"f returned a non-finite value at t={ts[np.argmax(bad)]}")
-    worst = float(np.max(np.abs(np.diff(vals, axis=1)) / np.diff(ys)))
-    return LipschitzEstimate(value=worst, method="sampled",
-                             t_samples=t_grid, y_samples=y_grid)
 
 
 def contraction_certificate(consts: DerivedConstants, alpha: float,

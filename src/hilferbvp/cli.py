@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 config failure, 2 non-convergence, 3 the mu
 hypothesis failed (singular or non-positive mu), 4 some other certificate
 failed (certify only), 5 numerical failure (for example the rhs evaluated
 to a non-finite value, an iterate overflowed (NonFiniteIterate), or the
-integral operator on the mesh would not fit in physical memory).
+mesh or its integral operator would not fit in physical memory).
 """
 
 from __future__ import annotations
@@ -266,13 +266,14 @@ _STACK_DOUBLES_PER_NODE = 16
 
 def _sweep_stacks(cells: List[RunConfig]) -> List[List[int]]:
     """Indices of the cells to solve together.  Cells that share alpha,
-    beta, the mesh, the rhs and the Picard settings iterate the same
-    operator and differ only in lambda, d or the Lipschitz constant; each
-    such group is cut into stacks of nearly equal size, none larger than
-    the workspace budget allows."""
+    beta, the mesh, the rhs, tol and max_iter iterate the same operator and
+    differ only in lambda, d or the Lipschitz constant; each such group is
+    cut into stacks of nearly equal size, none larger than the workspace
+    budget allows."""
     groups: Dict[tuple, List[int]] = {}
     for i, cfg in enumerate(cells):
-        key = (cfg.alpha, cfg.beta, cfg.mesh_n, cfg.mesh_r, cfg.rhs, _settings(cfg))
+        key = (cfg.alpha, cfg.beta, cfg.mesh_n, cfg.mesh_r, cfg.rhs,
+               cfg.tol, cfg.max_iter)
         groups.setdefault(key, []).append(i)
     stacks = []
     for members in groups.values():

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import OutOfDomain, SingularProblem
+from .errors import MeshTooLarge, OutOfDomain, SingularProblem
 
 # Below this magnitude of mu the constant Lambda overflows and the integral
 # equation is numerically meaningless.
@@ -31,7 +31,10 @@ def default_grading(gamma: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class GradedMesh:
-    """Nodes t_j = (j/n)^r on [0, 1], clustered near 0 for r > 1."""
+    """Nodes t_j = (j/n)^r on [0, 1], clustered near 0 for r > 1.
+
+    Raises MeshTooLarge, before allocating them, when the 8 (n+1) bytes of
+    the nodes alone exceed physical memory."""
 
     n: int
     r: float = 1.0
@@ -42,6 +45,15 @@ class GradedMesh:
             raise ValueError(f"mesh needs a positive number of intervals, got {self.n}")
         if not (math.isfinite(self.r) and self.r >= 1.0):
             raise ValueError(f"grading exponent must be >= 1, got {self.r}")
+        # fracops builds on this module, so its memory figure is read here.
+        from .fracops import _physical_memory
+        need, have = 8 * (self.n + 1), _physical_memory()
+        if have is not None and need > have:
+            raise MeshTooLarge(
+                f"the nodes of a mesh with {self.n} intervals need "
+                f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
+                f"of physical memory"
+            )
         nodes = (np.arange(self.n + 1) / self.n) ** self.r
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
@@ -179,18 +191,3 @@ def derive_constants(problem: HilferProblem) -> DerivedConstants:
         )
     return consts
 
-
-def weighted_norm(w: WeightedGridFunction) -> float:
-    """Discrete weighted sup norm max_j |w_j| (the norm of C_{1-gamma})."""
-    return float(np.max(np.abs(w.values)))
-
-
-def to_physical(w: WeightedGridFunction, t: float) -> float:
-    """Unweighted value y(t) = t^(gamma-1) w(t), w interpolated linearly.
-
-    Only defined for t in (0, 1]; y itself may be unbounded as t -> 0.
-    """
-    if not (0.0 < t <= 1.0):
-        raise OutOfDomain(f"t must lie in (0, 1], got {t}")
-    wt = float(np.interp(t, w.mesh.nodes, w.values))
-    return t ** (w.gamma - 1.0) * wt

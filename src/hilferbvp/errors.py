@@ -40,10 +40,6 @@ class MeshTooLarge(HilferBvpError):
     """The integral operator on the requested mesh would not fit in physical memory."""
 
 
-class InvalidInterval(HilferBvpError):
-    """An interval [lo, hi] is empty, reversed, or outside the positive axis."""
-
-
 class MissingBounds(HilferBvpError):
     """The problem carries no constant bounds A1/A2 for f."""
 

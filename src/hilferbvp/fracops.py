@@ -40,16 +40,6 @@ class QuadratureRule:
     mesh: GradedMesh
 
 
-def q_kernel(tau: float, alpha: float) -> float:
-    """Boundary kernel Q(tau) = integral_tau^1 (s-tau)^(alpha-1) ds
-    = (1-tau)^alpha / alpha."""
-    if not (0.0 <= tau <= 1.0):
-        raise OutOfDomain(f"tau must lie in [0, 1], got {tau}")
-    if not (0.0 < alpha <= 1.0):
-        raise OutOfDomain(f"alpha must lie in (0, 1], got {alpha}")
-    return (1.0 - tau) ** alpha / alpha
-
-
 # Intervals narrower than this fraction of their distance to the kernel
 # point switch from direct power differences (which cancel catastrophically)
 # to an 8-term binomial series; at the crossover both are accurate to ~1e-12.
@@ -508,7 +498,8 @@ def _pl_kernel_weights(nodes: np.ndarray, p: float, side: str) -> np.ndarray:
     return v
 
 
-# Unused by the package; kept because perfbench/tracer.py reads cache_info().
+# No solve reads this cache.  perfbench/tracer.py counts dense assemblies
+# through its cache_info(), and the tests count misses the same way.
 @lru_cache(maxsize=16)
 def _cached_convolution_matrix(n: int, r: float, order: float) -> np.ndarray:
     return _convolution_matrix(GradedMesh(n, r).nodes, order)
@@ -545,7 +536,8 @@ def _check_samples(samples, mesh: GradedMesh, max_ndim: int = 1) -> np.ndarray:
 
 @cache
 def _physical_memory() -> Optional[int]:
-    """Bytes of physical memory, or None where sysconf cannot tell."""
+    """Bytes of physical memory, or None where sysconf cannot tell: the one
+    figure that GradedMesh and _soe_operator hold their arrays to."""
     try:
         size = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):

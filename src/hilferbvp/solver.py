@@ -1,5 +1,6 @@
 """Fixed-point operator of the equivalent integral equation and its Picard
-iteration, plus control functions and upper/lower solution brackets.
+iteration, plus the closed-form solution bracket of a problem whose rhs
+has constant bounds.
 
 The operator maps y to
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .core import (
     WeightedGridFunction,
 )
 from .errors import (
-    InvalidInterval,
     MissingBounds,
     NonFiniteIterate,
     RhsEvaluationFailure,
@@ -45,12 +45,12 @@ ANDERSON_DEPTH = 5
 _ANDERSON_RCOND = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PicardSettings:
     """Stopping rule and starting point for the fixed-point iteration.
 
     ``initial_guess`` is an explicit grid of weighted samples, or None for
-    the constant start w = Lambda.
+    the constant start w = Lambda.  Settings compare by identity.
     """
 
     tol: float = 1e-10
@@ -63,22 +63,6 @@ class PicardSettings:
         if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
-    def _key(self):
-        """The fields, with ``initial_guess`` as its shape and values."""
-        guess = self.initial_guess
-        if guess is not None:
-            guess = np.asarray(guess, dtype=float)
-            guess = (guess.shape, tuple(guess.ravel().tolist()))
-        return self.tol, self.max_iter, guess
-
-    def __eq__(self, other):
-        if not isinstance(other, PicardSettings):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
@@ -86,18 +70,6 @@ class SolveResult:
     iterations: int
     history: List[float]
     converged: bool
-
-
-@dataclass(frozen=True, eq=False)
-class ControlFunctions:
-    """Running sup/inf envelopes of f over a sampled y-grid on [y_lo, y_hi];
-    both are nondecreasing in their second argument by construction and
-    satisfy lower(t, x) <= f(t, x) <= upper(t, x) at the grid points."""
-
-    y_lo: float
-    y_hi: float
-    upper: Callable[[float, float], float]
-    lower: Callable[[float, float], float]
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,32 +342,6 @@ def boundary_identity_gap(problem: HilferProblem, consts: DerivedConstants,
     a = problem.d / (consts.mu * math.gamma(consts.gamma + 1.0)) + b / consts.mu
     lhs = math.gamma(consts.gamma) * float(w.values[0])
     return abs(lhs - problem.lam * a - problem.d)
-
-
-def build_control_functions(problem: HilferProblem, y_lo: float, y_hi: float,
-                            samples: int = 256) -> ControlFunctions:
-    """Realize the sup/inf envelopes of f on a uniform y-grid.
-
-    upper(t, x) = max f(t, y_k) over grid points y_k <= x and
-    lower(t, x) = min f(t, y_k) over grid points y_k >= x; x is clamped to
-    [y_lo, y_hi].  f is opaque, so the envelopes are sampled rather than
-    symbolic.
-    """
-    if not (0.0 < y_lo <= y_hi):
-        raise InvalidInterval(f"need 0 < y_lo <= y_hi, got [{y_lo}, {y_hi}]")
-    if not (isinstance(samples, (int, np.integer)) and samples >= 2):
-        raise InvalidInterval(f"need at least 2 sample points, got {samples}")
-    grid = np.linspace(y_lo, y_hi, samples)
-
-    def upper(t: float, x: float) -> float:
-        x = min(max(x, y_lo), y_hi)
-        return float(np.max(problem.rhs_values(t, grid[grid <= x])))
-
-    def lower(t: float, x: float) -> float:
-        x = min(max(x, y_lo), y_hi)
-        return float(np.min(problem.rhs_values(t, grid[grid >= x])))
-
-    return ControlFunctions(y_lo=y_lo, y_hi=y_hi, upper=upper, lower=lower)
 
 
 def bracket_from_bounds(problem: HilferProblem, consts: DerivedConstants,

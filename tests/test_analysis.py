@@ -11,11 +11,10 @@ from hilferbvp.analysis import (
     check_kernel_bound,
     check_mu,
     contraction_certificate,
-    estimate_lipschitz,
     hypothesis_report,
 )
 from hilferbvp.core import DerivedConstants, HilferProblem, derive_constants
-from hilferbvp.errors import RhsEvaluationFailure, SingularProblem
+from hilferbvp.errors import SingularProblem
 
 
 def problem_with(rhs, alpha=0.5, beta=0.5, lam=0.0, d=1.0, **kw):
@@ -80,42 +79,6 @@ class TestKernelBound:
             check_kernel_bound(0.0)
         with pytest.raises(ValueError):
             check_kernel_bound(0.5, grid_size=1)
-
-
-class TestEstimateLipschitz:
-    def test_constant(self):
-        est = estimate_lipschitz(problem_with(lambda t, y: 3.0), 8, 16, (0.0, 1.0))
-        assert est.value == 0.0
-        assert est.method == "sampled"
-
-    def test_exact_linear_slope(self):
-        est = estimate_lipschitz(problem_with(lambda t, y: (y + 1.0) / 4.0),
-                                 8, 16, (0.0, 2.0))
-        assert est.value == pytest.approx(0.25, rel=1e-12)
-
-    def test_quadratic_approaches_two_from_below(self):
-        p = problem_with(lambda t, y: y ** 2)
-        values = [estimate_lipschitz(p, 4, n_y, (0.0, 1.0)).value
-                  for n_y in (9, 17, 33, 65)]
-        assert all(v < 2.0 for v in values)
-        assert all(b >= a for a, b in zip(values, values[1:]))
-        assert values[-1] == pytest.approx(2.0, abs=0.05)
-
-    def test_never_decreases_under_nested_refinement(self):
-        p = problem_with(lambda t, y: math.sin(4.0 * t) ** 2 * y / (1.0 + y) + t)
-        coarse = estimate_lipschitz(p, 8, 17, (0.0, 3.0)).value
-        finer_t = estimate_lipschitz(p, 16, 17, (0.0, 3.0)).value
-        finer_y = estimate_lipschitz(p, 8, 33, (0.0, 3.0)).value
-        assert finer_t >= coarse - 1e-15
-        assert finer_y >= coarse - 1e-15
-
-    def test_rhs_failure_propagates(self):
-        def bad(t, y):
-            raise RuntimeError("boom")
-        with pytest.raises(RhsEvaluationFailure):
-            estimate_lipschitz(problem_with(bad), 4, 4, (0.0, 1.0))
-        with pytest.raises(RhsEvaluationFailure):
-            estimate_lipschitz(problem_with(lambda t, y: math.inf), 4, 4, (0.0, 1.0))
 
 
 class TestContractionCertificate:

@@ -1,16 +1,14 @@
 import hilferbvp
 
 PUBLIC = {
-    "Certificate", "ControlFunctions", "DerivedConstants", "GradedMesh",
-    "HilferProblem", "LipschitzEstimate", "PicardSettings", "QuadratureRule",
-    "ResidualReport", "SolutionBracket", "SolveResult", "WeightedGridFunction",
-    "apply_delta", "boundary_identity_gap", "bracket_from_bounds",
-    "build_control_functions", "check_kernel_bound", "check_mu",
-    "constant_rhs_oracle", "contraction_certificate", "default_grading",
-    "derive_constants", "estimate_lipschitz", "hilfer_derivative",
-    "hypothesis_report", "physical_integral", "power_rhs_oracle", "q_kernel",
+    "Certificate", "DerivedConstants", "GradedMesh", "HilferProblem",
+    "PicardSettings", "QuadratureRule", "ResidualReport", "SolutionBracket",
+    "SolveResult", "WeightedGridFunction", "apply_delta",
+    "boundary_identity_gap", "bracket_from_bounds", "check_kernel_bound",
+    "check_mu", "constant_rhs_oracle", "contraction_certificate",
+    "default_grading", "derive_constants", "hilfer_derivative",
+    "hypothesis_report", "physical_integral", "power_rhs_oracle",
     "residual_check", "rl_derivative", "rl_integral", "solve_picard",
-    "to_physical", "weighted_norm",
 }
 
 
@@ -27,8 +25,16 @@ def test_every_public_name_imports():
 def test_folded_helpers_are_gone():
     # The Caputo derivative is hilfer_derivative(alpha, 1.0, ...), and the
     # integral of y in the boundary identity lives in boundary_identity_gap.
-    for name in ("solution_integral", "caputo_derivative"):
-        assert not hasattr(hilferbvp, name)
-    from hilferbvp import fracops, solver
-    assert not hasattr(fracops, "caputo_derivative")
-    assert not hasattr(solver, "solution_integral")
+    # The other names had no caller in the package, the CLI or a test oracle.
+    from hilferbvp import analysis, core, errors, fracops, solver
+    removed = {
+        fracops: ("caputo_derivative", "q_kernel"),
+        solver: ("solution_integral", "build_control_functions", "ControlFunctions"),
+        core: ("weighted_norm", "to_physical"),
+        analysis: ("estimate_lipschitz", "LipschitzEstimate"),
+        errors: ("InvalidInterval",),
+    }
+    for module, names in removed.items():
+        for name in names:
+            assert not hasattr(hilferbvp, name)
+            assert not hasattr(module, name)

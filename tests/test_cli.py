@@ -145,6 +145,18 @@ class TestSolve:
         assert err.startswith("error: ")
         assert "physical memory" in err
 
+    def test_oversized_mesh_exit(self, tmp_path, capsys):
+        # The nodes alone of n = 10^13 take 80 TB: the mesh is rejected
+        # before any array is allocated, with one error line.
+        path, _ = write_config(tmp_path)
+        path.write_text(path.read_text().replace("n = 64", "n = 10000000000000"),
+                        encoding="utf-8")
+        assert main(["solve", str(path)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "physical memory" in err
+
     def test_solver_evaluates_the_built_rhs(self, tmp_path, monkeypatch):
         # The benchmark's tracer counts rhs calls by wrapping RhsSpec.build;
         # the callable it returns must be what the solver evaluates.
@@ -357,6 +369,15 @@ class TestSweep:
         rows = read_csv(out / "sweep.csv")
         assert len(rows) == len(cells) + 1
         assert all(r[-1] == "ok" and r[-5] == "True" for r in rows[1:])
+
+    def test_stacks_split_on_tol_and_max_iter(self, tmp_path):
+        # Cells are grouped on the plain fields: one that differs only in
+        # tol or in max_iter iterates with other settings, alone.
+        _, _, cells = self._sweep(tmp_path, self.LAMBDA_D.format(4, 3), 64)
+        cells[0] = replace(cells[0], tol=1e-8)
+        cells[1] = replace(cells[1], max_iter=100)
+        stacks = cli._sweep_stacks(cells)
+        assert sorted(stacks) == [[0], [1], list(range(2, 12))]
 
     def test_stack_workspace_within_budget(self, tmp_path):
         # The 42 cells of a 7 x 6 lambda x d sweep at n = 1024 form one group,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hilferbvp import fracops
 from hilferbvp.core import (
     GradedMesh,
     HilferProblem,
@@ -10,12 +11,10 @@ from hilferbvp.core import (
     composite_order,
     default_grading,
     derive_constants,
-    to_physical,
-    weighted_norm,
 )
-from hilferbvp.analysis import CERT_RHS_NONNEGATIVE, estimate_lipschitz, hypothesis_report
+from hilferbvp.analysis import CERT_RHS_NONNEGATIVE, hypothesis_report
 from hilferbvp.config import RhsSpec
-from hilferbvp.errors import OutOfDomain, RhsEvaluationFailure, SingularProblem
+from hilferbvp.errors import MeshTooLarge, OutOfDomain, SingularProblem
 from hilferbvp.fracops import QuadratureRule
 from hilferbvp.solver import _rhs_samples
 from hilferbvp.verify import residual_check
@@ -59,6 +58,16 @@ class TestGradedMesh:
         mesh = GradedMesh(8, 2.0)
         with pytest.raises(ValueError):
             mesh.nodes[0] = 0.5
+
+    def test_nodes_beyond_physical_memory_rejected(self, monkeypatch):
+        # The threshold is the 8 (n+1) bytes of the nodes, checked before
+        # they are allocated; without a memory figure there is no check.
+        monkeypatch.setattr(fracops, "_physical_memory", lambda: 8 * 17)
+        assert GradedMesh(16, 2.0).nodes.size == 17
+        with pytest.raises(MeshTooLarge, match="physical memory"):
+            GradedMesh(17, 2.0)
+        monkeypatch.setattr(fracops, "_physical_memory", lambda: None)
+        assert GradedMesh(17, 2.0).nodes.size == 18
 
 
 class TestWeightedGridFunction:
@@ -149,58 +158,6 @@ class TestProblemValidation:
         assert p.lower_bound == p.upper_bound == 1.0
 
 
-class TestWeightedNorm:
-    def make(self, values, gamma=0.75):
-        mesh = GradedMesh(len(values) - 1, 1.0)
-        return WeightedGridFunction(mesh, gamma, np.asarray(values, dtype=float))
-
-    def test_zero_function(self):
-        assert weighted_norm(self.make(np.zeros(9))) == 0.0
-
-    def test_monotone_max_at_endpoint(self):
-        mesh = GradedMesh(16, 1.0)
-        w = WeightedGridFunction(mesh, 1.0, mesh.nodes)
-        assert weighted_norm(w) == 1.0
-
-    def test_weighted_constant(self):
-        assert weighted_norm(self.make(np.ones(9))) == 1.0
-
-    def test_norm_axioms_on_random_samples(self):
-        rng = np.random.RandomState(3)
-        for _ in range(25):
-            a = rng.uniform(-2, 2, 9)
-            b = rng.uniform(-2, 2, 9)
-            s = rng.uniform(-3, 3)
-            na = weighted_norm(self.make(a))
-            nb = weighted_norm(self.make(b))
-            assert weighted_norm(self.make(s * a)) == pytest.approx(abs(s) * na, rel=1e-14)
-            assert weighted_norm(self.make(a + b)) <= na + nb + 1e-14
-            assert (na == 0.0) == np.all(a == 0.0)
-
-
-class TestToPhysical:
-    def test_gamma_one_identity_weight(self):
-        mesh = GradedMesh(8, 1.0)
-        w = WeightedGridFunction(mesh, 1.0, np.full(9, 4.2))
-        for t in (0.1, 0.55, 1.0):
-            assert to_physical(w, t) == pytest.approx(4.2, rel=1e-15)
-
-    def test_unit_weighted_function(self):
-        mesh = GradedMesh(8, 2.0)
-        w = WeightedGridFunction(mesh, 0.75, np.ones(9))
-        assert to_physical(w, 1.0) == pytest.approx(1.0, rel=1e-15)
-        # 0.0001^(gamma-1) = 0.0001^(-1/4) = 10 exactly
-        assert to_physical(w, 1e-4) == pytest.approx(10.0, rel=1e-12)
-
-    def test_domain(self):
-        mesh = GradedMesh(8, 1.0)
-        w = WeightedGridFunction(mesh, 0.75, np.ones(9))
-        with pytest.raises(OutOfDomain):
-            to_physical(w, 0.0)
-        with pytest.raises(OutOfDomain):
-            to_physical(w, 1.0001)
-
-
 class CountingRhs:
     """Wraps an rhs and counts how often it is called."""
 
@@ -261,12 +218,10 @@ class TestRhsValues:
         assert f.calls == 1
         assert p.rhs_values(0.5, 1.0).shape == ()
 
-    def test_raising_callable_fails_lipschitz_and_nonnegativity(self):
+    def test_raising_callable_fails_nonnegativity(self):
         def boom(t, y):
             raise RuntimeError("boom")
         p = HilferProblem(alpha=0.5, beta=0.5, lam=0.0, d=1.0, rhs=boom)
-        with pytest.raises(RhsEvaluationFailure):
-            estimate_lipschitz(p, 4, 4, (0.0, 1.0))
         cert = hypothesis_report(p)[0]
         assert cert.name == CERT_RHS_NONNEGATIVE
         assert not cert.holds

@@ -20,7 +20,6 @@ from hilferbvp.fracops import (
     differentiate,
     hilfer_derivative,
     physical_integral,
-    q_kernel,
     rl_derivative,
     rl_integral,
 )
@@ -28,21 +27,6 @@ from hilferbvp.fracops import (
 
 def make_rule(n, r=2.0):
     return QuadratureRule(GradedMesh(n, r))
-
-
-class TestQKernel:
-    def test_endpoints(self):
-        assert q_kernel(1.0, 0.7) == 0.0
-        assert q_kernel(0.0, 0.5) == pytest.approx(2.0, rel=1e-15)
-
-    def test_midpoint(self):
-        assert q_kernel(0.5, 0.5) == pytest.approx(math.sqrt(0.5) / 0.5, rel=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(OutOfDomain):
-            q_kernel(-0.1, 0.5)
-        with pytest.raises(OutOfDomain):
-            q_kernel(0.5, 1.5)
 
 
 class TestRlIntegral:
@@ -535,6 +519,17 @@ class TestMeshTooLarge:
         _clear_operator_caches()
         with pytest.raises(MeshTooLarge, match="physical memory"):
             rl_integral(0.5, np.zeros(n + 1), make_rule(n, r=r))
+        assert _operator_cache_sizes() == (0, 0, 0)
+
+    def test_soe_rejected_when_only_the_nodes_fit(self, monkeypatch):
+        # The 8 MB of nodes at n = 10^6 fit in 16 MiB and the mesh is built;
+        # the SOE tables do not, and are rejected before they are built.
+        n, r = 10 ** 6, 2.0
+        monkeypatch.setattr(fracops, "_physical_memory", lambda: 2 ** 24)
+        rule = make_rule(n, r=r)
+        _clear_operator_caches()
+        with pytest.raises(MeshTooLarge, match="sum-of-exponentials"):
+            rl_integral(0.5, np.zeros(n + 1), rule)
         assert _operator_cache_sizes() == (0, 0, 0)
 
     def test_soe_threshold_is_table_size(self, monkeypatch):

@@ -14,7 +14,6 @@ from hilferbvp.core import (
 )
 from hilferbvp import solver
 from hilferbvp.errors import (
-    InvalidInterval,
     MissingBounds,
     NonFiniteIterate,
     RhsEvaluationFailure,
@@ -26,7 +25,6 @@ from hilferbvp.solver import (
     apply_delta,
     boundary_identity_gap,
     bracket_from_bounds,
-    build_control_functions,
     solve_picard,
 )
 
@@ -180,22 +178,6 @@ class TestSolvePicard:
         for start in (np.ones(rule.mesh.n), np.full(rule.mesh.n + 1, np.nan)):
             with pytest.raises(ValueError):
                 solve_picard(p, consts, PicardSettings(initial_guess=start), rule)
-
-    def test_settings_compare_and_hash_by_value(self):
-        # Equal settings must hash equal, so that they can key a dict, also
-        # with an explicit start grid.
-        a = PicardSettings(initial_guess=np.zeros(3))
-        b = PicardSettings(initial_guess=np.zeros(3))
-        assert a == b
-        assert hash(a) == hash(b)
-        assert len({a, b}) == 1
-        assert a != PicardSettings(initial_guess=np.array([0.0, 0.0, 1.0]))
-        assert a != PicardSettings(initial_guess=np.zeros((1, 3)))
-        assert a != PicardSettings()
-        assert PicardSettings() != a
-        assert PicardSettings() == PicardSettings()
-        assert hash(PicardSettings()) == hash(PicardSettings())
-        assert PicardSettings(tol=1e-8) != PicardSettings()
 
     def test_bracket_midpoint_start(self):
         p = problem_with(lambda t, y: 1.0, lam=0.0,
@@ -391,56 +373,6 @@ class TestBoundaryIdentity:
         assert closed == pytest.approx(direct, abs=2e-6)
 
 
-class TestControlFunctions:
-    def test_monotone_rhs_envelopes_coincide_on_grid(self):
-        p = problem_with(lambda t, y: y + 1.0)
-        ctrl = build_control_functions(p, 0.5, 2.0, samples=33)
-        grid = np.linspace(0.5, 2.0, 33)
-        for x in grid[::8]:
-            assert ctrl.upper(0.3, float(x)) == pytest.approx(x + 1.0, rel=1e-14)
-            assert ctrl.lower(0.3, float(x)) == pytest.approx(x + 1.0, rel=1e-14)
-
-    def test_constant_rhs(self):
-        p = problem_with(lambda t, y: 3.0)
-        ctrl = build_control_functions(p, 1.0, 2.0)
-        assert ctrl.upper(0.5, 1.5) == 3.0
-        assert ctrl.lower(0.5, 1.5) == 3.0
-
-    def test_parabola_against_brute_force(self):
-        # f(t,y) = (y - 0.5)^2: sup over [y_lo, 0.5] sits at the left end,
-        # inf over [0.5, 1] at 0.5.  Oracle: direct max/min over the grid.
-        p = problem_with(lambda t, y: (y - 0.5) ** 2)
-        y_lo, samples = 1e-9, 257
-        ctrl = build_control_functions(p, y_lo, 1.0, samples=samples)
-        grid = np.linspace(y_lo, 1.0, samples)
-        f_vals = (grid - 0.5) ** 2
-        upper_oracle = float(np.max(f_vals[grid <= 0.5]))
-        lower_oracle = float(np.min(f_vals[grid >= 0.5]))
-        assert ctrl.upper(0.2, 0.5) == pytest.approx(upper_oracle, rel=1e-14)
-        assert ctrl.lower(0.2, 0.5) == pytest.approx(lower_oracle, abs=1e-14)
-        assert ctrl.upper(0.2, 0.5) == pytest.approx(0.25, abs=1e-8)
-        assert ctrl.lower(0.2, 0.5) == pytest.approx(0.0, abs=1e-4)
-
-    def test_envelopes_monotone_and_ordered(self):
-        p = problem_with(lambda t, y: 1.0 + math.sin(5.0 * y) ** 2)
-        ctrl = build_control_functions(p, 0.1, 3.0, samples=301)
-        xs = np.linspace(0.1, 3.0, 40)
-        ups = [ctrl.upper(0.7, float(x)) for x in xs]
-        los = [ctrl.lower(0.7, float(x)) for x in xs]
-        assert all(b >= a - 1e-15 for a, b in zip(ups, ups[1:]))
-        assert all(b >= a - 1e-15 for a, b in zip(los, los[1:]))
-        assert all(lo <= up + 1e-15 for lo, up in zip(los, ups))
-
-    def test_interval_validation(self):
-        p = problem_with(lambda t, y: 1.0)
-        with pytest.raises(InvalidInterval):
-            build_control_functions(p, 0.0, 1.0)
-        with pytest.raises(InvalidInterval):
-            build_control_functions(p, 2.0, 1.0)
-        with pytest.raises(InvalidInterval):
-            build_control_functions(p, 0.5, 1.0, samples=1)
-
-
 class TestBracket:
     def test_collapsed_bracket_equals_constant_solution(self):
         c = 1.7
@@ -496,16 +428,16 @@ class TestBracket:
 
 class TestMonotoneSandwich:
     def test_delta_between_control_envelopes(self):
-        # For f nonincreasing in y the sampled envelopes dominate f at every
-        # argument, so the operator applied with lower/f/upper is ordered.
+        # Nonnegative envelopes 0.5/(1+y) <= f <= 1/(1+y) + 0.05 of f hold at
+        # every argument, and every quadrature weight is nonnegative, so the
+        # operator applied with lower/f/upper is ordered.
         def f(t, y):
             return 1.0 / (1.0 + y)
 
         p = problem_with(f, lam=0.3, d=0.5)
         consts, rule = setup(p, n=64)
-        ctrl = build_control_functions(p, 0.05, 5.0, samples=401)
-        p_upper = problem_with(ctrl.upper, lam=0.3, d=0.5)
-        p_lower = problem_with(ctrl.lower, lam=0.3, d=0.5)
+        p_upper = problem_with(lambda t, y: f(t, y) + 0.05, lam=0.3, d=0.5)
+        p_lower = problem_with(lambda t, y: 0.5 * f(t, y), lam=0.3, d=0.5)
         rng = np.random.RandomState(2)
         for _ in range(5):
             w = WeightedGridFunction(rule.mesh, consts.gamma,
