@@ -284,11 +284,24 @@ def _sweep_stacks(cells: List[RunConfig]) -> List[List[int]]:
     return stacks
 
 
+def _stacked_solves(problems, consts, cfg: RunConfig) -> List[Optional[solver.SolveResult]]:
+    """SolveResults of the problems solved as one stack.  When the stacked
+    solve fails, each half is stacked again, so only the failing problems
+    end up alone; a lone problem gets None, for _sweep_cell to solve alone
+    and record.  Every result equals its solo solve bit for bit."""
+    if len(problems) == 1:
+        return [None]
+    try:
+        return solver._solve_stack(problems, consts, _settings(cfg), QuadratureRule(cfg.mesh()))
+    except HilferBvpError:
+        half = len(problems) // 2
+        return (_stacked_solves(problems[:half], consts[:half], cfg)
+                + _stacked_solves(problems[half:], consts[half:], cfg))
+
+
 def _sweep_stack(cells: List[RunConfig]) -> List[dict]:
-    """Records of cells that _sweep_stacks put together: one stacked Picard
-    solve, then _sweep_cell for each cell.  When the stacked solve fails,
-    _sweep_cell solves each cell alone, which gives the record of the
-    failing cell and, bit for bit, the stacked results of the others."""
+    """Records of cells that _sweep_stacks put together: stacked Picard
+    solves (_stacked_solves), then _sweep_cell for each cell."""
     setups = [_cell_problem(cfg) for cfg in cells]
     solvable = [i for i, setup in enumerate(setups) if not isinstance(setup, dict)]
     solved: List[Optional[solver.SolveResult]] = [None] * len(cells)
@@ -296,12 +309,8 @@ def _sweep_stack(cells: List[RunConfig]) -> List[dict]:
         # The stack evaluates one rhs callable for all its problems.
         rhs = setups[solvable[0]][0].rhs
         problems = [replace(setups[i][0], rhs=rhs) for i in solvable]
-        cfg = cells[solvable[0]]
-        try:
-            results = solver._solve_stack(problems, [setups[i][1] for i in solvable],
-                                          _settings(cfg), QuadratureRule(cfg.mesh()))
-        except HilferBvpError:
-            results = [None] * len(solvable)
+        results = _stacked_solves(problems, [setups[i][1] for i in solvable],
+                                  cells[solvable[0]])
         for i, result in zip(solvable, results):
             solved[i] = result
     return [_sweep_cell(cfg, setup, result)

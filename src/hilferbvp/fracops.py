@@ -20,7 +20,7 @@ import os
 import weakref
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -175,8 +175,19 @@ def _convolution_matrix(nodes: np.ndarray, order: float) -> np.ndarray:
 # Building and applying the operator cost O(n (B + K)), against the dense
 # matrix's O(n^2).  All but 10 of the K modes do not depend on the order:
 # their tables are built once per mesh and shared by every order on it.
+# The tables hold only what the apply reads: a block whose history lies
+# further back needs fewer modes (_soe_tiers), and the near field is stored
+# without its upper triangle of zeros.
 
 _SOE_BLOCK = 64
+# Rows per group of the staircase near field, and the window columns each
+# group keeps: row i of a block reaches window column i + 1, its own node,
+# so group g keeps (g+1) _SOE_ROWS + 1 columns and drops only zeros.
+_SOE_ROWS = 16
+_SOE_NEAR_WIDTHS = tuple((g + 1) * _SOE_ROWS + 1 for g in range(_SOE_BLOCK // _SOE_ROWS))
+# The geometric ladder that the per-chunk mode counts are rounded up on, so
+# that runs of chunks share one table (_soe_tiers).
+_SOE_LADDER = 1.25
 # The SOE quadrature (_soe_nodes): its step in ln x, the x below which its
 # nodes merge into one at x = 0, the reach of the kept nodes (x up to at
 # least _SOE_DECAY/delta; the first dropped node adds below 1e-16 relative
@@ -281,27 +292,59 @@ def _exp_hat_moments(z: np.ndarray):
     return left, right
 
 
-def _history_delta(nodes: np.ndarray) -> Optional[float]:
-    """delta, the least distance from a block's first node to its history:
-    the SOE modes must be accurate down to it.  None when every node lies
-    in the first block, which has no history."""
+def _history_gaps(nodes: np.ndarray) -> np.ndarray:
+    """gap_c = t_{(c+1)B} - t_{(c+1)B-1}, the least distance from the first
+    node of block c + 1 to its history, for each history chunk c: the SOE
+    modes that block reads must be accurate down to it.  Empty when every
+    node lies in the first block, which has no history."""
     b = _SOE_BLOCK
-    if nodes.size <= b:
-        return None
-    return float(np.min(nodes[b::b] - nodes[b - 1:-1:b]))
+    return nodes[b::b] - nodes[b - 1:-1:b]
 
 
-def _history_tables(t: np.ndarray, x: np.ndarray):
+def _history_delta(nodes: np.ndarray) -> Optional[float]:
+    """delta, the least history gap (_history_gaps), or None without
+    history."""
+    gaps = _history_gaps(nodes)
+    return float(np.min(gaps)) if gaps.size else None
+
+
+def _soe_tiers(nodes: np.ndarray):
+    """The plan of the shared trapezoid modes on `nodes`: a list of tiers
+    (c0, c1, k), each a run of history chunks c0 .. c1-1 that keep the modes
+    x_1 .. x_k of _soe_nodes.
+
+    Chunk c serves block c + 1 and, through the recurrence, every later
+    block, so it keeps the modes up to the largest _soe_reach of its own gap
+    and every later one (_history_gaps).  That count is rounded up on a
+    geometric ladder of ratio _SOE_LADDER that starts at the last chunk's
+    count; the counts never rise along the mesh, and the first one is
+    _soe_reach(delta).  O(n/B) arithmetic on the nodes, no table."""
+    need = [_soe_reach(gap) for gap in _history_gaps(nodes).tolist()]
+    if not need:
+        return []
+    need = np.maximum.accumulate(need[::-1])[::-1]
+    rungs = [int(need[-1])]
+    while rungs[-1] < need[0]:
+        rungs.append(min(max(rungs[-1] + 1, math.ceil(rungs[-1] * _SOE_LADDER)),
+                         int(need[0])))
+    counts = np.asarray(rungs)[np.searchsorted(rungs, need)]
+    edges = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), counts.size]
+    return [(c0, c1, int(counts[c0])) for c0, c1 in zip(edges, edges[1:])]
+
+
+def _history_tables(t: np.ndarray, x: np.ndarray, c0: int = 0, c1: Optional[int] = None):
     """The gather ((B+1) x K per chunk) and spread (B x K per block) tables
-    of the modes x on the nodes t, as in _SoeOperator; spread holds
-    exp(-(t_i - T_b) x_k) alone, without weights.  The tables are returned
-    writable."""
+    of the modes x on the nodes t for the chunks c0 .. c1-1 (by default all
+    of them), as in _SoeOperator; spread holds exp(-(t_i - T_b) x_k) alone,
+    without weights.  Each entry depends on its own mode only.  The tables
+    are returned writable."""
     n = t.size - 1
     b = _SOE_BLOCK
-    hist = -(-(n + 1) // b) - 1
-    gather = np.zeros((hist, b + 1, x.size))
-    spread = np.zeros((hist, b, x.size))
-    for c in range(hist):
+    if c1 is None:
+        c1 = -(-(n + 1) // b) - 1
+    gather = np.zeros((c1 - c0, b + 1, x.size))
+    spread = np.zeros((c1 - c0, b, x.size))
+    for c in range(c0, c1):
         # The intervals j0 .. r0-2 of window c join the modes, which are
         # then referred to T_{c+1} = t_{r0-1}; block c + 1 starts at r0.
         r0 = (c + 1) * b
@@ -312,11 +355,12 @@ def _history_tables(t: np.ndarray, x: np.ndarray):
         lift = _soe_exp((ref - t[j0 + 1:r0])[:, None] * x) * width
         left, right = _exp_hat_moments(width * x)
         off = j0 - (r0 - b - 1)
-        gather[c, off:b] += lift * left
-        gather[c, off + 1:b + 1] += lift * right
+        g = gather[c - c0]
+        g[off:b] += lift * left
+        g[off + 1:b + 1] += lift * right
         # Products of entries near exp(-_SOE_FLUSH) can still be subnormal.
-        gather[c][gather[c] < np.finfo(float).tiny] = 0.0
-        spread[c, :r1 - r0] = _soe_exp((t[r0:r1] - ref)[:, None] * x)
+        g[g < np.finfo(float).tiny] = 0.0
+        spread[c - c0, :r1 - r0] = _soe_exp((t[r0:r1] - ref)[:, None] * x)
     return gather, spread
 
 
@@ -335,25 +379,36 @@ def _decay_table(t: np.ndarray, x: np.ndarray) -> np.ndarray:
 class _SoeModes:
     """The history modes that every order shares on one mesh: the trapezoid
     nodes x_k > 1 of _soe_nodes, which depend on the mesh only (through
-    delta), with their gather table and, as spread, the table
-    exp(-(t_i - T_b) x_k) without the weights (see _SoeOperator)."""
+    delta), with their gather tables and, as spread, the tables
+    exp(-(t_i - T_b) x_k) without the weights (see _SoeOperator).
+
+    The tables are cut into the tiers (c0, c1, k) of _soe_tiers: gather[i]
+    and spread[i] serve the chunks c0 .. c1-1 of tiers[i] with the modes
+    x_1 .. x_k, which are all that those chunks' blocks read.  The first
+    tier keeps all of x."""
 
     x: np.ndarray
-    gather: np.ndarray
-    spread: np.ndarray
+    tiers: Tuple[Tuple[int, int, int], ...]
+    gather: Tuple[np.ndarray, ...]
+    spread: Tuple[np.ndarray, ...]
+
+    def tables(self) -> Tuple[np.ndarray, ...]:
+        return (self.x, *self.gather, *self.spread)
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.x, self.gather, self.spread))
+        return sum(a.nbytes for a in self.tables())
 
 
 def _soe_modes(nodes: np.ndarray) -> _SoeModes:
     """The shared history modes of the SOE operators on `nodes`."""
-    delta = _history_delta(nodes)
-    k = 0 if delta is None else _soe_reach(delta)
+    tiers = _soe_tiers(nodes)
+    k = tiers[0][2] if tiers else 0
     x = np.exp(np.arange(1, k + 1) * _SOE_STEP)
-    modes = _SoeModes(x, *_history_tables(nodes, x))
-    for table in (modes.x, modes.gather, modes.spread):
+    built = [_history_tables(nodes, x[:kt], c0, c1) for c0, c1, kt in tiers]
+    modes = _SoeModes(x, tuple(tiers), tuple(g for g, _ in built),
+                      tuple(s for _, s in built))
+    for table in modes.tables():
         table.setflags(write=False)
     return modes
 
@@ -366,7 +421,9 @@ class _SoeOperator:
 
     Nodes are taken in blocks of B = _SOE_BLOCK; the window of block b is
     the nodes bB-1 .. bB+B-1 (node -1 reads zero).
-      near[b]      B x (B+1): block b's rows of W on its window.
+      near[g][b]   rows gR .. gR+R-1 (R = _SOE_ROWS) of block b's rows of W
+                   on its window, first (g+1)R+1 columns: the later ones
+                   are zero, as W is lower triangular.
       gather[c]    G x (B+1): window c's samples -> the increments of the
                    Gauss modes' history integrals over chunk c (the
                    intervals bB-1 .. bB+B-2 for b = c), referred to
@@ -376,11 +433,12 @@ class _SoeOperator:
       spread[b-1]  G x B: the Gauss modes' history at T_b -> block b's rows,
                    including w_k and 1/Gamma(order).
       weights      w_k/Gamma(order) of the trapezoid modes.
-    modes.gather[c] ((B+1) x K_t) and modes.spread[b-1] (B x K_t) serve the
-    trapezoid modes the same way, but without weights: the apply scales
-    their history by `weights` instead.  The narrow Gauss tables are stored
-    mode-major, which einsum runs faster.  nbytes counts this order's
-    tables, not those of `modes`.
+    modes.gather and modes.spread serve the trapezoid modes the same way,
+    tier by tier ((B+1) x K_i and B x K_i per chunk), but without weights:
+    the apply scales their history by `weights` instead.  A chunk's history
+    of the modes past its tier's K_i is carried by the recurrence but never
+    read.  The narrow Gauss tables are stored mode-major, which einsum runs
+    faster.  nbytes counts this order's tables, not those of `modes`.
     The apply uses einsum and ufuncs only, never BLAS, so its rounding does
     not depend on the BLAS thread count.  It takes one sample row or a stack
     of rows, shape (m, n+1); each row of a stack comes out bit for bit as
@@ -388,20 +446,22 @@ class _SoeOperator:
     """
 
     n: int
-    near: np.ndarray
+    near: Tuple[np.ndarray, ...]
     gather: np.ndarray
     spread: np.ndarray
     decay: np.ndarray
     weights: np.ndarray
     modes: _SoeModes
 
+    def tables(self) -> Tuple[np.ndarray, ...]:
+        return (*self.near, self.gather, self.spread, self.decay, self.weights)
+
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.near, self.gather, self.spread, self.decay,
-                                      self.weights))
+        return sum(a.nbytes for a in self.tables())
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        blocks, b = self.near.shape[:2]
+        blocks, rows, b = self.near[0].shape[0], _SOE_ROWS, _SOE_BLOCK
         stack = g.shape[:-1]
         padded = np.zeros(stack + (blocks * b + 1,))
         padded[..., 1:self.n + 2] = g
@@ -409,20 +469,27 @@ class _SoeOperator:
         step = padded.itemsize
         window = np.ndarray(stack + (blocks, b + 1), buffer=padded,
                             strides=padded.strides[:-1] + (b * step, step))
-        out = np.einsum("bij,...bj->...bi", self.near, window)
+        out = np.empty(stack + (blocks, b))
+        for i, near in enumerate(self.near):
+            np.einsum("bij,...bj->...bi", near, window[..., :near.shape[2]],
+                      out=out[..., i * rows:(i + 1) * rows])
         if blocks > 1:
             modes, gauss = self.modes, self.gather.shape[1]
-            hist = np.empty(stack + (blocks - 1, gauss + modes.x.size))
+            # Zeros: the recurrence also carries the modes a tier drops.
+            hist = np.zeros(stack + (blocks - 1, gauss + modes.x.size))
             np.einsum("ckj,...cj->...ck", self.gather, window[..., :-1, :],
                       out=hist[..., :gauss])
-            np.einsum("cjk,...cj->...ck", modes.gather, window[..., :-1, :],
-                      out=hist[..., gauss:])
+            for (c0, c1, k), gather in zip(modes.tiers, modes.gather):
+                np.einsum("cjk,...cj->...ck", gather, window[..., c0:c1, :],
+                          out=hist[..., c0:c1, gauss:gauss + k])
             chunks = hist.swapaxes(0, -2)
             for c in range(1, blocks - 1):
                 chunks[c] += self.decay[c] * chunks[c - 1]
             hist[..., gauss:] *= self.weights
             out[..., 1:, :] += np.einsum("cki,...ck->...ci", self.spread, hist[..., :gauss])
-            out[..., 1:, :] += np.einsum("cik,...ck->...ci", modes.spread, hist[..., gauss:])
+            for (c0, c1, k), spread in zip(modes.tiers, modes.spread):
+                out[..., c0 + 1:c1 + 1, :] += np.einsum(
+                    "cik,...ck->...ci", spread, hist[..., c0:c1, gauss:gauss + k])
         return out.reshape(stack + (-1,))[..., :self.n + 1]
 
 
@@ -435,7 +502,8 @@ def _soe_operator(nodes: np.ndarray, order: float,
     given.
 
     Raises MeshTooLarge, before any table is allocated, when the tables
-    this call builds exceed physical memory."""
+    this call builds exceed physical memory, and when they cannot be
+    allocated."""
     t = nodes
     n = t.size - 1
     b = _SOE_BLOCK
@@ -444,12 +512,13 @@ def _soe_operator(nodes: np.ndarray, order: float,
     x, w = (np.zeros(0), np.zeros(0)) if delta is None else _soe_nodes(1.0 - order, delta)
     gauss = min(x.size, _SOE_GAUSS_NODES)
     k = x.size - gauss
-    # Bytes of near, of the Gauss modes' gather and spread, of decay and of
-    # the weights; then of the shared x, gather and spread if built here.
+    # Bytes of the near field, of the Gauss modes' gather and spread, of
+    # decay and of the weights; then of the shared x and tiers if built here.
     hist = blocks - 1
-    need = 8 * (blocks * b * (b + 1) + hist * (2 * b + 1) * gauss + hist * x.size + k)
+    need = 8 * (blocks * _SOE_ROWS * sum(_SOE_NEAR_WIDTHS)
+                + hist * (2 * b + 1) * gauss + hist * x.size + k)
     if modes is None:
-        need += 8 * (hist * (2 * b + 1) * k + k)
+        need += 8 * (k + sum((c1 - c0) * (2 * b + 1) * kt for c0, c1, kt in _soe_tiers(t)))
     have = _physical_memory()
     if have is not None and need > have:
         raise MeshTooLarge(
@@ -457,25 +526,36 @@ def _soe_operator(nodes: np.ndarray, order: float,
             f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
             f"of physical memory"
         )
-    if modes is None:
-        modes = _soe_modes(t)
-    near = np.zeros((blocks, b, b + 1))
-    for blk in range(blocks):
-        r0 = blk * b
-        r1 = min(r0 + b, n + 1)
-        c0 = max(r0 - 1, 0)
-        _fill_block(near[blk, :r1 - r0, c0 - r0 + 1:r1 - r0 + 1], t, r0, c0, order)
-    gather, spread = _history_tables(t, x[:gauss])
-    decay = _decay_table(t, x)
-    w = w / math.gamma(order)
-    spread *= w[:gauss]
-    # Mode-major: einsum runs these narrow tables faster along the rows.
-    gather = np.ascontiguousarray(gather.transpose(0, 2, 1))
-    spread = np.ascontiguousarray(spread.transpose(0, 2, 1))
+    try:
+        if modes is None:
+            modes = _soe_modes(t)
+        near = tuple(np.zeros((blocks, _SOE_ROWS, width)) for width in _SOE_NEAR_WIDTHS)
+        block = np.empty((b, b + 1))
+        for blk in range(blocks):
+            r0 = blk * b
+            r1 = min(r0 + b, n + 1)
+            c0 = max(r0 - 1, 0)
+            block.fill(0.0)
+            _fill_block(block[:r1 - r0, c0 - r0 + 1:r1 - r0 + 1], t, r0, c0, order)
+            for i, table in enumerate(near):
+                table[blk] = block[i * _SOE_ROWS:(i + 1) * _SOE_ROWS, :table.shape[2]]
+        gather, spread = _history_tables(t, x[:gauss])
+        decay = _decay_table(t, x)
+        w = w / math.gamma(order)
+        spread *= w[:gauss]
+        # Mode-major: einsum runs these narrow tables faster along the rows.
+        gather = np.ascontiguousarray(gather.transpose(0, 2, 1))
+        spread = np.ascontiguousarray(spread.transpose(0, 2, 1))
+    except MemoryError:
+        raise MeshTooLarge(
+            f"the {need / 2**30:.3g} GiB of sum-of-exponentials tables on {n} "
+            f"mesh intervals could not be allocated"
+        ) from None
     weights = w[gauss:]
-    for table in (near, gather, spread, decay, weights):
+    op = _SoeOperator(n, near, gather, spread, decay, weights, modes)
+    for table in op.tables():
         table.setflags(write=False)
-    return _SoeOperator(n, near, gather, spread, decay, weights, modes)
+    return op
 
 
 def _pl_kernel_weights(nodes: np.ndarray, p: float, side: str) -> np.ndarray:

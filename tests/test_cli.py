@@ -157,6 +157,42 @@ class TestSolve:
         assert err.count("\n") == 1
         assert "physical memory" in err
 
+    def test_unallocatable_mesh_exit(self, tmp_path):
+        # The 4.5 GiB of nodes of n = 6 * 10^8 pass the physical-memory guard
+        # (pinned at 1 TiB here) but not a 4 GB address-space limit, set in
+        # the child only: solve exits 5 with one error line and sweep
+        # records the cells.  The nodes' allocation fails at once, so the
+        # child uses no memory.
+        path, out = write_config(tmp_path)
+        path.write_text(path.read_text().replace("n = 64", "n = 600000000"), encoding="utf-8")
+        sweep_path = tmp_path / "sweep.cfg"
+        sweep_path.write_text(path.read_text() + (
+            "\n[sweep]\naxis1 = lambda\naxis1_start = 0.0\n"
+            "axis1_stop = 0.2\naxis1_steps = 2\n"), encoding="utf-8")
+        script = ("import sys\n"
+                  "from hilferbvp import fracops\n"
+                  "from hilferbvp.cli import main\n"
+                  "fracops._physical_memory = lambda: 2 ** 40\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+
+        def limit():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (4_000_000 * 1024,) * 2)
+
+        src = str(Path(fracops.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs = [subprocess.run([sys.executable, "-c", script, command, str(cfg)],
+                               env=env, preexec_fn=limit, capture_output=True, text=True)
+                for command, cfg in (("solve", path), ("sweep", sweep_path))]
+        solve, sweep = runs
+        assert solve.returncode == EXIT_NUMERICAL, solve.stderr
+        assert solve.stderr.startswith("error: ") and solve.stderr.count("\n") == 1
+        assert "could not be allocated" in solve.stderr
+        assert sweep.returncode == EXIT_OK and sweep.stderr == "", sweep.stderr
+        rows = read_csv(out / "sweep.csv")
+        assert [r[-1] for r in rows[1:]] == ["failed:MeshTooLarge"] * 2
+
     def test_solver_evaluates_the_built_rhs(self, tmp_path, monkeypatch):
         # The benchmark's tracer counts rhs calls by wrapping RhsSpec.build;
         # the callable it returns must be what the solver evaluates.
@@ -330,6 +366,45 @@ class TestSweep:
         rows = read_csv(out / "sweep.csv")
         assert [r[-1] for r in rows[1:]] == ["ok"] * 4 + ["failed:RhsEvaluationFailure"]
         assert all(r[-5] == "True" for r in rows[1:-1])
+
+    def test_failed_stack_splits_in_halves(self, tmp_path, monkeypatch):
+        # At n = 1024 the lambda = 0.7 and 0.8 cells of this 7-cell sweep
+        # fail.  The failed stack is split in halves and re-stacked, so each
+        # surviving cell is solved in a stack of at least 2 and only the
+        # failing cells alone; sweep.csv is the bytes of an all-solo sweep.
+        path, out = write_config(tmp_path, rhs="kind = expression\n"
+                                 "expr = 0.25*y + 0.25 + exp(y - 1000)")
+        path.write_text(path.read_text() + (
+            "\n[sweep]\naxis1 = lambda\naxis1_start = 0.2\n"
+            "axis1_stop = 0.8\naxis1_steps = 7\n"), encoding="utf-8")
+        stacks, solos = [], []
+        solve_stack, solve_picard = solver._solve_stack, solver.solve_picard
+
+        def stacked(problems, *args):
+            results = solve_stack(problems, *args)
+            stacks.append([p.lam for p in problems])
+            return results
+
+        def solo(problem, *args):
+            solos.append(problem.lam)
+            return solve_picard(problem, *args)
+
+        monkeypatch.setattr(solver, "_solve_stack", stacked)
+        monkeypatch.setattr(solver, "solve_picard", solo)
+        args = ["sweep", str(path), "--mesh-n", "1024"]
+        assert main(args) == EXIT_OK
+        halved = (out / "sweep.csv").read_bytes()
+        rows = read_csv(out / "sweep.csv")
+        assert [r[-1] for r in rows[1:]] == ["ok"] * 5 + ["failed:RhsEvaluationFailure"] * 2
+        assert all(r[-5] == "True" for r in rows[1:-2])
+        lams = [float(r[0]) for r in rows[1:]]
+        assert sorted(lam for stack in stacks for lam in stack) == pytest.approx(lams[:5])
+        assert all(len(stack) >= 2 for stack in stacks)
+        assert solos == pytest.approx(lams[5:])
+        monkeypatch.setattr(cli, "_sweep_stacks",
+                            lambda cells: [[i] for i in range(len(cells))])
+        assert main(args) == EXIT_OK
+        assert (out / "sweep.csv").read_bytes() == halved
 
     LAMBDA_D = ("axis1 = lambda\naxis1_start = 0.0\naxis1_stop = 0.3\naxis1_steps = {}\n"
                 "axis2 = d\naxis2_start = 0.5\naxis2_stop = 2.0\naxis2_steps = {}\n")

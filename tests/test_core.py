@@ -69,6 +69,14 @@ class TestGradedMesh:
         monkeypatch.setattr(fracops, "_physical_memory", lambda: None)
         assert GradedMesh(17, 2.0).nodes.size == 18
 
+    @pytest.mark.parametrize("r", [1.0, 2.0, 8.0 / 3.0, 40.0])
+    @pytest.mark.parametrize("n", [7, 4097, 100000])
+    def test_nodes_built_in_place_keep_their_bits(self, n, r):
+        # The nodes are built in one array, in place; they are the bits of
+        # the out-of-place (j/n)^r.
+        expected = (np.arange(n + 1) / n) ** r
+        assert GradedMesh(n, r).nodes.tobytes() == expected.tobytes()
+
 
 class TestWeightedGridFunction:
     def test_shape_and_finiteness(self):

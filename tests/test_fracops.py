@@ -113,8 +113,8 @@ class TestRlIntegral:
             op = fracops._soe_operator(mesh.nodes, order)
             assert op.decay.shape[0] == 3 and op.gather.shape[1] > 0
             assert op.modes.x.size > 0 and op.weights.size == op.modes.x.size
-            for table in (op.near, op.gather, op.spread, op.decay, op.weights,
-                          op.modes.x, op.modes.gather, op.modes.spread):
+            assert len(op.near) == 4 and len(op.modes.gather) == len(op.modes.spread) >= 1
+            for table in op.tables() + op.modes.tables():
                 assert np.all(table >= 0.0)
         g = np.random.default_rng(200).random(201)
         g[::7] = 0.0
@@ -511,14 +511,24 @@ def _built_nbytes(n, r, order):
 
 class TestMeshTooLarge:
     def test_soe_rejected_before_allocation(self, monkeypatch):
-        # At n = 10^6 the SOE tables would take about 2 GB.  With memory far
-        # below that they are rejected before they are built, and no cache
-        # keeps an entry.
-        n, r = 10 ** 6, 2.0
-        monkeypatch.setattr(fracops, "_physical_memory", lambda: 2 ** 20)
+        # At n = 10^6 and r = 8 the SOE tables, in several tiers, would take
+        # about 1.7 GB.  The 8 MB of nodes fit in 16 MiB; the tables are
+        # rejected before any of them is allocated: the call's traced peak
+        # stays below the 16 MiB, and no cache keeps an entry.
+        n, r = 10 ** 6, 8.0
+        monkeypatch.setattr(fracops, "_physical_memory", lambda: 2 ** 24)
+        rule = make_rule(n, r=r)
+        assert len(fracops._soe_tiers(rule.mesh.nodes)) > 1
+        g = np.zeros(n + 1)
         _clear_operator_caches()
-        with pytest.raises(MeshTooLarge, match="physical memory"):
-            rl_integral(0.5, np.zeros(n + 1), make_rule(n, r=r))
+        tracemalloc.start()
+        try:
+            with pytest.raises(MeshTooLarge, match="sum-of-exponentials"):
+                rl_integral(0.5, g, rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 24
         assert _operator_cache_sizes() == (0, 0, 0)
 
     def test_soe_rejected_when_only_the_nodes_fit(self, monkeypatch):
@@ -576,11 +586,13 @@ class TestMeshTooLarge:
     def test_threshold_is_one_block_table_size(self, monkeypatch):
         # n = 16 fills one block and needs no history modes; the tables of
         # the fractional part are all that is checked, so order 1.5 needs
-        # those of order 0.5 and order 1 needs none.
+        # those of order 0.5 and order 1 needs none.  The block's near field
+        # is a staircase of 4 row groups of 16 rows: group g keeps the
+        # 16(g+1)+1 window columns up to its last row's own node.
         n, r = 16, 2.0
         own, shared = _built_nbytes(n, r, 0.5)
         need = own + shared
-        assert need == 8 * fracops._SOE_BLOCK * (fracops._SOE_BLOCK + 1)
+        assert need == 8 * sum(16 * (16 * (g + 1) + 1) for g in range(4)) == 20992
         monkeypatch.setattr(fracops, "_physical_memory", lambda: need)
         _clear_operator_caches()
         try:
@@ -597,6 +609,43 @@ class TestMeshTooLarge:
             rl_integral(1.0, np.zeros(n + 1), make_rule(n, r=r))
         finally:
             _clear_operator_caches()
+
+    @pytest.mark.parametrize("r", [1.0, 8.0 / 3.0, 8.0])
+    @pytest.mark.parametrize("n", [16, 1025, 4096])
+    def test_guard_counts_the_built_bytes(self, monkeypatch, n, r):
+        # The guard's count is exact: the first order on a mesh fits in the
+        # bytes of its own and the shared tables and not in one byte less; a
+        # later order likewise in those of its own tables.
+        own, shared = _built_nbytes(n, r, 0.5)
+        later, _ = _built_nbytes(n, r, 0.25)
+        rule = make_rule(n, r=r)
+        _clear_operator_caches()
+        try:
+            monkeypatch.setattr(fracops, "_physical_memory", lambda: own + shared - 1)
+            with pytest.raises(MeshTooLarge):
+                rl_integral(0.5, np.zeros(n + 1), rule)
+            monkeypatch.setattr(fracops, "_physical_memory", lambda: own + shared)
+            rl_integral(0.5, np.zeros(n + 1), rule)
+            monkeypatch.setattr(fracops, "_physical_memory", lambda: later - 1)
+            with pytest.raises(MeshTooLarge):
+                rl_integral(0.25, np.zeros(n + 1), rule)
+            monkeypatch.setattr(fracops, "_physical_memory", lambda: later)
+            rl_integral(0.25, np.zeros(n + 1), rule)
+            assert _operator_cache_sizes() == (0, 2, 1)
+        finally:
+            _clear_operator_caches()
+
+    def test_unallocatable_tables_rejected(self, monkeypatch):
+        # Tables that pass the guard but cannot be allocated raise
+        # MeshTooLarge, not numpy's MemoryError, and no cache keeps an entry.
+        def unallocatable(*args):
+            raise MemoryError("no room")
+
+        monkeypatch.setattr(fracops, "_history_tables", unallocatable)
+        _clear_operator_caches()
+        with pytest.raises(MeshTooLarge, match="could not be allocated"):
+            rl_integral(0.5, np.zeros(1025), make_rule(1024))
+        assert _operator_cache_sizes() == (0, 0, 0)
 
     def test_check_skipped_without_sysconf(self, monkeypatch):
         def unavailable(name):
@@ -639,17 +688,26 @@ class TestSoeOperator:
         # Block b's window is the nodes bB-1 .. bB+B-1.  From node bB on its
         # near-field entries are the dense ones; window column 0 carries only
         # the interval (t_{bB-1}, t_{bB}), and node -1 of block 0 reads zero.
+        # The block is reassembled from its staircase of row groups, whose
+        # dropped columns read zero.
         n = w.shape[0] - 1
-        for b in range(op.near.shape[0]):
+        rows = fracops._SOE_ROWS
+        blocks = op.near[0].shape[0]
+        assert [table.shape for table in op.near] == [
+            (blocks, rows, (g + 1) * rows + 1) for g in range(self.B // rows)]
+        for b in range(blocks):
             r0, r1 = b * self.B, min((b + 1) * self.B, n + 1)
-            near = op.near[b, :r1 - r0]
+            block = np.zeros((self.B, self.B + 1))
+            for g, table in enumerate(op.near):
+                block[g * rows:(g + 1) * rows, :table.shape[2]] = table[b]
+            near = block[:r1 - r0]
             assert near[:, 1:r1 - r0 + 1].tobytes() == w[r0:r1, r0:r1].tobytes()
             assert not np.any(near[:, r1 - r0 + 1:])
             if b == 0:
                 assert not np.any(near[:, 0])
             else:
                 assert np.all(near[:, 0] <= w[r0:r1, r0 - 1])
-        assert not np.any(op.near[-1, n + 1 - (op.near.shape[0] - 1) * self.B:])
+        assert not np.any(block[n + 1 - (blocks - 1) * self.B:])
 
     def test_exponential_moments_against_mpmath(self):
         mpmath.mp.dps = 40
@@ -813,10 +871,9 @@ class TestSharedSoeTables:
             delta = fracops._history_delta(GradedMesh(n, r).nodes)
             for order, op in zip((0.25, 0.5, 0.75), ops):
                 assert op.modes is modes
-                for name in ("x", "gather", "spread"):
+                for name in ("x", "tiers", "gather", "spread"):
                     assert getattr(op.modes, name) is getattr(modes, name)
-                for table in (op.near, op.gather, op.spread, op.decay, op.weights,
-                              modes.x, modes.gather, modes.spread):
+                for table in op.tables() + modes.tables():
                     assert not table.flags.writeable
                 # The shared nodes are the trapezoid nodes of every order.
                 x, _ = fracops._soe_nodes(1.0 - order, delta)
@@ -849,8 +906,7 @@ class TestSharedSoeTables:
         tiny = np.finfo(float).tiny
         for n in (1024, 4096):
             op = fracops._soe_operator(GradedMesh(n, 8.0 / 3.0).nodes, 0.5)
-            for table in (op.near, op.gather, op.spread, op.decay, op.weights,
-                          op.modes.gather, op.modes.spread):
+            for table in op.tables() + op.modes.tables():
                 assert not np.any((table != 0.0) & (np.abs(table) < tiny)), n
 
     @pytest.mark.parametrize("alpha", [0.1, 0.2, 0.3, 0.4])
@@ -872,6 +928,85 @@ class TestSharedSoeTables:
             assert len(built) == 1, built
         finally:
             _clear_operator_caches()
+
+
+class TestSoeTiers:
+    """The plan of the shared trapezoid modes: per history chunk, the modes
+    that its own block and every later one read, rounded up to tiers."""
+
+    MESHES = [(1025, 1.0), (1025, 8.0 / 3.0), (10 ** 5, 1.0), (10 ** 5, 8.0 / 3.0),
+              (10 ** 5, 8.0), (10 ** 5, 40.0)]
+
+    @staticmethod
+    def _gaps(nodes):
+        b = fracops._SOE_BLOCK
+        return nodes[b::b] - nodes[b - 1:-1:b]
+
+    @pytest.mark.parametrize("n, r", MESHES)
+    def test_counts_cover_later_gaps_and_never_rise(self, n, r):
+        nodes = GradedMesh(n, r).nodes
+        gaps = self._gaps(nodes)
+        tiers = fracops._soe_tiers(nodes)
+        assert [c0 for c0, _, _ in tiers] == [0] + [c1 for _, c1, _ in tiers[:-1]]
+        assert tiers[-1][1] == gaps.size
+        counts = np.concatenate([[k] * (c1 - c0) for c0, c1, k in tiers])
+        assert np.all(np.diff(counts) <= 0) and len(set(counts)) == len(tiers)
+        assert counts[0] == fracops._soe_reach(float(np.min(gaps)))
+        for c in range(gaps.size):
+            # All modes that blocks c + 1, c + 2, ... read, and at most a
+            # ladder step more.
+            need = max(fracops._soe_reach(float(gap)) for gap in gaps[c:])
+            assert need <= counts[c] <= fracops._SOE_LADDER * need + 1, (c, need)
+
+    @pytest.mark.parametrize("order", (1e-12, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0 - 1e-9))
+    def test_each_tier_reproduces_the_kernel(self, order):
+        # The Gauss modes and a tier's trapezoid modes reproduce u^(order-1)
+        # on [the tier's smallest gap, 1], as _soe_nodes does on [delta, 1].
+        # (At n = 10^5 and r = 40, delta ~ 1e-128, _soe_nodes itself is off
+        # by 1.1e-14 at order 1e-12 with all its modes: its nodes exp(k h)
+        # carry the rounding of k h, up to 2.8e-14 there.)
+        gauss = fracops._SOE_GAUSS_NODES
+        for n, r in [(m, r) for m in (1025, 4096) for r in (1.0, 8.0 / 3.0, 8.0, 40.0)]:
+            nodes = GradedMesh(n, r).nodes
+            gaps = self._gaps(nodes)
+            x, w = fracops._soe_nodes(1.0 - order, float(np.min(gaps)))
+            for c0, c1, k in fracops._soe_tiers(nodes):
+                u = np.geomspace(np.min(gaps[c0:c1]), 1.0, 2000)
+                approx = np.einsum("uk,k->u", np.exp(-np.outer(u, x[:gauss + k])),
+                                   w[:gauss + k])
+                err = np.max(np.abs(approx * u ** (1.0 - order) - 1.0))
+                assert err <= 1e-14, (n, r, c0, k)
+
+    def test_steep_grading_plan_alone(self):
+        # At n = 10^5 and r = 40 (alpha = 0.05 graded by 2/alpha) the shared
+        # tables take about 0.3 GB in at most 16 tiers, against 1.8 GB with
+        # every chunk at the first count.  The plan is O(n/B) work on the
+        # nodes and allocates no table.
+        nodes = GradedMesh(10 ** 5, 40.0).nodes
+        tracemalloc.start()
+        try:
+            tiers = fracops._soe_tiers(nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert 1 < len(tiers) <= 16
+        b = fracops._SOE_BLOCK
+        shared = sum(8 * (c1 - c0) * (2 * b + 1) * k for c0, c1, k in tiers)
+        flat = 8 * tiers[-1][1] * (2 * b + 1) * tiers[0][2]
+        assert shared < 0.4e9 and shared < flat / 4
+
+    def test_tier_tables_are_slices_of_full_tables(self):
+        # A tier's tables hold its chunks and the first k modes only, and
+        # their entries are those of tables built with every mode on every
+        # chunk, bit for bit.
+        nodes = GradedMesh(1025, 8.0).nodes
+        modes = fracops._soe_modes(nodes)
+        full = fracops._history_tables(nodes, modes.x)
+        assert list(modes.tiers) == fracops._soe_tiers(nodes) and len(modes.tiers) > 1
+        for (c0, c1, k), gather, spread in zip(modes.tiers, modes.gather, modes.spread):
+            assert gather.tobytes() == np.ascontiguousarray(full[0][c0:c1, :, :k]).tobytes()
+            assert spread.tobytes() == np.ascontiguousarray(full[1][c0:c1, :, :k]).tobytes()
 
 
 class TestPastDenseMemoryWall:
