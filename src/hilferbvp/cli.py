@@ -13,10 +13,9 @@ import argparse
 import csv
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -226,10 +225,13 @@ def _cell_problem(cell_cfg: RunConfig):
         return {"status": f"failed:{type(exc).__name__}"}
 
 
-def _sweep_cell(cell_cfg: RunConfig, setup, solved: Optional[solver.SolveResult]):
+def _sweep_cell(cell_cfg: RunConfig, setup,
+                solved: Union[solver.SolveResult, HilferBvpError, None],
+                rule: Optional[QuadratureRule]):
     """Metrics for one sweep cell from its _cell_problem ``setup`` and
-    ``solved``, the SolveResult of its stacked solve, or None to solve the
-    cell alone; exceptions become a status, never a crash."""
+    ``solved``, the outcome of its stacked solve on ``rule``: a SolveResult,
+    or the error that ended it.  Exceptions become a status, never a
+    crash."""
     if isinstance(setup, dict):
         return setup
     problem, consts = setup
@@ -239,9 +241,8 @@ def _sweep_cell(cell_cfg: RunConfig, setup, solved: Optional[solver.SolveResult]
         record["contraction"] = analysis.contraction_certificate(
             consts, problem.alpha, problem.lam, lipschitz).value
     try:
-        rule = QuadratureRule(cell_cfg.mesh())
-        if solved is None:
-            solved = solver.solve_picard(problem, consts, _settings(cell_cfg), rule)
+        if isinstance(solved, HilferBvpError):
+            raise solved
         residual = verify.residual_check(problem, consts, solved.solution, rule)
     except HilferBvpError as exc:
         record["status"] = f"failed:{type(exc).__name__}"
@@ -284,37 +285,30 @@ def _sweep_stacks(cells: List[RunConfig]) -> List[List[int]]:
     return stacks
 
 
-def _stacked_solves(problems, consts, cfg: RunConfig) -> List[Optional[solver.SolveResult]]:
-    """SolveResults of the problems solved as one stack.  When the stacked
-    solve fails, each half is stacked again, so only the failing problems
-    end up alone; a lone problem gets None, for _sweep_cell to solve alone
-    and record.  Every result equals its solo solve bit for bit."""
-    if len(problems) == 1:
-        return [None]
-    try:
-        return solver._solve_stack(problems, consts, _settings(cfg), QuadratureRule(cfg.mesh()))
-    except HilferBvpError:
-        half = len(problems) // 2
-        return (_stacked_solves(problems[:half], consts[:half], cfg)
-                + _stacked_solves(problems[half:], consts[half:], cfg))
-
-
 def _sweep_stack(cells: List[RunConfig]) -> List[dict]:
-    """Records of cells that _sweep_stacks put together: stacked Picard
-    solves (_stacked_solves), then _sweep_cell for each cell."""
+    """Records of cells that _sweep_stacks put together: one stacked Picard
+    solve (solver._solve_stack), then _sweep_cell for each cell.  A mesh
+    that cannot be built fails every cell of the stack."""
     setups = [_cell_problem(cfg) for cfg in cells]
     solvable = [i for i, setup in enumerate(setups) if not isinstance(setup, dict)]
-    solved: List[Optional[solver.SolveResult]] = [None] * len(cells)
+    solved: List[Union[solver.SolveResult, HilferBvpError, None]] = [None] * len(cells)
+    rule = None
     if solvable:
         # The stack evaluates one rhs callable for all its problems.
         rhs = setups[solvable[0]][0].rhs
         problems = [replace(setups[i][0], rhs=rhs) for i in solvable]
-        results = _stacked_solves(problems, [setups[i][1] for i in solvable],
-                                  cells[solvable[0]])
-        for i, result in zip(solvable, results):
-            solved[i] = result
-    return [_sweep_cell(cfg, setup, result)
-            for cfg, setup, result in zip(cells, setups, solved)]
+        cfg = cells[solvable[0]]
+        try:
+            rule = QuadratureRule(cfg.mesh())
+        except HilferBvpError as exc:
+            outcomes = [exc] * len(solvable)
+        else:
+            outcomes = solver._solve_stack(problems, [setups[i][1] for i in solvable],
+                                           _settings(cfg), rule)
+        for i, outcome in zip(solvable, outcomes):
+            solved[i] = outcome
+    return [_sweep_cell(cfg, setup, outcome, rule)
+            for cfg, setup, outcome in zip(cells, setups, solved)]
 
 
 def cmd_sweep(args) -> int:
@@ -324,15 +318,9 @@ def cmd_sweep(args) -> int:
     cells = sweep.cells()
     configs = [cfg for _, cfg in cells]
     stacks = _sweep_stacks(configs)
-    members = ([configs[i] for i in stack] for stack in stacks)
-    if args.workers == 1:
-        done = [_sweep_stack(stack) for stack in members]
-    else:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            done = list(pool.map(_sweep_stack, members))
     records: List[dict] = [{}] * len(cells)
-    for stack, stack_records in zip(stacks, done):
-        for i, record in zip(stack, stack_records):
+    for stack in stacks:
+        for i, record in zip(stack, _sweep_stack([configs[i] for i in stack])):
             records[i] = record
 
     outdir = Path(base.output_dir)
@@ -426,7 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-iter", type=int, default=None,
                         help="override the Picard iteration cap")
     common.add_argument("--workers", type=int, default=1,
-                        help="concurrent stacks of sweep cells (sweep only)")
+                        help="kept for existing command lines (must be >= 1); "
+                             "starts no threads: sweep solves its stacks one "
+                             "after another")
     common.add_argument("--output-dir", default=None,
                         help="override the output directory")
 

@@ -193,7 +193,10 @@ _SOE_LADDER = 1.25
 # least _SOE_DECAY/delta; the first dropped node adds below 1e-16 relative
 # at u >= delta), and the Gauss nodes replacing those with x <= 1.
 # Together: relative error below 5e-15 on [delta, 1] for every order in
-# (0, 1).
+# (0, 1) while delta >= 1e-16; the nodes exp(k h) carry the rounding of
+# k h, so below that it grows with ln(1/delta), to 5.8e-15 at delta ~ 1e-25
+# and 1.1e-14 at delta = 8.3e-129 (n = 10^5, r = 40), worst at orders
+# near 0.
 _SOE_STEP = 0.27
 _SOE_TINY = 1e-17
 _SOE_DECAY = 30.0
@@ -236,8 +239,9 @@ def _soe_reach(delta: float) -> int:
 
 
 def _soe_nodes(s: float, delta: float):
-    """Nodes x_k and weights w_k with sum_k w_k exp(-x_k u) = u^(-s) to about
-    5e-15 relative for u in [delta, 1], 0 < s <= 1.
+    """Nodes x_k and weights w_k with sum_k w_k exp(-x_k u) = u^(-s) for u
+    in [delta, 1], 0 < s <= 1, to 5e-15 relative while delta >= 1e-16 and
+    to 1.1e-14 at delta = 8.3e-129 (see _SOE_STEP).
 
     The trapezoidal rule in y = ln x on u^(-s) = (1/Gamma(s)) integral
     exp(-u e^y + s y) dy.  Above x = _SOE_DECAY/delta its nodes are dropped.
@@ -497,7 +501,8 @@ def _soe_operator(nodes: np.ndarray, order: float,
                   modes: Optional[_SoeModes] = None) -> _SoeOperator:
     """The SOE form of the product-trapezoidal I^order, 0 < order < 1.  Its
     near-field entries are those of _convolution_matrix bit for bit; the far
-    history carries the SOE quadrature's relative error (below 5e-15).
+    history carries the SOE quadrature's relative error (below 5e-15 for
+    delta >= 1e-16, up to 1.1e-14 on the steepest meshes; see _soe_nodes).
     `modes` are the shared tables _soe_modes(nodes), built here when not
     given.
 
@@ -733,6 +738,8 @@ def boundary_kernel_weights(alpha: float, mesh: GradedMesh) -> np.ndarray:
 
 def physical_integral(w: WeightedGridFunction) -> float:
     """integral_0^1 y(s) ds = integral_0^1 s^(gamma-1) w(s) ds with the
-    endpoint singularity integrated exactly against piecewise-linear w."""
+    endpoint singularity integrated exactly against piecewise-linear w.
+    The sum runs in einsum's own loop: BLAS ddot splits long vectors over
+    its threads, so its sum depends on the thread count."""
     v = _cached_kernel_weights(w.mesh.n, w.mesh.r, float(w.gamma) - 1.0, "left")
-    return float(v @ w.values)
+    return float(np.einsum("i,i->", v, w.values))

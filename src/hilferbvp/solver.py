@@ -30,6 +30,7 @@ from .core import (
     WeightedGridFunction,
 )
 from .errors import (
+    HilferBvpError,
     MissingBounds,
     NonFiniteIterate,
     RhsEvaluationFailure,
@@ -92,7 +93,9 @@ def _rhs_samples(problem: HilferProblem, gamma: float, w: np.ndarray,
     """
     t = mesh.nodes
     rows = w.shape[0]
-    y = (t[1:] ** (gamma - 1.0) * w[:, 1:]).reshape(-1)
+    # An overflowing y shows as a non-finite f, which is checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = (t[1:] ** (gamma - 1.0) * w[:, 1:]).reshape(-1)
     out = np.empty_like(w)
     out[:, 1:] = problem.rhs_values(np.tile(t[1:], rows), y).reshape(rows, -1)
     out[:, 0] = out[:, 1]
@@ -169,11 +172,13 @@ def _apply_stack(problems: Sequence[HilferProblem],
     # Overflow shows as a non-finite image, which is checked below.
     with np.errstate(over="ignore", invalid="ignore"):
         conv = rl_integral(lead.alpha, samples, rule)
+        # B row by row through einsum's own loop: BLAS ddot splits long
+        # vectors over its threads, so its sum depends on the thread count.
         for i, (problem, c) in enumerate(zip(problems, consts)):
             if problem.lam != 0.0:
                 if weights is None:
                     weights = boundary_kernel_weights(lead.alpha, mesh)
-                b = float(weights @ samples[i])
+                b = float(np.einsum("i,i->", weights, samples[i]))
                 heads[i] += problem.lam * b / (math.gamma(gamma) * c.mu)
         out[:, 0] = heads
         out[:, 1:] = heads[:, None] + t[1:] ** (1.0 - gamma) * conv[:, 1:]
@@ -276,31 +281,59 @@ def solve_picard(problem: HilferProblem, consts: DerivedConstants,
     applications, and the returned solution is the last image Delta(x_k).
 
     Non-convergence is reported through the ``converged`` flag; the final
-    image and the history are always returned for diagnosis.
+    image and the history are always returned for diagnosis.  A failing
+    operator raises what apply_delta raises.
     """
-    return _solve_stack((problem,), (consts,), settings, rule)[0]
+    outcome = _solve_stack((problem,), (consts,), settings, rule)[0]
+    if isinstance(outcome, HilferBvpError):
+        raise outcome
+    return outcome
 
 
 def _solve_stack(problems: Sequence[HilferProblem], consts: Sequence[DerivedConstants],
-                 settings: PicardSettings, rule: QuadratureRule) -> List[SolveResult]:
+                 settings: PicardSettings, rule: QuadratureRule
+                 ) -> List[Union[SolveResult, HilferBvpError]]:
     """solve_picard of every problem of a stack that shares alpha, beta, the
     rhs callable and the mesh, run in lock-step: each iteration makes one
     apply_delta call for the problems still running.  Residuals, stopping
     test, Anderson history, cone safeguard and iteration count are kept per
-    problem, and a problem leaves the stack when it converges or reaches
-    ``settings.max_iter``.  Each result is the SolveResult that solve_picard
-    returns for its problem alone, bit for bit.  When the operator fails on
-    a problem still running, the stack raises what apply_delta raises.
+    problem, and a problem leaves the stack when it converges, reaches
+    ``settings.max_iter`` or its operator fails.
+
+    The outcome of each problem is what solve_picard gives for it alone,
+    bit for bit: its SolveResult, or the HilferBvpError its solve raises.
+    When the stacked apply_delta raises, each running row is applied alone
+    once; a row whose apply fails retires with that error, and the others
+    continue from their own images, which equal the stacked rows bit for
+    bit.
     """
     mesh = rule.mesh
     x = np.stack([initial_iterate(c, settings, mesh).values for c in consts])
     mixer = _AndersonHistory(len(problems), mesh.n + 1)
     histories: List[List[float]] = [[] for _ in problems]
-    results: List[Optional[SolveResult]] = [None] * len(problems)
+    outcomes: List[Union[SolveResult, HilferBvpError, None]] = [None] * len(problems)
     running = list(range(len(problems)))        # the problem of each row of x
     while running:
-        g = apply_delta([problems[i] for i in running],
-                        [consts[i] for i in running], x, rule)
+        try:
+            g = apply_delta([problems[i] for i in running],
+                            [consts[i] for i in running], x, rule)
+        except HilferBvpError as exc:
+            if len(running) == 1:
+                outcomes[running[0]] = exc
+                break
+            images, kept = [], []
+            for r, i in enumerate(running):
+                try:
+                    images.append(apply_delta([problems[i]], [consts[i]],
+                                              x[r:r + 1], rule)[0])
+                    kept.append(r)
+                except HilferBvpError as alone:
+                    outcomes[i] = alone
+            if not kept:
+                break
+            running = [running[r] for r in kept]
+            x, g = x[kept], np.stack(images)
+            mixer.keep(kept)
         residual = g - x
         steps = np.max(np.abs(residual), axis=1)
         rows = []
@@ -310,9 +343,9 @@ def _solve_stack(problems: Sequence[HilferProblem], consts: Sequence[DerivedCons
             history.append(step)
             if step <= settings.tol or len(history) == settings.max_iter:
                 image = WeightedGridFunction(mesh, consts[i].gamma, g[r])
-                results[i] = SolveResult(solution=image, iterations=len(history),
-                                         history=history,
-                                         converged=step <= settings.tol)
+                outcomes[i] = SolveResult(solution=image, iterations=len(history),
+                                          history=history,
+                                          converged=step <= settings.tol)
             else:
                 rows.append(r)
         if len(rows) < len(running):
@@ -323,7 +356,7 @@ def _solve_stack(problems: Sequence[HilferProblem], consts: Sequence[DerivedCons
             mixed, usable = mixer.mix(residual, g)
             usable &= np.all(np.isfinite(mixed) & (mixed >= 0.0), axis=1)
             x = np.where(usable[:, None], mixed, g)
-    return results
+    return outcomes
 
 
 def boundary_identity_gap(problem: HilferProblem, consts: DerivedConstants,
@@ -337,8 +370,8 @@ def boundary_identity_gap(problem: HilferProblem, consts: DerivedConstants,
     with A by direct quadrature."""
     _check_mu(consts)
     weights = boundary_kernel_weights(problem.alpha, rule.mesh)
-    b = float(weights @ _rhs_samples(problem, consts.gamma, w.values[None],
-                                     rule.mesh)[0])
+    samples = _rhs_samples(problem, consts.gamma, w.values[None], rule.mesh)
+    b = float(np.einsum("i,i->", weights, samples[0]))
     a = problem.d / (consts.mu * math.gamma(consts.gamma + 1.0)) + b / consts.mu
     lhs = math.gamma(consts.gamma) * float(w.values[0])
     return abs(lhs - problem.lam * a - problem.d)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import child_env
 from hilferbvp import cli, config, fracops, solver
 from hilferbvp.cli import (
     EXIT_CERTIFICATE,
@@ -179,11 +181,9 @@ class TestSolve:
             import resource
             resource.setrlimit(resource.RLIMIT_AS, (4_000_000 * 1024,) * 2)
 
-        src = str(Path(fracops.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         runs = [subprocess.run([sys.executable, "-c", script, command, str(cfg)],
-                               env=env, preexec_fn=limit, capture_output=True, text=True)
+                               env=child_env(), preexec_fn=limit, capture_output=True,
+                               text=True)
                 for command, cfg in (("solve", path), ("sweep", sweep_path))]
         solve, sweep = runs
         assert solve.returncode == EXIT_NUMERICAL, solve.stderr
@@ -192,6 +192,20 @@ class TestSolve:
         assert sweep.returncode == EXIT_OK and sweep.stderr == "", sweep.stderr
         rows = read_csv(out / "sweep.csv")
         assert [r[-1] for r in rows[1:]] == ["failed:MeshTooLarge"] * 2
+
+    def test_overflowing_sample_one_error_line(self, tmp_path):
+        # alpha = 0.02, beta = 0 grade the n = 256 mesh with r = 100, so
+        # t_1 = 1.5e-241 and y = t^(gamma-1) w overflows there.  The rhs
+        # check reports it, and no numpy warning precedes the error line.
+        path, _ = write_config(tmp_path, rhs="kind = linear\na = 0.25\nb = 0.25")
+        path.write_text(path.read_text().replace("alpha = 0.5", "alpha = 0.02")
+                        .replace("beta = 0.5", "beta = 0.0"), encoding="utf-8")
+        done = subprocess.run([sys.executable, "-m", "hilferbvp.cli", "solve", str(path),
+                               "--mesh-n", "256"], env=child_env(),
+                              capture_output=True, text=True)
+        assert done.returncode == EXIT_NUMERICAL
+        assert done.stderr.startswith("error: f(") and done.stderr.count("\n") == 1
+        assert "non-finite" in done.stderr
 
     def test_solver_evaluates_the_built_rhs(self, tmp_path, monkeypatch):
         # The benchmark's tracer counts rhs calls by wrapping RhsSpec.build;
@@ -347,9 +361,9 @@ class TestSweep:
 
     def test_failed_stack_keeps_solo_bytes(self, tmp_path, monkeypatch):
         # exp(y - 1000) turns non-finite on the lambda = 0.8 cell only (see
-        # TestStackedSolve in test_solver.py).  Its stack fails, and each of
-        # its cells is solved alone: sweep.csv must be the bytes of an
-        # all-solo sweep, with the other cells solved.
+        # TestStackedSolve in test_solver.py).  That cell is retired from its
+        # stack: sweep.csv must be the bytes of an all-solo sweep, with the
+        # other cells solved.
         path, out = write_config(tmp_path, rhs="kind = expression\n"
                                  "expr = 0.25*y + 0.25 + exp(y - 1000)")
         path.write_text(path.read_text() + (
@@ -367,44 +381,64 @@ class TestSweep:
         assert [r[-1] for r in rows[1:]] == ["ok"] * 4 + ["failed:RhsEvaluationFailure"]
         assert all(r[-5] == "True" for r in rows[1:-1])
 
-    def test_failed_stack_splits_in_halves(self, tmp_path, monkeypatch):
+    def test_failed_cells_retired_in_one_stack(self, tmp_path, monkeypatch):
         # At n = 1024 the lambda = 0.7 and 0.8 cells of this 7-cell sweep
-        # fail.  The failed stack is split in halves and re-stacked, so each
-        # surviving cell is solved in a stack of at least 2 and only the
-        # failing cells alone; sweep.csv is the bytes of an all-solo sweep.
+        # fail.  The 7 cells are solved in one stacked solve: at the
+        # iteration where the stacked operator fails, each cell is applied
+        # alone once, the failing cells retire with their solo error and
+        # are applied no more, and the others go on from their own images.
+        # sweep.csv is the bytes of an all-solo sweep.
         path, out = write_config(tmp_path, rhs="kind = expression\n"
                                  "expr = 0.25*y + 0.25 + exp(y - 1000)")
         path.write_text(path.read_text() + (
             "\n[sweep]\naxis1 = lambda\naxis1_start = 0.2\n"
             "axis1_stop = 0.8\naxis1_steps = 7\n"), encoding="utf-8")
-        stacks, solos = [], []
-        solve_stack, solve_picard = solver._solve_stack, solver.solve_picard
+        stacks, solos, applies = [], [], []
+        solve_stack, apply_delta = solver._solve_stack, solver.apply_delta
 
         def stacked(problems, *args):
-            results = solve_stack(problems, *args)
             stacks.append([p.lam for p in problems])
-            return results
+            return solve_stack(problems, *args)
 
-        def solo(problem, *args):
-            solos.append(problem.lam)
-            return solve_picard(problem, *args)
+        def applied(problems, *args):
+            lams = tuple(p.lam for p in problems)
+            try:
+                images = apply_delta(problems, *args)
+            except Exception:
+                applies.append((lams, False))
+                raise
+            applies.append((lams, True))
+            return images
 
         monkeypatch.setattr(solver, "_solve_stack", stacked)
-        monkeypatch.setattr(solver, "solve_picard", solo)
+        monkeypatch.setattr(solver, "apply_delta", applied)
+        monkeypatch.setattr(solver, "solve_picard",
+                            lambda *args: solos.append(args[0].lam))
         args = ["sweep", str(path), "--mesh-n", "1024"]
         assert main(args) == EXIT_OK
-        halved = (out / "sweep.csv").read_bytes()
+        together = (out / "sweep.csv").read_bytes()
         rows = read_csv(out / "sweep.csv")
         assert [r[-1] for r in rows[1:]] == ["ok"] * 5 + ["failed:RhsEvaluationFailure"] * 2
         assert all(r[-5] == "True" for r in rows[1:-2])
         lams = [float(r[0]) for r in rows[1:]]
-        assert sorted(lam for stack in stacks for lam in stack) == pytest.approx(lams[:5])
-        assert all(len(stack) >= 2 for stack in stacks)
-        assert solos == pytest.approx(lams[5:])
+        assert len(stacks) == 1 and stacks[0] == pytest.approx(lams)
+        assert solos == []
+        stacked_applies, applies[:] = applies[:], []
+
         monkeypatch.setattr(cli, "_sweep_stacks",
                             lambda cells: [[i] for i in range(len(cells))])
         assert main(args) == EXIT_OK
-        assert (out / "sweep.csv").read_bytes() == halved
+        assert (out / "sweep.csv").read_bytes() == together
+        for lam in stacks[0][5:]:
+            # Alone, the cell's last apply fails; in the stack, the stacked
+            # apply of that iteration fails, then its own apply, its last.
+            alone = [ok for lams_, ok in applies if lams_ == (lam,)]
+            assert alone[-1] is False and all(alone[:-1])
+            seen = [(len(lams_), ok) for lams_, ok in stacked_applies if lam in lams_]
+            assert len(seen) == len(alone) + 1
+            assert seen[-2][0] > 1 and seen[-2][1] is False
+            assert seen[-1] == (1, False)
+            assert all(ok for _, ok in seen[:-2])
 
     LAMBDA_D = ("axis1 = lambda\naxis1_start = 0.0\naxis1_stop = 0.3\naxis1_steps = {}\n"
                 "axis2 = d\naxis2_start = 0.5\naxis2_stop = 2.0\naxis2_steps = {}\n")
@@ -473,16 +507,34 @@ class TestSweep:
         assert all(record["converged"] for record in records)
         assert peak <= 1.5 * cli._STACK_BYTES
 
-    def test_workers_deterministic(self, tmp_path):
+    def test_cli_import_leaves_out_the_thread_pool(self):
+        script = "import sys, hilferbvp.cli; print('concurrent.futures' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "False\n"
+
+    def test_workers_deterministic(self, tmp_path, monkeypatch):
+        # --workers is accepted and checked but runs nothing concurrently:
+        # a sweep of 4 one-cell stacks starts no thread with --workers 3
+        # and writes the bytes of --workers 1.
         path, out = write_config(tmp_path)
         sweep = path.read_text() + (
             "\n[sweep]\naxis1 = alpha\naxis1_start = 0.3\n"
             "axis1_stop = 0.9\naxis1_steps = 4\n")
         path.write_text(sweep, encoding="utf-8")
+        started = []
+
+        def start(thread):
+            started.append(thread)
+            raise RuntimeError("sweep started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
         assert main(["sweep", str(path), "--workers", "1"]) == EXIT_OK
         serial = (out / "sweep.csv").read_text()
-        assert main(["sweep", str(path), "--workers", "4"]) == EXIT_OK
+        assert main(["sweep", str(path), "--workers", "3"]) == EXIT_OK
         assert (out / "sweep.csv").read_text() == serial
+        assert started == []
+        assert [r[-1] for r in read_csv(out / "sweep.csv")[1:]] == ["ok"] * 4
 
 
 class TestVerify:
@@ -494,6 +546,26 @@ class TestVerify:
         text = capsys.readouterr().out
         assert "interior residual" in text
         assert "boundary residual" in text
+
+    def test_same_bytes_for_any_blas_thread_count(self, tmp_path):
+        # Above n of about 10^4 OpenBLAS splits a dot product over its
+        # threads.  The solver's boundary functional and verify's integral
+        # of y sum in einsum's own loop instead, so solve and verify write
+        # and print the same bytes with one and two threads.
+        path, _ = write_config(tmp_path, rhs="kind = linear\na = 0.25\nb = 0.25")
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            printed = [subprocess.run([sys.executable, "-m", "hilferbvp.cli", *args,
+                                       "--mesh-n", "20000", "--output-dir", str(out)],
+                                      env=child_env(threads), capture_output=True,
+                                      text=True, check=True).stdout
+                       for args in (["solve", str(path)],
+                                    ["verify", str(path), str(out / "solution.csv")])]
+            outputs.append(printed + [(out / name).read_bytes()
+                                      for name in ("solution.csv", "report.txt")])
+        assert "boundary residual (solver closed form)" in outputs[0][1]
+        assert outputs[0] == outputs[1]
 
     def test_mesh_mismatch_detected(self, tmp_path, capsys):
         path, out = write_config(tmp_path)

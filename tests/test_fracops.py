@@ -1,16 +1,14 @@
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import smooth_profile
+from conftest import child_env, smooth_profile
 from hilferbvp import fracops
 from hilferbvp.core import GradedMesh, WeightedGridFunction
 from hilferbvp.errors import InsufficientNodes, MeshMismatch, MeshTooLarge, OutOfDomain
@@ -811,12 +809,9 @@ class TestSoeOperator:
             "    assert ops[0].modes is ops[1].modes\n"
             "print(hashlib.sha256(out).hexdigest())\n"
         )
-        src = str(Path(fracops.__file__).resolve().parents[1])
         digests = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-            done = subprocess.run([sys.executable, "-c", script], env=env,
+        for threads in (1, 2):
+            done = subprocess.run([sys.executable, "-c", script], env=child_env(threads),
                                   capture_output=True, text=True, check=True)
             digests.append(done.stdout.strip())
         assert len(digests[0]) == 64
