@@ -49,24 +49,16 @@ _SERIES_TERMS = 8
 # Scratch entries per assembly block.  The block height is this budget over
 # the row length, so assembly temporaries stay O(budget) at every n.
 _BLOCK_ENTRIES = 1 << 17
+# Scratch entries per group of the SOE table builders (_history_tables,
+# _near_tables): each numpy call covers as many whole history chunks or
+# near-field blocks as fit, so the scratch stays in cache and O(budget) at
+# every n.
+_GROUP_ENTRIES = 1 << 14
 
 
 def _block_rows(n: int) -> int:
     """Rows per assembly block of an (n+1) x (n+1) convolution matrix."""
     return max(1, _BLOCK_ENTRIES // (n + 1))
-
-
-def _split_field(ua: np.ndarray, ub: np.ndarray):
-    """width = ua - ub, x = width/ua, and the masks of the far-field
-    (series) and near-field (power-difference) entries.  Entries with
-    ua = 0 lie in neither: their moments are zero."""
-    width = ua - ub
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = width / ua
-        far = (x < _FAR_FIELD) & (ub > 0.0)
-    near = ua > 0.0
-    near &= ~far
-    return width, x, far, near
 
 
 def _binomial_sums(p: float, x: np.ndarray):
@@ -88,55 +80,103 @@ def _binomial_sums(p: float, x: np.ndarray):
     return s_lo, s_hi
 
 
-def _hat_moments(p: float, ua: np.ndarray, ub: np.ndarray):
+def _hat_moments(p: float, d: np.ndarray):
     """Moments of u^p over [ub, ua] against the two hat factors:
 
         lo = integral u^p (u - ub) du,   hi = integral u^p (ua - u) du,
 
-    for arrays with ua >= ub >= 0 (entries with ua = ub contribute zero).
-    Far-field entries (ua - ub << ua) are evaluated by a series in
-    x = 1 - ub/ua to avoid cancellation; each formula runs only on the
-    entries it serves.
+    for the intervals [ub, ua] = [d_{j+1}, d_j] between neighbours along the
+    last axis of the contiguous array d, which never rises along that axis
+    and stays >= 0 (intervals with ua = ub contribute zero).  lo and hi are
+    shaped like d: entry j along the last axis is interval j, and the last
+    entry is zero.
+
+    The formulas run on the flattened d, each power once per entry; the
+    neighbours across the end of the last axis form no interval, and their
+    entries are zeroed.  Far-field intervals (ua - ub << ua) then take a
+    series in x = 1 - ub/ua instead, which avoids their cancellation.
     """
+    # Buffers are reused and freed early: the scratch stays near four
+    # arrays of d's size, which bounds the table builders' memory.
     p1, p2 = p + 1.0, p + 2.0
-    width, x, far, near = _split_field(ua, ub)
-    lo = np.zeros(width.shape)
-    hi = np.zeros(width.shape)
-    a, b = ua[near], ub[near]
-    m0 = (a ** p1 - b ** p1) / p1
-    m1 = (a ** p2 - b ** p2) / p2
-    lo[near] = m1 - b * m0
-    hi[near] = a * m0 - m1
+    flat = d.reshape(-1)
+    ends = slice(d.shape[-1] - 1, None, d.shape[-1])
+    ua, ub = flat[:-1], flat[1:]
+    power = flat ** p1
+    m0 = power[:-1] - power[1:]
+    m0 /= p1
+    del power
+    power = flat ** p2
+    hi = np.empty(flat.shape)
+    m1 = np.subtract(power[:-1], power[1:], out=hi[:-1])
+    m1 /= p2
+    lo = power
+    np.multiply(ub, m0, out=lo[:-1])
+    np.subtract(m1, lo[:-1], out=lo[:-1])
+    m0 *= ua
+    np.subtract(m0, m1, out=hi[:-1])
+    x = np.subtract(ua, ub, out=m0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x /= ua
+        far = x < _FAR_FIELD
+    far &= ub > 0.0
+    far[ends] = False
     if far.any():
-        s_lo, s_hi = _binomial_sums(p, x[far])
-        base = ua[far] ** p * width[far] ** 2
-        lo[far] = base * s_lo
-        hi[far] = base * s_hi
-    return lo, hi
+        x = x[far]
+        del m0
+        s_lo, s_hi = _binomial_sums(p, x)
+        del x
+        a = ua[far]
+        base = a ** p
+        a -= ub[far]
+        base *= a * a
+        del a
+        s_lo *= base
+        lo[:-1][far] = s_lo
+        s_hi *= base
+        hi[:-1][far] = s_hi
+    lo[ends] = 0.0
+    hi[ends] = 0.0
+    return lo.reshape(d.shape), hi.reshape(d.shape)
 
 
-def _fill_block(block: np.ndarray, t: np.ndarray, r0: int, c0: int, order: float) -> None:
-    """Fill the zero block `block` with the rows r0.. and columns c0.. of the
-    convolution matrix of _convolution_matrix.  The row count is
-    block.shape[0], the last column that of the last row.
+def _fill_blocks(blocks: np.ndarray, t: np.ndarray, r0: int, c0: int, step: int,
+                 order: float) -> None:
+    """Fill the zero stack `blocks`, shape (m, R, W), with m blocks of the
+    convolution matrix of _convolution_matrix, `step` rows apart: block k
+    holds the rows r0 + k step .. r0 + k step + R - 1 and the W = R + r0 - c0
+    columns c0 + k step .., the last of them that of its last row.
 
-    The columns hold the nodes c0..r1-1 and the intervals c0..r1-2 between
-    them; an interval ending before c0 contributes nothing, so column c0
-    carries only its own interval's hat moment when c0 > 0."""
-    r1 = r0 + block.shape[0]
+    The columns hold the nodes and the intervals between them; an interval
+    ending before a block's first column contributes nothing, so that
+    column carries only its own interval's hat moment when c0 > 0."""
+    m, rows, cols = blocks.shape
+    t = np.ascontiguousarray(t)
+    size = t.itemsize
+
+    def windows(first, width):
+        # The nodes first + k step .. first + k step + width - 1 of each block.
+        return np.ndarray((m, width), buffer=t, offset=first * size,
+                          strides=(step * size, size))
+
+    col_nodes = windows(c0, cols)
     # Distances from each output node to the nodes, clamped so uncovered
     # intervals produce zero moments.  In u = t_i - s the left node's hat
     # factor (t_{j+1} - s) becomes (u - ub), the right node's (s - t_j)
     # becomes (ua - u).
-    dist = np.maximum(t[r0:r1, None] - t[None, c0:r1], 0.0)
-    ua, ub = dist[:, :-1], dist[:, 1:]
-    hb = t[c0 + 1:r1] - t[c0:r1 - 1]
-    lo, hi = _hat_moments(order - 1.0, ua, ub)
+    dist = windows(r0, rows)[:, :, None] - col_nodes[:, None, :]
+    np.maximum(dist, 0.0, out=dist)
+    # The widths, and 1 past the last node, where lo and hi are zero.
+    hb = np.ones((m, 1, cols))
+    np.subtract(col_nodes[:, 1:], col_nodes[:, :-1], out=hb[:, 0, :-1])
+    lo, hi = _hat_moments(order - 1.0, dist)
+    del dist
     lo /= hb
+    blocks += lo
+    del lo
     hi /= hb
-    block[:, :-1] += lo
-    block[:, 1:] += hi
-    block /= math.gamma(order)
+    blocks[..., 1:] += hi[..., :-1]
+    blocks /= math.gamma(order)
 
 
 def _convolution_matrix(nodes: np.ndarray, order: float) -> np.ndarray:
@@ -157,7 +197,7 @@ def _convolution_matrix(nodes: np.ndarray, order: float) -> np.ndarray:
     step = _block_rows(n)
     for r0 in range(0, n + 1, step):
         r1 = min(r0 + step, n + 1)
-        _fill_block(w[r0:r1, :r1], nodes, r0, 0, order)
+        _fill_blocks(w[None, r0:r1, :r1], nodes, r0, 0, step, order)
     w.setflags(write=False)
     return w
 
@@ -264,35 +304,59 @@ def _soe_nodes(s: float, delta: float):
     return np.concatenate([gx, x[~tail]]), np.concatenate([gw, w[~tail]]) / math.gamma(s)
 
 
-def _soe_exp(z: np.ndarray) -> np.ndarray:
-    """exp(-z) for z >= 0, flushed to exact zero where z > _SOE_FLUSH."""
+def _soe_exp(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """exp(-z) for z >= 0, flushed to exact zero where z > _SOE_FLUSH; into
+    `out` if given, which may be z itself."""
     flush = z > _SOE_FLUSH
-    e = np.exp(-np.minimum(z, _SOE_FLUSH))
+    e = np.minimum(z, _SOE_FLUSH, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     e[flush] = 0.0
     return e
 
 
 def _exp_hat_moments(z: np.ndarray):
     """integral_0^1 e^(-z v) v dv and integral_0^1 e^(-z v) (1 - v) dv, z >= 0:
-    closed forms in expm1 and exp, a Taylor series where z < _EXP_SERIES_Z."""
-    em = np.expm1(-z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        zz = z * z
-        right = (z + em) / zz
-        left = -(em + z * _soe_exp(z)) / zz
+    a Taylor series where z < _EXP_SERIES_Z, closed forms in expm1 and exp
+    on the other entries only."""
     small = z < _EXP_SERIES_Z
-    zs = -z[small]
-    # sum_m (-z)^m (m+1)/(m+2)! and sum_m (-z)^m/(m+2)!, by Horner.
-    s_left = np.zeros(zs.shape)
-    s_right = np.zeros(zs.shape)
-    for m in range(_EXP_SERIES_TERMS - 1, -1, -1):
+    every = bool(small.all())
+    zs = z if every else z[small]
+    # sum_m (-z)^m (m+1)/(m+2)! and sum_m (-z)^m/(m+2)!, by Horner; the step
+    # s (-z) + c is computed as c - s z, which rounds the same.  The first
+    # step of each sum gives its constant c exactly.
+    top = _EXP_SERIES_TERMS - 1
+    inv = 1.0 / math.factorial(top + 2)
+    s_left = np.full(zs.shape, (top + 1) * inv)
+    s_right = np.full(zs.shape, inv)
+    for m in range(top - 1, -1, -1):
         inv = 1.0 / math.factorial(m + 2)
         s_left *= zs
-        s_left += (m + 1) * inv
+        np.subtract((m + 1) * inv, s_left, out=s_left)
         s_right *= zs
-        s_right += inv
+        np.subtract(inv, s_right, out=s_right)
+    if every:
+        return s_left, s_right
+    del zs
+    left = np.empty(z.shape)
     left[small] = s_left
+    del s_left
+    right = np.empty(z.shape)
     right[small] = s_right
+    del s_right
+    big = ~small
+    zb = z[big]
+    em = np.expm1(-zb)
+    zz = zb * zb
+    part = zb + em
+    part /= zz
+    right[big] = part
+    np.multiply(zb, _soe_exp(zb, out=part), out=part)
+    em += part
+    del part
+    np.negative(em, out=em)
+    em /= zz
+    left[big] = em
     return left, right
 
 
@@ -336,36 +400,73 @@ def _soe_tiers(nodes: np.ndarray):
     return [(c0, c1, int(counts[c0])) for c0, c1 in zip(edges, edges[1:])]
 
 
-def _history_tables(t: np.ndarray, x: np.ndarray, c0: int = 0, c1: Optional[int] = None):
+def _history_tables(t: np.ndarray, x: np.ndarray, c0: int = 0, c1: Optional[int] = None,
+                    mode_major: bool = False):
     """The gather ((B+1) x K per chunk) and spread (B x K per block) tables
     of the modes x on the nodes t for the chunks c0 .. c1-1 (by default all
     of them), as in _SoeOperator; spread holds exp(-(t_i - T_b) x_k) alone,
-    without weights.  Each entry depends on its own mode only.  The tables
-    are returned writable."""
+    without weights.  Each entry depends on its own mode only.  With
+    mode_major, the tables are stored K x (B+1) and K x B per chunk
+    instead.  The tables are returned writable.
+
+    They are built in groups of whole chunks of at most _GROUP_ENTRIES
+    entries each (one chunk if a chunk alone is larger)."""
     n = t.size - 1
-    b = _SOE_BLOCK
+    b, k = _SOE_BLOCK, x.size
     if c1 is None:
         c1 = -(-(n + 1) // b) - 1
-    gather = np.zeros((c1 - c0, b + 1, x.size))
-    spread = np.zeros((c1 - c0, b, x.size))
-    for c in range(c0, c1):
-        # The intervals j0 .. r0-2 of window c join the modes, which are
-        # then referred to T_{c+1} = t_{r0-1}; block c + 1 starts at r0.
-        r0 = (c + 1) * b
-        r1 = min(r0 + b, n + 1)
-        ref = t[r0 - 1]
-        j0 = max(r0 - b - 1, 0)
-        width = (t[j0 + 1:r0] - t[j0:r0 - 1])[:, None]
-        lift = _soe_exp((ref - t[j0 + 1:r0])[:, None] * x) * width
-        left, right = _exp_hat_moments(width * x)
-        off = j0 - (r0 - b - 1)
-        g = gather[c - c0]
-        g[off:b] += lift * left
-        g[off + 1:b + 1] += lift * right
-        # Products of entries near exp(-_SOE_FLUSH) can still be subnormal.
-        g[g < np.finfo(float).tiny] = 0.0
-        spread[c - c0, :r1 - r0] = _soe_exp((t[r0:r1] - ref)[:, None] * x)
+    if mode_major:
+        gather = np.zeros((c1 - c0, k, b + 1))
+        spread = np.zeros((c1 - c0, k, b))
+        gathered, spreads = gather.transpose(0, 2, 1), spread.transpose(0, 2, 1)
+    else:
+        gather = np.zeros((c1 - c0, b + 1, k))
+        spread = np.zeros((c1 - c0, b, k))
+        gathered, spreads = gather, spread
+    step = max(1, _GROUP_ENTRIES // ((b + 1) * max(k, 1)))
+    for g0 in range(c0, c1, step):
+        g1 = min(g0 + step, c1)
+        _fill_history(gathered[g0 - c0:g1 - c0], spreads[g0 - c0:g1 - c0], t, x, g0)
     return gather, spread
+
+
+def _fill_history(gather: np.ndarray, spread: np.ndarray, t: np.ndarray,
+                  x: np.ndarray, c0: int) -> None:
+    """Fill the zero tables of _history_tables, gather (m, B+1, K) and
+    spread (m, B, K), for the m chunks from c0 on."""
+    m = gather.shape[0]
+    b = _SOE_BLOCK
+    # Window c joins the B intervals between its nodes cB-1 .. cB+B-1 to
+    # the modes, which are then referred to its last node T_{c+1}; block
+    # c + 1 starts right after it.  Node -1 of window 0 repeats t_0: its
+    # zero-width interval adds zero moments.
+    first = c0 * b - 1
+    nodes = t[first:(c0 + m) * b] if first >= 0 else np.append(t[0], t[:m * b])
+    width = np.diff(nodes).reshape(m, b, 1)
+    ref = nodes[b::b]
+    z = width * x
+    left, right = _exp_hat_moments(z)
+    lift = np.multiply((ref[:, None] - nodes[1:].reshape(m, b))[:, :, None], x, out=z)
+    _soe_exp(lift, out=lift)
+    lift *= width
+    # The tables are zero and no product is -0, so writing the first
+    # products gives the bits of adding them.
+    np.multiply(left, lift, out=gather[:, :b])
+    del left
+    right *= lift
+    del lift
+    gather[:, 1:] += right
+    del right
+    # Products of entries near exp(-_SOE_FLUSH) can still be subnormal.
+    gather[gather < np.finfo(float).tiny] = 0.0
+    r0 = (c0 + 1) * b
+    rows = min(m * b, t.size - r0)
+    e = np.multiply((t[r0:r0 + rows] - np.repeat(ref, b)[:rows])[:, None], x)
+    _soe_exp(e, out=e)
+    full = rows // b
+    spread[:full] = e[:full * b].reshape(full, b, x.size)
+    if full < m:
+        spread[full, :rows - full * b] = e[full * b:]
 
 
 def _decay_table(t: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -497,6 +598,34 @@ class _SoeOperator:
         return out.reshape(stack + (-1,))[..., :self.n + 1]
 
 
+def _near_tables(t: np.ndarray, order: float) -> Tuple[np.ndarray, ...]:
+    """The staircase near-field tables of _SoeOperator.  Table g holds the
+    rows gR .. gR+R-1 of each block on the first (g+1)R+1 columns of its
+    window, and is filled in place in groups of whole blocks of at most
+    _GROUP_ENTRIES entries each.  The first block (which has no node -1)
+    and a last block with fewer than B rows are groups of one."""
+    n = t.size - 1
+    b, rows = _SOE_BLOCK, _SOE_ROWS
+    blocks = -(-(n + 1) // b)
+    full = (n + 1) // b
+    near = tuple(np.zeros((blocks, rows, width)) for width in _SOE_NEAR_WIDTHS)
+    for g, table in enumerate(near):
+        step = max(1, _GROUP_ENTRIES // table[0].size)
+        edges = sorted({0, *range(1, full, step), full, blocks})
+        for k0, k1 in zip(edges, edges[1:]):
+            r0 = k0 * b + g * rows
+            height = min(rows, n + 1 - r0)
+            if height <= 0:
+                continue
+            # Window column 0 is node k0 B - 1; block 0 has none, so its
+            # columns start at window column 1, node 0.
+            c0 = max(k0 * b - 1, 0)
+            first = c0 - k0 * b + 1
+            _fill_blocks(table[k0:k1, :height, first:height + r0 - c0 + first],
+                         t, r0, c0, b, order)
+    return near
+
+
 def _soe_operator(nodes: np.ndarray, order: float,
                   modes: Optional[_SoeModes] = None) -> _SoeOperator:
     """The SOE form of the product-trapezoidal I^order, 0 < order < 1.  Its
@@ -534,23 +663,12 @@ def _soe_operator(nodes: np.ndarray, order: float,
     try:
         if modes is None:
             modes = _soe_modes(t)
-        near = tuple(np.zeros((blocks, _SOE_ROWS, width)) for width in _SOE_NEAR_WIDTHS)
-        block = np.empty((b, b + 1))
-        for blk in range(blocks):
-            r0 = blk * b
-            r1 = min(r0 + b, n + 1)
-            c0 = max(r0 - 1, 0)
-            block.fill(0.0)
-            _fill_block(block[:r1 - r0, c0 - r0 + 1:r1 - r0 + 1], t, r0, c0, order)
-            for i, table in enumerate(near):
-                table[blk] = block[i * _SOE_ROWS:(i + 1) * _SOE_ROWS, :table.shape[2]]
-        gather, spread = _history_tables(t, x[:gauss])
+        near = _near_tables(t, order)
+        # Mode-major: einsum runs these narrow tables faster along the rows.
+        gather, spread = _history_tables(t, x[:gauss], mode_major=True)
         decay = _decay_table(t, x)
         w = w / math.gamma(order)
-        spread *= w[:gauss]
-        # Mode-major: einsum runs these narrow tables faster along the rows.
-        gather = np.ascontiguousarray(gather.transpose(0, 2, 1))
-        spread = np.ascontiguousarray(spread.transpose(0, 2, 1))
+        spread *= w[:gauss, None]
     except MemoryError:
         raise MeshTooLarge(
             f"the {need / 2**30:.3g} GiB of sum-of-exponentials tables on {n} "
@@ -571,14 +689,15 @@ def _pl_kernel_weights(nodes: np.ndarray, p: float, side: str) -> np.ndarray:
     v = np.zeros(t.size)
     if side == "left":
         # u = s: the hat factor (s - t_j) is (u - ub), (t_{j+1} - s) is (ua - u).
-        lo, hi = _hat_moments(p, t[1:], t[:-1])
-        v[:-1] += hi / h
-        v[1:] += lo / h
+        # Those are the intervals of the reversed nodes, read backwards.
+        lo, hi = _hat_moments(p, t[::-1].copy())
+        v[:-1] += hi[-2::-1] / h
+        v[1:] += lo[-2::-1] / h
     else:
         # u = 1 - s: (t_{j+1} - s) is (u - ub), (s - t_j) is (ua - u).
-        lo, hi = _hat_moments(p, 1.0 - t[:-1], 1.0 - t[1:])
-        v[:-1] += lo / h
-        v[1:] += hi / h
+        lo, hi = _hat_moments(p, 1.0 - t)
+        v[:-1] += lo[:-1] / h
+        v[1:] += hi[:-1] / h
     v.setflags(write=False)
     return v
 

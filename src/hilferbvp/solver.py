@@ -83,47 +83,54 @@ def _rhs_samples(problem: HilferProblem, gamma: float, w: np.ndarray,
                  mesh: GradedMesh) -> np.ndarray:
     """Evaluate f(t_j, y_j) with y_j = t_j^(gamma-1) w_j for every row of the
     (m, n+1) array ``w`` in one rhs call, which receives the rows as one
-    flat pair of 1-D arrays, as for a single grid.
+    flat pair of 1-D arrays, as for a single grid.  The samples are not
+    checked here (see _sample_errors).
 
     f is only defined for t > 0 and y may be unbounded at the origin, so the
     first node reuses the first interior sample; the kernel mass it carries
-    is O(t_1^gamma) on the graded mesh.  The first row with a non-finite
-    sample raises RhsEvaluationFailure, else the first row with a negative
-    one raises RhsNegative.
+    is O(t_1^gamma) on the graded mesh.
     """
     t = mesh.nodes
     rows = w.shape[0]
-    # An overflowing y shows as a non-finite f, which is checked below.
+    # An overflowing y shows as a non-finite f, which is checked later.
     with np.errstate(over="ignore", invalid="ignore"):
         y = (t[1:] ** (gamma - 1.0) * w[:, 1:]).reshape(-1)
     out = np.empty_like(w)
     out[:, 1:] = problem.rhs_values(np.tile(t[1:], rows), y).reshape(rows, -1)
     out[:, 0] = out[:, 1]
-    finite = np.isfinite(out[:, 1:])
-    if not finite.all():
-        r = int(np.argmin(finite.all(axis=1)))
-        j = int(np.argmin(finite[r])) + 1
-        raise RhsEvaluationFailure(
-            f"f({t[j]}, .) evaluated to a non-finite value {out[r, j]}"
-        )
-    negative = out < 0.0
-    if negative.any():
-        r = int(np.argmax(negative.any(axis=1)))
-        j = int(np.argmin(out[r]))
-        raise RhsNegative(
-            f"f evaluated to {out[r, j]} < 0 at t={t[j]}; "
-            "the positive-solution iteration requires f >= 0"
-        )
     return out
 
 
-def _check_mu(consts: DerivedConstants) -> None:
-    """Raise SingularProblem when mu rules out the integral equation."""
+def _sample_errors(samples: np.ndarray, t: np.ndarray) -> List[Optional[HilferBvpError]]:
+    """Per row of rhs samples, the error it raises, or None: a non-finite
+    sample raises RhsEvaluationFailure, else a negative one RhsNegative."""
+    errors: List[Optional[HilferBvpError]] = [None] * len(samples)
+    if np.isfinite(samples).all() and not (samples < 0.0).any():
+        return errors
+    for r, row in enumerate(samples):
+        finite = np.isfinite(row[1:])
+        if not finite.all():
+            j = int(np.argmin(finite)) + 1
+            errors[r] = RhsEvaluationFailure(
+                f"f({t[j]}, .) evaluated to a non-finite value {row[j]}"
+            )
+        elif (row < 0.0).any():
+            j = int(np.argmin(row))
+            errors[r] = RhsNegative(
+                f"f evaluated to {row[j]} < 0 at t={t[j]}; "
+                "the positive-solution iteration requires f >= 0"
+            )
+    return errors
+
+
+def _mu_error(consts: DerivedConstants) -> Optional[SingularProblem]:
+    """SingularProblem when mu rules out the integral equation, else None."""
     if abs(consts.mu) < MU_TOLERANCE:
-        raise SingularProblem(
+        return SingularProblem(
             f"mu = {consts.mu:.3e} is numerically zero: the integral equation "
             "is unavailable (it requires mu != 0)"
         )
+    return None
 
 
 def apply_delta(problem: Union[HilferProblem, Sequence[HilferProblem]],
@@ -142,9 +149,15 @@ def apply_delta(problem: Union[HilferProblem, Sequence[HilferProblem]],
     sequences and ``w`` is the (m, n+1) array of their weighted samples.
     The stack costs one rhs call and one convolution and returns the
     (m, n+1) array of images, each equal to that of the one-problem call
-    bit for bit.  A stack raises what the one-problem call of its first
-    failing row raises: SingularProblem, RhsEvaluationFailure, RhsNegative,
-    or NonFiniteIterate when an image overflows.
+    bit for bit.
+
+    A problem fails with SingularProblem, RhsEvaluationFailure,
+    RhsNegative, or NonFiniteIterate when its image overflows.  A stack
+    raises what the one-problem call of its first failing row raises, and
+    that error's ``rows`` attribute holds the outcome of every row: the
+    list of each row's own error (None for a row that did not fail) and the
+    (m, n+1) images, whose rows without error are those of the one-problem
+    calls bit for bit.  No row is evaluated twice.
     """
     if isinstance(problem, HilferProblem):
         images = _apply_stack((problem,), (consts,), w.values[None], rule)
@@ -155,41 +168,61 @@ def apply_delta(problem: Union[HilferProblem, Sequence[HilferProblem]],
 def _apply_stack(problems: Sequence[HilferProblem],
                  consts: Sequence[DerivedConstants], w: np.ndarray,
                  rule: QuadratureRule) -> np.ndarray:
-    """apply_delta of a stack; see there."""
+    """apply_delta of a stack; see there.  A row that fails a stage leaves
+    the stack before the next one."""
     lead = problems[0]
     if any(p.alpha != lead.alpha or p.beta != lead.beta or p.rhs is not lead.rhs
            for p in problems):
         raise ValueError("a stack of problems must share alpha, beta and the rhs")
-    for c in consts:
-        _check_mu(c)
     mesh = rule.mesh
     t = mesh.nodes
     gamma = consts[0].gamma
-    samples = _rhs_samples(lead, gamma, w, mesh)
-    heads = np.array([c.capital_lambda for c in consts])
-    weights = None
+    errors = [_mu_error(c) for c in consts]
     out = np.empty_like(w)
-    # Overflow shows as a non-finite image, which is checked below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        conv = rl_integral(lead.alpha, samples, rule)
-        # B row by row through einsum's own loop: BLAS ddot splits long
-        # vectors over its threads, so its sum depends on the thread count.
-        for i, (problem, c) in enumerate(zip(problems, consts)):
-            if problem.lam != 0.0:
-                if weights is None:
-                    weights = boundary_kernel_weights(lead.alpha, mesh)
-                b = float(np.einsum("i,i->", weights, samples[i]))
-                heads[i] += problem.lam * b / (math.gamma(gamma) * c.mu)
-        out[:, 0] = heads
-        out[:, 1:] = heads[:, None] + t[1:] ** (1.0 - gamma) * conv[:, 1:]
-    finite = np.isfinite(out)
-    if not finite.all():
-        r = int(np.argmin(finite.all(axis=1)))
-        j = int(np.argmin(finite[r]))
-        raise NonFiniteIterate(
-            f"the operator image is {out[r, j]} at t={t[j]}: the iterate "
-            "overflowed double precision"
-        )
+
+    def survivors(values, rows):
+        # The rows still without error, and their values.
+        keep = [k for k, i in enumerate(rows) if errors[i] is None]
+        if len(keep) == len(rows):
+            return values, rows
+        return values[keep], [rows[k] for k in keep]
+
+    w, rows = survivors(w, list(range(len(w))))
+    if rows:
+        samples = _rhs_samples(lead, gamma, w, mesh)
+        for i, error in zip(rows, _sample_errors(samples, t)):
+            errors[i] = error
+        samples, rows = survivors(samples, rows)
+    if rows:
+        images = out if len(rows) == len(out) else np.empty(samples.shape)
+        heads = np.array([consts[i].capital_lambda for i in rows])
+        weights = None
+        # Overflow shows as a non-finite image, which is checked below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            conv = rl_integral(lead.alpha, samples, rule)
+            # B row by row through einsum's own loop: BLAS ddot splits long
+            # vectors over its threads, so its sum depends on the thread count.
+            for k, i in enumerate(rows):
+                if problems[i].lam != 0.0:
+                    if weights is None:
+                        weights = boundary_kernel_weights(lead.alpha, mesh)
+                    b = float(np.einsum("i,i->", weights, samples[k]))
+                    heads[k] += problems[i].lam * b / (math.gamma(gamma) * consts[i].mu)
+            images[:, 0] = heads
+            images[:, 1:] = heads[:, None] + t[1:] ** (1.0 - gamma) * conv[:, 1:]
+        finite = np.isfinite(images)
+        for k in np.flatnonzero(~finite.all(axis=1)):
+            j = int(np.argmin(finite[k]))
+            errors[rows[k]] = NonFiniteIterate(
+                f"the operator image is {images[k, j]} at t={t[j]}: the iterate "
+                "overflowed double precision"
+            )
+        if images is not out:
+            out[rows] = images
+    failed = [error for error in errors if error is not None]
+    if failed:
+        failed[0].rows = (errors, out)
+        raise failed[0]
     return out
 
 
@@ -302,10 +335,10 @@ def _solve_stack(problems: Sequence[HilferProblem], consts: Sequence[DerivedCons
 
     The outcome of each problem is what solve_picard gives for it alone,
     bit for bit: its SolveResult, or the HilferBvpError its solve raises.
-    When the stacked apply_delta raises, each running row is applied alone
-    once; a row whose apply fails retires with that error, and the others
-    continue from their own images, which equal the stacked rows bit for
-    bit.
+    When the stacked apply_delta raises, its error holds each row's outcome
+    (see apply_delta): a row with an error retires with it, and the others
+    continue from their own images, which equal those of solo applies bit
+    for bit, so no row is applied again.
     """
     mesh = rule.mesh
     x = np.stack([initial_iterate(c, settings, mesh).values for c in consts])
@@ -318,21 +351,19 @@ def _solve_stack(problems: Sequence[HilferProblem], consts: Sequence[DerivedCons
             g = apply_delta([problems[i] for i in running],
                             [consts[i] for i in running], x, rule)
         except HilferBvpError as exc:
-            if len(running) == 1:
-                outcomes[running[0]] = exc
-                break
-            images, kept = [], []
-            for r, i in enumerate(running):
-                try:
-                    images.append(apply_delta([problems[i]], [consts[i]],
-                                              x[r:r + 1], rule)[0])
+            # The error of each row (see apply_delta), or of every row for an
+            # error that is not a row's own, such as MeshTooLarge.
+            errors, g = vars(exc).pop("rows", ([exc] * len(running), None))
+            kept = []
+            for r, (i, error) in enumerate(zip(running, errors)):
+                if error is None:
                     kept.append(r)
-                except HilferBvpError as alone:
-                    outcomes[i] = alone
+                else:
+                    outcomes[i] = error
             if not kept:
                 break
             running = [running[r] for r in kept]
-            x, g = x[kept], np.stack(images)
+            x, g = x[kept], g[kept]
             mixer.keep(kept)
         residual = g - x
         steps = np.max(np.abs(residual), axis=1)
@@ -368,9 +399,13 @@ def boundary_identity_gap(problem: HilferProblem, consts: DerivedConstants,
     The identity therefore closes to stopping tolerance rather than
     quadrature tolerance; verify.residual_check measures the same defect
     with A by direct quadrature."""
-    _check_mu(consts)
+    error = _mu_error(consts)
+    if error is None:
+        samples = _rhs_samples(problem, consts.gamma, w.values[None], rule.mesh)
+        error = _sample_errors(samples, rule.mesh.nodes)[0]
+    if error is not None:
+        raise error
     weights = boundary_kernel_weights(problem.alpha, rule.mesh)
-    samples = _rhs_samples(problem, consts.gamma, w.values[None], rule.mesh)
     b = float(np.einsum("i,i->", weights, samples[0]))
     a = problem.d / (consts.mu * math.gamma(consts.gamma + 1.0)) + b / consts.mu
     lhs = math.gamma(consts.gamma) * float(w.values[0])

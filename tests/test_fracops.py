@@ -391,6 +391,103 @@ def _ref_convolution_matrix(t, order):
     return w
 
 
+# Chunk-by-chunk and block-by-block SOE table builders, kept verbatim (with
+# the exponential helpers they called) as the reference the grouped
+# builders must reproduce bit for bit.
+def _ref_soe_exp(z):
+    flush = z > fracops._SOE_FLUSH
+    e = np.exp(-np.minimum(z, fracops._SOE_FLUSH))
+    e[flush] = 0.0
+    return e
+
+
+def _ref_exp_hat_moments(z):
+    em = np.expm1(-z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zz = z * z
+        right = (z + em) / zz
+        left = -(em + z * _ref_soe_exp(z)) / zz
+    small = z < fracops._EXP_SERIES_Z
+    zs = -z[small]
+    s_left = np.zeros(zs.shape)
+    s_right = np.zeros(zs.shape)
+    for m in range(fracops._EXP_SERIES_TERMS - 1, -1, -1):
+        inv = 1.0 / math.factorial(m + 2)
+        s_left *= zs
+        s_left += (m + 1) * inv
+        s_right *= zs
+        s_right += inv
+    left[small] = s_left
+    right[small] = s_right
+    return left, right
+
+
+def _ref_history_tables(t, x, c0=0, c1=None):
+    n = t.size - 1
+    b = fracops._SOE_BLOCK
+    if c1 is None:
+        c1 = -(-(n + 1) // b) - 1
+    gather = np.zeros((c1 - c0, b + 1, x.size))
+    spread = np.zeros((c1 - c0, b, x.size))
+    for c in range(c0, c1):
+        r0 = (c + 1) * b
+        r1 = min(r0 + b, n + 1)
+        ref = t[r0 - 1]
+        j0 = max(r0 - b - 1, 0)
+        width = (t[j0 + 1:r0] - t[j0:r0 - 1])[:, None]
+        lift = _ref_soe_exp((ref - t[j0 + 1:r0])[:, None] * x) * width
+        left, right = _ref_exp_hat_moments(width * x)
+        off = j0 - (r0 - b - 1)
+        g = gather[c - c0]
+        g[off:b] += lift * left
+        g[off + 1:b + 1] += lift * right
+        g[g < np.finfo(float).tiny] = 0.0
+        spread[c - c0, :r1 - r0] = _ref_soe_exp((t[r0:r1] - ref)[:, None] * x)
+    return gather, spread
+
+
+def _ref_fill_block(block, t, r0, c0, order):
+    r1 = r0 + block.shape[0]
+    dist = np.maximum(t[r0:r1, None] - t[None, c0:r1], 0.0)
+    ua, ub = dist[:, :-1], dist[:, 1:]
+    hb = t[c0 + 1:r1] - t[c0:r1 - 1]
+    lo, hi = _ref_hat_moments(order - 1.0, ua, ub)
+    lo /= hb
+    hi /= hb
+    block[:, :-1] += lo
+    block[:, 1:] += hi
+    block /= math.gamma(order)
+
+
+def _ref_soe_order_tables(t, order):
+    """The near field and the Gauss-mode gather and spread of _SoeOperator."""
+    n = t.size - 1
+    b = fracops._SOE_BLOCK
+    blocks = -(-(n + 1) // b)
+    near = tuple(np.zeros((blocks, fracops._SOE_ROWS, width))
+                 for width in fracops._SOE_NEAR_WIDTHS)
+    block = np.empty((b, b + 1))
+    for blk in range(blocks):
+        r0 = blk * b
+        r1 = min(r0 + b, n + 1)
+        c0 = max(r0 - 1, 0)
+        block.fill(0.0)
+        _ref_fill_block(block[:r1 - r0, c0 - r0 + 1:r1 - r0 + 1], t, r0, c0, order)
+        for i, table in enumerate(near):
+            table[blk] = block[i * fracops._SOE_ROWS:(i + 1) * fracops._SOE_ROWS,
+                               :table.shape[2]]
+    delta = fracops._history_delta(t)
+    x, w = ((np.zeros(0), np.zeros(0)) if delta is None
+            else fracops._soe_nodes(1.0 - order, delta))
+    gauss = min(x.size, fracops._SOE_GAUSS_NODES)
+    gather, spread = _ref_history_tables(t, x[:gauss])
+    w = w / math.gamma(order)
+    spread *= w[:gauss]
+    gather = np.ascontiguousarray(gather.transpose(0, 2, 1))
+    spread = np.ascontiguousarray(spread.transpose(0, 2, 1))
+    return near, gather, spread
+
+
 _SMALL_BLOCK = 16
 
 
@@ -1002,6 +1099,65 @@ class TestSoeTiers:
         for (c0, c1, k), gather, spread in zip(modes.tiers, modes.gather, modes.spread):
             assert gather.tobytes() == np.ascontiguousarray(full[0][c0:c1, :, :k]).tobytes()
             assert spread.tobytes() == np.ascontiguousarray(full[1][c0:c1, :, :k]).tobytes()
+
+
+class TestGroupedTables:
+    """The grouped SOE table builders against the chunk-by-chunk and
+    block-by-block references, bit for bit, and their scratch memory."""
+
+    B = fracops._SOE_BLOCK
+
+    @staticmethod
+    def _assert_tables_match(n, r):
+        t = GradedMesh(n, r).nodes
+        modes = fracops._soe_modes(t)
+        for (c0, c1, k), gather, spread in zip(modes.tiers, modes.gather, modes.spread):
+            ref = _ref_history_tables(t, modes.x[:k], c0, c1)
+            assert gather.tobytes() == ref[0].tobytes(), (n, r, c0)
+            assert spread.tobytes() == ref[1].tobytes(), (n, r, c0)
+        for order in (0.05, 0.25, 0.5, 0.95):
+            op = fracops._soe_operator(t, order, modes)
+            near, gather, spread = _ref_soe_order_tables(t, order)
+            assert len(op.near) == len(near)
+            for ours, ref in zip(op.near, near):
+                assert ours.tobytes() == ref.tobytes(), (n, r, order)
+            assert op.gather.tobytes() == gather.tobytes(), (n, r, order)
+            assert op.spread.tobytes() == spread.tobytes(), (n, r, order)
+
+    # n + 1 = 64 is a mesh of one block, n + 1 = 128 one of two full blocks.
+    @pytest.mark.parametrize("r", [1.0, 8.0 / 3.0, 8.0, 40.0])
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B - 1, 2 * B + 3, 777, 4096])
+    def test_bit_equal_to_chunk_by_chunk(self, n, r):
+        self._assert_tables_match(n, r)
+
+    # Budgets of one chunk or block per group, of a few (so that groups end
+    # inside tiers and before the partial last block), and of a part of one.
+    @pytest.mark.parametrize("budget", [1, 3 * 16 * 65, 3 * 65 * 10 + 1, 1 << 12])
+    @pytest.mark.parametrize("n, r", [(2 * B + 3, 40.0), (777, 8.0 / 3.0), (1025, 8.0),
+                                      (1100, 40.0)])
+    def test_bit_equal_with_small_groups(self, n, r, budget, monkeypatch):
+        monkeypatch.setattr(fracops, "_GROUP_ENTRIES", budget)
+        self._assert_tables_match(n, r)
+
+    def test_scratch_memory_bounded(self):
+        # On top of the tables they return, the shared build and a later
+        # order's build each hold at most 0.75 MiB of scratch at n = 4096.
+        t = GradedMesh(4096, 8.0 / 3.0).nodes
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            modes = fracops._soe_modes(t)
+            shared = tracemalloc.get_traced_memory()[1] - start - modes.nbytes
+            fracops._soe_operator(t, 0.5, modes)
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            op = fracops._soe_operator(t, 0.25, modes)
+            later = tracemalloc.get_traced_memory()[1] - start - op.nbytes
+        finally:
+            tracemalloc.stop()
+        assert shared <= 0.75 * 2 ** 20
+        assert later <= 0.75 * 2 ** 20
 
 
 class TestPastDenseMemoryWall:
