@@ -1,10 +1,12 @@
 """Batch front end: solve / certify / sweep / verify.
 
-Exit codes: 0 success, 1 config failure, 2 non-convergence, 3 the mu
-hypothesis failed (singular or non-positive mu), 4 some other certificate
-failed (certify only), 5 numerical failure (for example the rhs evaluated
-to a non-finite value, an iterate overflowed (NonFiniteIterate), or the
-mesh or its integral operator would not fit in physical memory).
+Exit codes: 0 success, 1 config failure (a mesh too steep for double
+precision included), 2 non-convergence, 3 the mu hypothesis failed
+(singular or non-positive mu), 4 some other certificate failed (certify
+only), 5 numerical failure (for example the rhs evaluated to a non-finite
+value, an iterate overflowed (NonFiniteIterate), or the mesh or its
+integral operator would not fit in physical memory), 6 a residual of the
+solution is not finite (solve and verify, after printing it).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .core import (
     WeightedGridFunction,
     derive_constants,
 )
-from .errors import ConfigError, HilferBvpError, SingularProblem
+from .errors import ConfigError, HilferBvpError, NonFiniteResidual, SingularProblem
 from .fracops import QuadratureRule
 
 EXIT_OK = 0
@@ -42,6 +44,7 @@ EXIT_NOT_CONVERGED = 2
 EXIT_SINGULAR = 3
 EXIT_CERTIFICATE = 4
 EXIT_NUMERICAL = 5
+EXIT_RESIDUAL = 6
 
 _NOT_EVALUABLE = "not-evaluable"
 
@@ -151,6 +154,20 @@ def _report_lines(cfg: RunConfig, consts, certs: List[Certificate],
     return lines
 
 
+def _check_residuals(residual, gap: Optional[float] = None) -> None:
+    """Raise NonFiniteResidual naming each residual that is not finite: the
+    interior and direct boundary residuals of ``residual`` and, if given,
+    the closed-form boundary ``gap``."""
+    named = [("interior", residual.interior_residual),
+             ("boundary (direct quadrature)", residual.boundary_residual)]
+    if gap is not None:
+        named.append(("boundary (solver closed form)", gap))
+    bad = [f"{name} = {value:.6g}" for name, value in named if not math.isfinite(value)]
+    if bad:
+        raise NonFiniteResidual(f"the residual check of the solution is not finite: "
+                                f"{', '.join(bad)}")
+
+
 def _settings(cfg: RunConfig) -> solver.PicardSettings:
     return solver.PicardSettings(tol=cfg.tol, max_iter=cfg.max_iter)
 
@@ -187,6 +204,7 @@ def cmd_solve(args) -> int:
               f"{cfg.max_iter} iterations (last step {result.history[-1]:.3g})",
               file=sys.stderr)
         return EXIT_NOT_CONVERGED
+    _check_residuals(residual, gap)
     return EXIT_OK
 
 
@@ -227,11 +245,12 @@ def _cell_problem(cell_cfg: RunConfig):
 
 def _sweep_cell(cell_cfg: RunConfig, setup,
                 solved: Union[solver.SolveResult, HilferBvpError, None],
-                rule: Optional[QuadratureRule]):
-    """Metrics for one sweep cell from its _cell_problem ``setup`` and
-    ``solved``, the outcome of its stacked solve on ``rule``: a SolveResult,
-    or the error that ended it.  Exceptions become a status, never a
-    crash."""
+                residual: Union[verify.ResidualReport, HilferBvpError, None]):
+    """Metrics for one sweep cell from its _cell_problem ``setup``,
+    ``solved``, the outcome of its stacked solve (a SolveResult, or the
+    error that ended it), and ``residual``, that of the stacked residual
+    check of its solution (None when there is none).  Exceptions become a
+    status, never a crash."""
     if isinstance(setup, dict):
         return setup
     problem, consts = setup
@@ -241,9 +260,10 @@ def _sweep_cell(cell_cfg: RunConfig, setup,
         record["contraction"] = analysis.contraction_certificate(
             consts, problem.alpha, problem.lam, lipschitz).value
     try:
-        if isinstance(solved, HilferBvpError):
-            raise solved
-        residual = verify.residual_check(problem, consts, solved.solution, rule)
+        for outcome in (solved, residual):
+            if isinstance(outcome, HilferBvpError):
+                raise outcome
+        _check_residuals(residual)
     except HilferBvpError as exc:
         record["status"] = f"failed:{type(exc).__name__}"
         return record
@@ -287,28 +307,39 @@ def _sweep_stacks(cells: List[RunConfig]) -> List[List[int]]:
 
 def _sweep_stack(cells: List[RunConfig]) -> List[dict]:
     """Records of cells that _sweep_stacks put together: one stacked Picard
-    solve (solver._solve_stack), then _sweep_cell for each cell.  A mesh
-    that cannot be built fails every cell of the stack."""
+    solve (solver._solve_stack), one stacked residual check of the solved
+    cells, then _sweep_cell for each cell.  A mesh that cannot be built
+    fails every cell of the stack."""
     setups = [_cell_problem(cfg) for cfg in cells]
     solvable = [i for i, setup in enumerate(setups) if not isinstance(setup, dict)]
     solved: List[Union[solver.SolveResult, HilferBvpError, None]] = [None] * len(cells)
-    rule = None
+    checked: List[Union[verify.ResidualReport, HilferBvpError, None]] = [None] * len(cells)
     if solvable:
         # The stack evaluates one rhs callable for all its problems.
         rhs = setups[solvable[0]][0].rhs
         problems = [replace(setups[i][0], rhs=rhs) for i in solvable]
+        consts = [setups[i][1] for i in solvable]
         cfg = cells[solvable[0]]
         try:
             rule = QuadratureRule(cfg.mesh())
         except HilferBvpError as exc:
             outcomes = [exc] * len(solvable)
         else:
-            outcomes = solver._solve_stack(problems, [setups[i][1] for i in solvable],
-                                           _settings(cfg), rule)
+            outcomes = solver._solve_stack(problems, consts, _settings(cfg), rule)
+        done = [k for k, outcome in enumerate(outcomes)
+                if isinstance(outcome, solver.SolveResult)]
+        if done:
+            try:
+                reports = verify.residual_check(
+                    [problems[k] for k in done], [consts[k] for k in done],
+                    [outcomes[k].solution for k in done], rule)
+            except HilferBvpError as exc:
+                reports = [exc] * len(done)
+            for k, report in zip(done, reports):
+                checked[solvable[k]] = report
         for i, outcome in zip(solvable, outcomes):
             solved[i] = outcome
-    return [_sweep_cell(cfg, setup, outcome, rule)
-            for cfg, setup, outcome in zip(cells, setups, solved)]
+    return [_sweep_cell(*args) for args in zip(cells, setups, solved, checked)]
 
 
 def cmd_sweep(args) -> int:
@@ -400,6 +431,7 @@ def cmd_verify(args) -> int:
           f" = {residual.interior_residual:.6g}")
     print(f"boundary residual (direct quadrature) = {residual.boundary_residual:.6g}")
     print(f"boundary residual (solver closed form) = {gap:.6g}")
+    _check_residuals(residual, gap)
     return EXIT_OK
 
 
@@ -453,6 +485,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except NonFiniteResidual as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESIDUAL
     except HilferBvpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -14,7 +14,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import MeshTooLarge, OutOfDomain, SingularProblem
+from .errors import DegenerateMesh, MeshTooLarge, OutOfDomain, SingularProblem
+
+# Node pairs per numpy call of the mesh's width check, so that its scratch
+# stays small next to the nodes at every n.
+_WIDTH_CHUNK = 1 << 16
 
 # Below this magnitude of mu the constant Lambda overflows and the integral
 # equation is numerically meaningless.
@@ -35,7 +39,10 @@ class GradedMesh:
 
     Raises MeshTooLarge, before allocating them, when the 8 (n+1) bytes of
     the nodes alone exceed physical memory, and when they cannot be
-    allocated."""
+    allocated.  Raises DegenerateMesh when two neighbouring nodes lie closer
+    than the smallest normal double.  A mesh that passes has t_1 > 0,
+    strictly increasing nodes and finite derivative-stencil weights (each
+    at most one over the least width)."""
 
     n: int
     r: float = 1.0
@@ -66,6 +73,18 @@ class GradedMesh:
             ) from None
         nodes /= self.n
         nodes **= self.r
+        tiny = np.finfo(float).tiny
+        for j in range(0, self.n, _WIDTH_CHUNK):
+            part = nodes[j:j + _WIDTH_CHUNK + 1]
+            narrow = np.flatnonzero(np.diff(part) < tiny)
+            if narrow.size:
+                k = j + int(narrow[0])
+                raise DegenerateMesh(
+                    f"the mesh n = {self.n}, r = {self.r:g} is too steep for double "
+                    f"precision: its nodes t_{k} = {nodes[k]:.3g} and t_{k + 1} = "
+                    f"{nodes[k + 1]:.3g} lie less than {tiny:.3g} apart; use a "
+                    f"smaller r or n"
+                )
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
 

@@ -40,6 +40,10 @@ class MeshTooLarge(HilferBvpError):
     """The integral operator on the requested mesh would not fit in physical memory."""
 
 
+class NonFiniteResidual(HilferBvpError):
+    """A residual of a computed or stored solution is not finite."""
+
+
 class MissingBounds(HilferBvpError):
     """The problem carries no constant bounds A1/A2 for f."""
 
@@ -73,3 +77,10 @@ class ConfigError(HilferBvpError):
 
 class ExpressionError(ConfigError):
     """A user-supplied rhs expression failed to parse."""
+
+
+class DegenerateMesh(ConfigError):
+    """Two nodes of a graded mesh lie closer than the smallest normal double
+    (for example t_1 underflows to 0 on a steep grading), so the mesh does
+    not resolve [0, 1] in floating point.  A ConfigError: the mesh size and
+    grading are input to be changed."""

@@ -785,29 +785,34 @@ def differentiate(samples, mesh: GradedMesh) -> np.ndarray:
     v = _check_samples(samples, mesh)
     if mesh.n < 2:
         raise InsufficientNodes(f"differentiation needs >= 2 intervals, got {mesh.n}")
-    t = mesh.nodes
-    x0, x1, x2 = t[:-2], t[1:-1], t[2:]
-    d01, d02, d12 = x0 - x1, x0 - x2, x1 - x2
+    return _stencil(v, mesh.nodes)
+
+
+def _stencil(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """differentiate along the last axis of v, one row or a stack of rows;
+    each row of a stack comes out bit for bit as its own one-row call.
+
+    Each weight is a ratio of two widths over a third, so no product of two
+    widths is formed (on steep meshes such products underflow), and the
+    weights act on differences of samples, so they sum to zero exactly
+    instead of leaving a rounding error times |v|/h^2.  With every width at
+    least the smallest normal double (GradedMesh checks this), no weight
+    exceeds 1/min h and all stay finite."""
+    h = np.diff(t)
+    dv = np.diff(v)
     out = np.empty_like(v)
-    out[1:-1] = (
-        v[:-2] * d12 / (d01 * d02)
-        + v[1:-1] * (2.0 * x1 - x0 - x2) / (-d01 * d12)
-        + v[2:] * (-d01) / (d02 * d12)
-    )
+    # Interior node j, stencil (t_{j-1}, t_j, t_{j+1}):
+    #   v'_j = (h_j/h_{j-1}) (v_j - v_{j-1})/s_j + (h_{j-1}/h_j) (v_{j+1} - v_j)/s_j
+    # with s_j = t_{j+1} - t_{j-1}.
+    span = t[2:] - t[:-2]
+    out[..., 1:-1] = (h[1:] / h[:-1]) / span * dv[..., :-1]
+    out[..., 1:-1] += (h[:-1] / h[1:]) / span * dv[..., 1:]
     # Left end, stencil (t0, t1, t2) evaluated at t0.
-    a, b, c = t[0], t[1], t[2]
-    out[0] = (
-        v[0] * (2.0 * a - b - c) / ((a - b) * (a - c))
-        + v[1] * (a - c) / ((b - a) * (b - c))
-        + v[2] * (a - b) / ((c - a) * (c - b))
-    )
+    h0, h1, s = h[0], h[1], span[0]
+    out[..., 0] = s / h0 / h1 * dv[..., 0] - h0 / h1 / s * (v[..., 2] - v[..., 0])
     # Right end, stencil (t_{n-2}, t_{n-1}, t_n) evaluated at t_n.
-    a, b, c = t[-3], t[-2], t[-1]
-    out[-1] = (
-        v[-3] * (c - b) / ((a - b) * (a - c))
-        + v[-2] * (c - a) / ((b - a) * (b - c))
-        + v[-1] * (2.0 * c - a - b) / ((c - a) * (c - b))
-    )
+    h0, h1, s = h[-2], h[-1], span[-1]
+    out[..., -1] = s / h1 / h0 * dv[..., -1] - h1 / h0 / s * (v[..., -1] - v[..., -3])
     return out
 
 
@@ -831,18 +836,27 @@ def hilfer_derivative(alpha: float, beta: float, samples, rule: QuadratureRule) 
         raise OutOfDomain(f"alpha must lie in (0, 1], got {alpha}")
     if not (0.0 <= beta <= 1.0):
         raise OutOfDomain(f"beta must lie in [0, 1], got {beta}")
-    if rule.mesh.n < 4:
-        raise InsufficientNodes(
-            f"fractional derivatives need >= 4 mesh intervals, got {rule.mesh.n}"
-        )
     # 1 - gamma as (1-alpha)(1-beta): at beta = 1/2 it is then bitwise the
     # outer order beta(1-alpha), and both stages share one SOE operator.
     inner = (1.0 - alpha) * (1.0 - beta)
     outer = beta * (1.0 - alpha)
-    g = _check_samples(samples, rule.mesh)
-    stage = g if inner < _ORDER_EPS else rl_integral(inner, g, rule)
-    stage = differentiate(stage, rule.mesh)
+    stage = _integral_derivative(inner, samples, rule)
     return stage if outer < _ORDER_EPS else rl_integral(outer, stage, rule)
+
+
+def _integral_derivative(order: float, samples, rule: QuadratureRule,
+                         max_ndim: int = 1) -> np.ndarray:
+    """d/dt I^order g, 0 <= order < 1: the inner stages of hilfer_derivative.
+    With max_ndim = 2 ``samples`` may be a stack of rows, shape (m, n+1),
+    each of which comes out bit for bit as its one-row call; with order
+    1 - alpha a row's result is then hilfer_derivative(alpha, 0.0, row)."""
+    if rule.mesh.n < 4:
+        raise InsufficientNodes(
+            f"fractional derivatives need >= 4 mesh intervals, got {rule.mesh.n}"
+        )
+    g = _check_samples(samples, rule.mesh, max_ndim)
+    stage = g if order < _ORDER_EPS else rl_integral(order, g, rule)
+    return _stencil(stage, rule.mesh.nodes)
 
 
 def boundary_kernel_weights(alpha: float, mesh: GradedMesh) -> np.ndarray:

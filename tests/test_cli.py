@@ -21,6 +21,7 @@ from hilferbvp.cli import (
     EXIT_NOT_CONVERGED,
     EXIT_NUMERICAL,
     EXIT_OK,
+    EXIT_RESIDUAL,
     EXIT_SINGULAR,
     main,
 )
@@ -51,6 +52,9 @@ dir = {out}
 
 # A constant rhs whose operator image overflows double precision.
 OVERFLOW_RHS = "kind = constant\nc = 1.7e308"
+# A d whose solution has finite weighted samples but an int_0^1 y that
+# overflows: the boundary residuals are not finite.
+OVERFLOW_D = "1.7e308"
 
 
 def write_config(tmp_path, rhs="kind = constant\nc = 1.0", lam="0.2", d="1.0",
@@ -146,6 +150,64 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "physical memory" in err
+
+    def test_one_operator_per_solve_at_alpha_half(self, tmp_path):
+        # The residual check takes the derivative in Riemann-Liouville form,
+        # of order 1 - alpha: at alpha = 1/2 that is the solver's I^(1/2),
+        # so a solve builds one SOE operator, not a second of order 1/4.
+        fracops._cached_soe_operator.cache_clear()
+        path, _ = write_config(tmp_path, rhs="kind = linear\na = 0.25\nb = 0.25")
+        try:
+            assert main(["solve", str(path)]) == EXIT_OK
+            assert fracops._cached_soe_operator.cache_info().misses == 1
+        finally:
+            fracops._cached_soe_operator.cache_clear()
+
+    @pytest.mark.parametrize("mesh", ["n = 4096\nr = 100", "n = 257\nr = 130"])
+    def test_steep_mesh_is_config_error(self, tmp_path, capsys, mesh):
+        # t_1 underflows to 0 (r = 100) or to a subnormal (r = 130): the
+        # mesh does not resolve [0, 1] in double precision.
+        path, out = write_config(tmp_path)
+        path.write_text(path.read_text().replace("n = 64\nr = auto", mesh),
+                        encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        n, r = (line.split(" = ")[1] for line in mesh.split("\n"))
+        assert f"n = {n}, r = {r}" in err
+        assert not out.exists()
+
+    def test_steep_resolved_mesh_without_warning(self, tmp_path, capsys):
+        # alpha = 0.05 on r = 100: t_1 = 1e-241, where a product of two
+        # stencil widths underflows.  The stencil takes ratios of widths,
+        # so the residual is finite and no warning is raised.
+        path, out = write_config(tmp_path, rhs="kind = expression\nexpr = exp(y - 1000)",
+                                 lam="0.0", d="0.0")
+        path.write_text(path.read_text().replace("alpha = 0.5", "alpha = 0.05")
+                        .replace("n = 64\nr = auto", "n = 257\nr = 100"), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", str(path)]) == EXIT_OK
+        assert "nan" not in (out / "report.txt").read_text()
+        assert capsys.readouterr().err == ""
+
+    def test_non_finite_residual_exit(self, tmp_path, capsys):
+        # solve writes its outputs and prints the residuals, then exits 6
+        # with one error line; verify of the written solution does the same.
+        path, out = write_config(tmp_path, d=OVERFLOW_D)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", str(path)]) == EXIT_RESIDUAL
+            printed = capsys.readouterr()
+            assert main(["verify", str(path), str(out / "solution.csv")]) == EXIT_RESIDUAL
+        checked = capsys.readouterr()
+        assert "boundary (direct quadrature) = nan" in (out / "report.txt").read_text()
+        assert "boundary residual (direct quadrature) = nan" in checked.out
+        for err in (printed.err, checked.err):
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "not finite" in err and "boundary (direct quadrature) = nan" in err
 
     def test_oversized_mesh_exit(self, tmp_path, capsys):
         # The nodes alone of n = 10^13 take 80 TB: the mesh is rejected
@@ -358,6 +420,20 @@ class TestSweep:
         assert main(["sweep", str(path)]) == EXIT_OK
         rows = read_csv(out / "sweep.csv")
         assert [r[-1] for r in rows[1:]] == ["failed:NonFiniteIterate"] * 2
+
+    def test_failed_cells_from_mesh_and_residual(self, tmp_path):
+        # A non-finite residual fails its own cell, not the stack; a mesh
+        # too steep for double precision fails every cell.
+        path, out = write_config(tmp_path)
+        path.write_text(path.read_text() + (
+            "\n[sweep]\naxis1 = d\naxis1_start = 1.0\n"
+            f"axis1_stop = {OVERFLOW_D}\naxis1_steps = 2\n"), encoding="utf-8")
+        assert main(["sweep", str(path)]) == EXIT_OK
+        rows = read_csv(out / "sweep.csv")
+        assert [r[-1] for r in rows[1:]] == ["ok", "failed:NonFiniteResidual"]
+        assert main(["sweep", str(path), "--mesh-n", "4096", "--mesh-r", "100"]) == EXIT_OK
+        rows = read_csv(out / "sweep.csv")
+        assert [r[-1] for r in rows[1:]] == ["failed:DegenerateMesh"] * 2
 
     def test_failed_stack_keeps_solo_bytes(self, tmp_path, monkeypatch):
         # exp(y - 1000) turns non-finite on the lambda = 0.8 cell only (see

@@ -14,7 +14,7 @@ from hilferbvp.core import (
 )
 from hilferbvp.analysis import CERT_RHS_NONNEGATIVE, hypothesis_report
 from hilferbvp.config import RhsSpec
-from hilferbvp.errors import MeshTooLarge, OutOfDomain, SingularProblem
+from hilferbvp.errors import ConfigError, DegenerateMesh, MeshTooLarge, OutOfDomain, SingularProblem
 from hilferbvp.fracops import QuadratureRule
 from hilferbvp.solver import _rhs_samples
 from hilferbvp.verify import residual_check
@@ -68,6 +68,26 @@ class TestGradedMesh:
             GradedMesh(17, 2.0)
         monkeypatch.setattr(fracops, "_physical_memory", lambda: None)
         assert GradedMesh(17, 2.0).nodes.size == 18
+
+    @pytest.mark.parametrize("n, r, first", [
+        (4096, 100.0, 0),         # t_1 underflows to 0
+        (257, 130.0, 0),          # t_1 = 4e-314 is subnormal
+        (70000, 75.0, 0),         # longer than one chunk of the check
+    ])
+    def test_steep_mesh_rejected(self, n, r, first):
+        # Every width must be at least the smallest normal double; the error
+        # is a ConfigError that names n, r and the first narrow pair.
+        with pytest.raises(DegenerateMesh) as info:
+            GradedMesh(n, r)
+        assert isinstance(info.value, ConfigError)
+        message = str(info.value)
+        assert f"n = {n}, r = {r:g}" in message
+        assert f"t_{first} = " in message and f"t_{first + 1} = " in message
+
+    @pytest.mark.parametrize("n, r", [(257, 100.0), (100000, 40.0), (4, 500.0)])
+    def test_steep_but_resolved_mesh_accepted(self, n, r):
+        nodes = GradedMesh(n, r).nodes
+        assert np.all(np.diff(nodes) >= np.finfo(float).tiny)
 
     @pytest.mark.parametrize("r", [1.0, 2.0, 8.0 / 3.0, 40.0])
     @pytest.mark.parametrize("n", [7, 4097, 100000])

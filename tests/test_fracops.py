@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -146,6 +147,43 @@ class TestDifferentiate:
         t = mesh.nodes
         out = differentiate(np.sin(3.0 * t), mesh)
         assert np.max(np.abs(out - 3.0 * np.cos(3.0 * t))) < 5e-4
+
+    @pytest.mark.parametrize("n", [10 ** 5, 10 ** 6])
+    def test_no_cancellation_at_large_n(self, n):
+        # On r = 8/3 the widths change their float exponent at t = 0.25 and
+        # 0.5; a middle weight formed as a sum of nodes misses the others'
+        # sum by rounding there, times |v|/h^2 (6.6e-8 at n = 10^5 and
+        # 2.8e-6 at 10^6).  Weights on differences leave the truncation
+        # error only.
+        mesh = GradedMesh(n, 8.0 / 3.0)
+        t = mesh.nodes
+        out = differentiate(t ** 1.5, mesh)
+        away = t >= 0.05
+        assert np.max(np.abs(out[away] - 1.5 * t[away] ** 0.5)) <= 1e-9
+
+    def test_steep_mesh_without_warning(self):
+        # r = 40, n = 10^5: t_1 = 1e-200, so a product of two widths
+        # underflows to 0; ratios of widths stay finite.
+        mesh = GradedMesh(10 ** 5, 40.0)
+        t = mesh.nodes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = differentiate(t ** 1.5, mesh)
+        assert np.all(np.isfinite(out))
+        away = t >= 0.05
+        assert np.max(np.abs(out[away] - 1.5 * t[away] ** 0.5)) <= 1e-6
+
+    def test_stacked_rows_match_one_row_calls(self):
+        # The stencil behind differentiate and hilfer_derivative takes a
+        # stack of rows, each bit for bit its one-row call, as rl_integral.
+        rule = make_rule(300, r=8.0 / 3.0)
+        t = rule.mesh.nodes
+        rows = np.stack([smooth_profile(t), t ** 1.5, np.sin(5.0 * t)])
+        stacked = fracops._integral_derivative(0.5, rows, rule, max_ndim=2)
+        plain = fracops._integral_derivative(0.0, rows, rule, max_ndim=2)
+        for k, g in enumerate(rows):
+            assert np.array_equal(stacked[k], hilfer_derivative(0.5, 0.0, g, rule))
+            assert np.array_equal(plain[k], differentiate(g, rule.mesh))
 
 
 class TestRlDerivative:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,59 @@ class TestResidualCheck:
             residual_check(p, consts, w, rule, t_cut=0.0)
         with pytest.raises(OutOfDomain):
             residual_check(p, consts, w, rule, t_cut=0.5)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.5, 0.5), (0.3, 0.8), (0.4, 1.0)])
+    def test_exact_solution_residual_is_small(self, alpha, beta):
+        # The derivative in Riemann-Liouville form, d/dt I^(1-alpha) v, is
+        # sharper than the nested Hilfer stages: on the exact w the interior
+        # residual falls from 1.6e-6, 9.0e-4 and 3.5e-3 (Hilfer form) to
+        # 3.2e-8, 2.5e-8 and 1.0e-10.
+        p = problem_with(lambda t, y: 1.0, alpha=alpha, beta=beta, lam=0.2)
+        consts, mesh, rule = setup(p, n=4096)
+        oracle = constant_rhs_oracle(p, consts, mesh)
+        assert residual_check(p, consts, oracle, rule).interior_residual <= 1e-7
+
+    @pytest.mark.parametrize("alpha, beta", [(0.5, 0.5), (0.3, 0.8), (1.0, 0.0)])
+    def test_stack_matches_one_problem_calls(self, alpha, beta):
+        # A stack of problems that differ in lam and d costs one operator
+        # apply, one stencil and one rhs call; each report equals its
+        # one-problem call bit for bit.
+        def rhs(t, y):
+            return 0.8 * y + 0.3 + 0.1 * np.sin(y)
+
+        problems = [problem_with(rhs, alpha=alpha, beta=beta, lam=lam, d=d)
+                    for lam, d in ((0.0, 0.5), (0.1, 1.0), (0.2, 2.0), (0.3, 0.7))]
+        _, mesh, rule = setup(problems[0], n=300)
+        consts = [derive_constants(p) for p in problems]
+        solutions = [solve_picard(p, c, PicardSettings(), rule).solution
+                     for p, c in zip(problems, consts)]
+        stacked = residual_check(problems, consts, solutions, rule)
+        for p, c, w, report in zip(problems, consts, solutions, stacked):
+            alone = residual_check(p, c, w, rule)
+            assert report == alone
+            assert np.isfinite(alone.interior_residual)
+        assert len({report.interior_residual for report in stacked}) == len(problems)
+
+    def test_stack_must_share_the_rhs(self):
+        problems = [problem_with(lambda t, y: 1.0, lam=lam) for lam in (0.0, 0.1)]
+        _, mesh, rule = setup(problems[0])
+        consts = [derive_constants(p) for p in problems]
+        w = [constant_rhs_oracle(p, c, mesh) for p, c in zip(problems, consts)]
+        with pytest.raises(ValueError, match="share"):
+            residual_check(problems, consts, w, rule)
+
+    def test_overflow_reported_without_warning(self):
+        # A solution near the float limit: int_0^1 y overflows, and the
+        # boundary residual comes out non-finite, without a numpy warning,
+        # for the caller to judge.
+        p = problem_with(lambda t, y: 1.0, lam=0.2, d=1.7e308)
+        consts, mesh, rule = setup(p, n=64)
+        w = WeightedGridFunction(mesh, consts.gamma,
+                                 np.full(mesh.n + 1, consts.capital_lambda))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = residual_check(p, consts, w, rule)
+        assert not math.isfinite(rep.boundary_residual)
 
     def test_node_count_matches_cut(self):
         p = problem_with(lambda t, y: 1.0)
