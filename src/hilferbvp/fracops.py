@@ -246,7 +246,7 @@ _EXP_SERIES_Z = 1.0
 _EXP_SERIES_TERMS = 18
 # Table entries below exp(-_SOE_FLUSH) are stored as exact zeros (_soe_exp):
 # numpy's SIMD exp leaves its fast path below about -707, and such entries
-# leave subnormals in the tables that slow every einsum reading them.
+# leave subnormals in the tables that slow every product reading them.
 _SOE_FLUSH = 700.0
 
 
@@ -400,40 +400,35 @@ def _soe_tiers(nodes: np.ndarray):
     return [(c0, c1, int(counts[c0])) for c0, c1 in zip(edges, edges[1:])]
 
 
-def _history_tables(t: np.ndarray, x: np.ndarray, c0: int = 0, c1: Optional[int] = None,
-                    mode_major: bool = False):
-    """The gather ((B+1) x K per chunk) and spread (B x K per block) tables
+def _history_tables(t: np.ndarray, x: np.ndarray, c0: int = 0, c1: Optional[int] = None):
+    """The gather (K x (B+1) per chunk) and spread (B x K per block) tables
     of the modes x on the nodes t for the chunks c0 .. c1-1 (by default all
     of them), as in _SoeOperator; spread holds exp(-(t_i - T_b) x_k) alone,
-    without weights.  Each entry depends on its own mode only.  With
-    mode_major, the tables are stored K x (B+1) and K x B per chunk
-    instead.  The tables are returned writable.
+    without weights.  Each entry depends on its own mode only.  The tables
+    are returned writable.
 
     They are built in groups of whole chunks of at most _GROUP_ENTRIES
-    entries each (one chunk if a chunk alone is larger)."""
+    entries each (one chunk if a chunk alone is larger); gather is filled
+    in place through its transposed view."""
     n = t.size - 1
     b, k = _SOE_BLOCK, x.size
     if c1 is None:
         c1 = -(-(n + 1) // b) - 1
-    if mode_major:
-        gather = np.zeros((c1 - c0, k, b + 1))
-        spread = np.zeros((c1 - c0, k, b))
-        gathered, spreads = gather.transpose(0, 2, 1), spread.transpose(0, 2, 1)
-    else:
-        gather = np.zeros((c1 - c0, b + 1, k))
-        spread = np.zeros((c1 - c0, b, k))
-        gathered, spreads = gather, spread
+    gather = np.zeros((c1 - c0, k, b + 1))
+    spread = np.zeros((c1 - c0, b, k))
+    gathered = gather.transpose(0, 2, 1)
     step = max(1, _GROUP_ENTRIES // ((b + 1) * max(k, 1)))
     for g0 in range(c0, c1, step):
         g1 = min(g0 + step, c1)
-        _fill_history(gathered[g0 - c0:g1 - c0], spreads[g0 - c0:g1 - c0], t, x, g0)
+        _fill_history(gathered[g0 - c0:g1 - c0], spread[g0 - c0:g1 - c0], t, x, g0)
     return gather, spread
 
 
 def _fill_history(gather: np.ndarray, spread: np.ndarray, t: np.ndarray,
                   x: np.ndarray, c0: int) -> None:
-    """Fill the zero tables of _history_tables, gather (m, B+1, K) and
-    spread (m, B, K), for the m chunks from c0 on."""
+    """Fill the zero tables of _history_tables, gather (m, B+1, K) (the
+    transposed view of the stored table) and spread (m, B, K), for the m
+    chunks from c0 on."""
     m = gather.shape[0]
     b = _SOE_BLOCK
     # Window c joins the B intervals between its nodes cB-1 .. cB+B-1 to
@@ -535,19 +530,28 @@ class _SoeOperator:
                    T_{c+1} = t_{(c+1)B-1}.
       decay[c]     exp(-x_k (T_{c+1} - T_c)) of all K modes, Gauss modes
                    first (row 0 unused).
-      spread[b-1]  G x B: the Gauss modes' history at T_b -> block b's rows,
+      spread[b-1]  B x G: the Gauss modes' history at T_b -> block b's rows,
                    including w_k and 1/Gamma(order).
       weights      w_k/Gamma(order) of the trapezoid modes.
     modes.gather and modes.spread serve the trapezoid modes the same way,
-    tier by tier ((B+1) x K_i and B x K_i per chunk), but without weights:
+    tier by tier (K_i x (B+1) and B x K_i per chunk), but without weights:
     the apply scales their history by `weights` instead.  A chunk's history
     of the modes past its tier's K_i is carried by the recurrence but never
-    read.  The narrow Gauss tables are stored mode-major, which einsum runs
-    faster.  nbytes counts this order's tables, not those of `modes`.
-    The apply uses einsum and ufuncs only, never BLAS, so its rounding does
-    not depend on the BLAS thread count.  It takes one sample row or a stack
-    of rows, shape (m, n+1); each row of a stack comes out bit for bit as
-    its own one-row apply.
+    read.  nbytes counts this order's tables, not those of `modes`.
+
+    Every table is C-contiguous with its contraction axis last, so the
+    apply runs each contraction as np.matmul of a table with a column: one
+    BLAS dgemv per sample row and block, of at most 16 x 65, K_i x 65 or
+    64 x K_i entries, with K_i <= 2572 (_soe_reach at its 1e-300 floor).
+    Its result does not depend on the BLAS thread count, because OpenBLAS
+    runs gemvs this small in one thread: OpenBLAS 0.3.31 (numpy 2.4's)
+    gave no work to a second thread on 2570 x 65 or 64 x 2570, while it
+    splits 20000 x 65 by rows and 65 x 20000 by its sums, and only the
+    latter changes bits.  The result may differ in the last bits between
+    CPU models, as OpenBLAS picks its gemv kernel for the CPU it runs on.
+    The apply takes one sample row or a stack of rows, shape (m, n+1);
+    each row of a stack comes out bit for bit as its own one-row apply,
+    because it makes the same gemv calls on the same numbers.
     """
 
     n: int
@@ -575,26 +579,27 @@ class _SoeOperator:
         window = np.ndarray(stack + (blocks, b + 1), buffer=padded,
                             strides=padded.strides[:-1] + (b * step, step))
         out = np.empty(stack + (blocks, b))
+        # Every contraction is one gemv per row and block (see above): the
+        # samples and the history enter as columns, a trailing unit axis.
         for i, near in enumerate(self.near):
-            np.einsum("bij,...bj->...bi", near, window[..., :near.shape[2]],
-                      out=out[..., i * rows:(i + 1) * rows])
+            np.matmul(near, window[..., :near.shape[2], None],
+                      out=out[..., i * rows:(i + 1) * rows, None])
         if blocks > 1:
             modes, gauss = self.modes, self.gather.shape[1]
             # Zeros: the recurrence also carries the modes a tier drops.
             hist = np.zeros(stack + (blocks - 1, gauss + modes.x.size))
-            np.einsum("ckj,...cj->...ck", self.gather, window[..., :-1, :],
-                      out=hist[..., :gauss])
+            np.matmul(self.gather, window[..., :-1, :, None], out=hist[..., :gauss, None])
             for (c0, c1, k), gather in zip(modes.tiers, modes.gather):
-                np.einsum("cjk,...cj->...ck", gather, window[..., c0:c1, :],
-                          out=hist[..., c0:c1, gauss:gauss + k])
+                np.matmul(gather, window[..., c0:c1, :, None],
+                          out=hist[..., c0:c1, gauss:gauss + k, None])
             chunks = hist.swapaxes(0, -2)
             for c in range(1, blocks - 1):
                 chunks[c] += self.decay[c] * chunks[c - 1]
             hist[..., gauss:] *= self.weights
-            out[..., 1:, :] += np.einsum("cki,...ck->...ci", self.spread, hist[..., :gauss])
+            out[..., 1:, :] += np.matmul(self.spread, hist[..., :gauss, None])[..., 0]
             for (c0, c1, k), spread in zip(modes.tiers, modes.spread):
-                out[..., c0 + 1:c1 + 1, :] += np.einsum(
-                    "cik,...ck->...ci", spread, hist[..., c0:c1, gauss:gauss + k])
+                out[..., c0 + 1:c1 + 1, :] += np.matmul(
+                    spread, hist[..., c0:c1, gauss:gauss + k, None])[..., 0]
         return out.reshape(stack + (-1,))[..., :self.n + 1]
 
 
@@ -664,11 +669,10 @@ def _soe_operator(nodes: np.ndarray, order: float,
         if modes is None:
             modes = _soe_modes(t)
         near = _near_tables(t, order)
-        # Mode-major: einsum runs these narrow tables faster along the rows.
-        gather, spread = _history_tables(t, x[:gauss], mode_major=True)
+        gather, spread = _history_tables(t, x[:gauss])
         decay = _decay_table(t, x)
         w = w / math.gamma(order)
-        spread *= w[:gauss, None]
+        spread *= w[:gauss]
     except MemoryError:
         raise MeshTooLarge(
             f"the {need / 2**30:.3g} GiB of sum-of-exponentials tables on {n} "

@@ -405,11 +405,15 @@ def boundary_identity_gap(problem: HilferProblem, consts: DerivedConstants,
         error = _sample_errors(samples, rule.mesh.nodes)[0]
     if error is not None:
         raise error
-    weights = boundary_kernel_weights(problem.alpha, rule.mesh)
-    b = float(np.einsum("i,i->", weights, samples[0]))
-    a = problem.d / (consts.mu * math.gamma(consts.gamma + 1.0)) + b / consts.mu
     lhs = math.gamma(consts.gamma) * float(w.values[0])
-    return abs(lhs - problem.lam * a - problem.d)
+    # The lam A term is left out at lam = 0: A may overflow, and 0 * inf
+    # is nan.
+    if problem.lam != 0.0:
+        weights = boundary_kernel_weights(problem.alpha, rule.mesh)
+        b = float(np.einsum("i,i->", weights, samples[0]))
+        a = problem.d / (consts.mu * math.gamma(consts.gamma + 1.0)) + b / consts.mu
+        lhs -= problem.lam * a
+    return abs(lhs - problem.d)
 
 
 def bracket_from_bounds(problem: HilferProblem, consts: DerivedConstants,

@@ -111,8 +111,11 @@ def _residual_stack(problems: Sequence[HilferProblem],
         count = int(np.count_nonzero(mask))
         reports = []
         for p, c, solution, row in zip(problems, consts, solutions, interior):
-            boundary = abs(math.gamma(c.gamma) * float(solution.values[0])
-                           - p.lam * physical_integral(solution) - p.d)
+            defect = math.gamma(c.gamma) * float(solution.values[0])
+            if p.lam != 0.0:
+                # Left out at lam = 0: int y may overflow, and 0 * inf is nan.
+                defect -= p.lam * physical_integral(solution)
+            boundary = abs(defect - p.d)
             reports.append(ResidualReport(interior_residual=row, boundary_residual=boundary,
                                           t_cut=t_cut, node_count=count))
     return reports

@@ -209,6 +209,23 @@ class TestSolve:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "not finite" in err and "boundary (direct quadrature) = nan" in err
 
+    def test_lambda_zero_leaves_out_the_overflowing_integral(self, tmp_path, capsys):
+        # At lambda = 0 the boundary defect is |Gamma(gamma) w(0) - d|: an
+        # int_0^1 y that overflows must not turn it into 0 * inf = nan.
+        path, out = write_config(tmp_path, lam="0.0", d=OVERFLOW_D)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", str(path)]) == EXIT_OK
+            capsys.readouterr()
+            assert main(["verify", str(path), str(out / "solution.csv")]) == EXIT_OK
+        checked = capsys.readouterr().out
+        lines = [line for line in (out / "report.txt").read_text().splitlines()
+                 + checked.splitlines() if "boundary" in line and "=" in line
+                 and "kernel" not in line]
+        assert len(lines) == 4, lines
+        for line in lines:
+            assert math.isfinite(float(line.rsplit("=", 1)[1])), line
+
     def test_oversized_mesh_exit(self, tmp_path, capsys):
         # The nodes alone of n = 10^13 take 80 TB: the mesh is rejected
         # before any array is allocated, with one error line.

@@ -522,7 +522,6 @@ def _ref_soe_order_tables(t, order):
     w = w / math.gamma(order)
     spread *= w[:gauss]
     gather = np.ascontiguousarray(gather.transpose(0, 2, 1))
-    spread = np.ascontiguousarray(spread.transpose(0, 2, 1))
     return near, gather, spread
 
 
@@ -921,9 +920,14 @@ class TestSoeOperator:
             _clear_operator_caches()
 
     def test_independent_of_blas_threads(self):
-        # Neither the SOE apply nor the cumulative trapezoid uses BLAS, so
-        # the output is the same bytes with one or two OpenBLAS threads, at
-        # fractional and integer orders alike.  Nothing is built at import.
+        # The SOE apply makes one small BLAS dgemv per row and block, which
+        # OpenBLAS runs in one thread (_SoeOperator); the cumulative
+        # trapezoid uses no BLAS.  So the output is the same bytes with
+        # one, two or four OpenBLAS threads, at fractional and integer
+        # orders alike.  On the r = 40 mesh the first tier keeps 632
+        # modes: its gathers (632 x 65) and spreads (64 x 632) are the
+        # largest gemvs of an apply at n = 4096.  Nothing is built at
+        # import.
         script = (
             "import hashlib, numpy as np\n"
             "from hilferbvp import fracops\n"
@@ -942,15 +946,22 @@ class TestSoeOperator:
             "    out += fracops.hilfer_derivative(0.3, 0.8, g, rule).tobytes()\n"
             "    ops = [fracops._cached_soe_operator(n, mesh.r, a) for a in (0.25, 0.7)]\n"
             "    assert ops[0].modes is ops[1].modes\n"
+            "mesh = GradedMesh(4096, 40.0)\n"
+            "assert fracops._soe_tiers(mesh.nodes)[0][2] == 632\n"
+            "g = np.sin(7.0 * mesh.nodes) + mesh.nodes ** 0.3\n"
+            "rule = fracops.QuadratureRule(mesh)\n"
+            "out += fracops.rl_integral(0.05, g, rule).tobytes()\n"
+            "stack = np.vstack([g, g ** 2, np.cos(g)])\n"
+            "out += fracops.rl_integral(0.05, stack, rule).tobytes()\n"
             "print(hashlib.sha256(out).hexdigest())\n"
         )
         digests = []
-        for threads in (1, 2):
+        for threads in (1, 2, 4):
             done = subprocess.run([sys.executable, "-c", script], env=child_env(threads),
                                   capture_output=True, text=True, check=True)
             digests.append(done.stdout.strip())
         assert len(digests[0]) == 64
-        assert digests[0] == digests[1]
+        assert digests[0] == digests[1] == digests[2]
 
 
 class TestSharedSoeTables:
@@ -1015,16 +1026,17 @@ class TestSharedSoeTables:
             _clear_operator_caches()
 
     def test_tables_held_by_a_solve_and_its_check(self):
-        # alpha = beta = 1/2 at n = 4096 on its default mesh: the solve
-        # applies order 1/2, the residual check order 1/4 twice.
+        # alpha = beta = 1/2 at n = 4096 on its default mesh: the solve and
+        # its residual check both apply order 1/2, one operator beside the
+        # shared modes (5.25 MiB).
         n, r = 4096, 8.0 / 3.0
         _clear_operator_caches()
         try:
-            ops = [fracops._cached_soe_operator(n, r, order) for order in (0.5, 0.25)]
-            held = sum(op.nbytes for op in ops) + ops[0].modes.nbytes
+            op = fracops._cached_soe_operator(n, r, 0.5)
+            held = op.nbytes + op.modes.nbytes
         finally:
             _clear_operator_caches()
-        assert held <= 9.7 * 2 ** 20
+        assert held <= 5.3 * 2 ** 20
 
     def test_no_subnormal_table_entries(self):
         # Entries below exp(-_SOE_FLUSH) are exact zeros, and no subnormal
@@ -1135,7 +1147,7 @@ class TestSoeTiers:
         full = fracops._history_tables(nodes, modes.x)
         assert list(modes.tiers) == fracops._soe_tiers(nodes) and len(modes.tiers) > 1
         for (c0, c1, k), gather, spread in zip(modes.tiers, modes.gather, modes.spread):
-            assert gather.tobytes() == np.ascontiguousarray(full[0][c0:c1, :, :k]).tobytes()
+            assert gather.tobytes() == np.ascontiguousarray(full[0][c0:c1, :k]).tobytes()
             assert spread.tobytes() == np.ascontiguousarray(full[1][c0:c1, :, :k]).tobytes()
 
 
@@ -1151,7 +1163,8 @@ class TestGroupedTables:
         modes = fracops._soe_modes(t)
         for (c0, c1, k), gather, spread in zip(modes.tiers, modes.gather, modes.spread):
             ref = _ref_history_tables(t, modes.x[:k], c0, c1)
-            assert gather.tobytes() == ref[0].tobytes(), (n, r, c0)
+            ref_gather = np.ascontiguousarray(ref[0].transpose(0, 2, 1))
+            assert gather.tobytes() == ref_gather.tobytes(), (n, r, c0)
             assert spread.tobytes() == ref[1].tobytes(), (n, r, c0)
         for order in (0.05, 0.25, 0.5, 0.95):
             op = fracops._soe_operator(t, order, modes)
