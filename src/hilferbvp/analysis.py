@@ -24,6 +24,9 @@ CERT_MU_NONZERO = "mu-nonzero"
 CERT_KERNEL_BOUND = "kernel-bound"
 CERT_CONTRACTION = "contraction"
 
+# Points per axis of the (t, y) grid on which f's nonnegativity is sampled.
+_RHS_GRID = 32
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -101,10 +104,9 @@ def contraction_certificate(consts: DerivedConstants, alpha: float,
     )
 
 
-def _nonnegativity_certificate(problem: HilferProblem, t_grid: int,
-                               y_grid: int, y_max: float) -> Certificate:
-    ts = np.arange(1, t_grid + 1) / t_grid
-    ys = np.linspace(0.0, y_max, y_grid)
+def _nonnegativity_certificate(problem: HilferProblem, y_max: float) -> Certificate:
+    ts = np.arange(1, _RHS_GRID + 1) / _RHS_GRID
+    ys = np.linspace(0.0, y_max, _RHS_GRID)
     t, y = np.meshgrid(ts, ys, indexing="ij")
     try:
         vals = problem.rhs_values(t, y)
@@ -122,20 +124,19 @@ def _nonnegativity_certificate(problem: HilferProblem, t_grid: int,
         holds=holds,
         value=worst,
         threshold=0.0,
-        detail=(f"min of f over a {t_grid}x{y_grid} grid on (0,1]x[0,{y_max:g}], "
+        detail=(f"min of f over a {_RHS_GRID}x{_RHS_GRID} grid on (0,1]x[0,{y_max:g}], "
                 f"attained near (t,y)=({where[0]:.4g},{where[1]:.4g}); "
                 "sampled falsification only"),
     )
 
 
-def hypothesis_report(problem: HilferProblem, t_grid: int = 32,
-                      y_grid: int = 32) -> List[Certificate]:
+def hypothesis_report(problem: HilferProblem) -> List[Certificate]:
     """All evaluable certificates in fixed order: nonnegativity of f, mu,
     kernel bound, and (when a Lipschitz constant is known and mu > 0) the
     contraction condition.  Failing certificates are returned, not raised.
     """
     y_max = problem.upper_bound if problem.upper_bound is not None else 10.0
-    certs = [_nonnegativity_certificate(problem, t_grid, y_grid, y_max)]
+    certs = [_nonnegativity_certificate(problem, y_max)]
     consts = unguarded_constants(problem)
     certs.append(check_mu(consts))
     certs.append(check_kernel_bound(problem.alpha))

@@ -10,7 +10,9 @@ derivative taken by three-point finite differences on the (nonuniform)
 mesh.
 
 Fractional orders are plain floats, validated per operation: integrals
-accept any order > 0, derivatives need order in (0, 1).
+accept any order > 0, derivatives need order in (0, 1).  The integral and
+the derivatives take one row of node samples or a stack of rows, shape
+(m, n+1); each row of a stack comes out bit for bit as its own one-row call.
 """
 
 from __future__ import annotations
@@ -730,11 +732,11 @@ def _cached_kernel_weights(n: int, r: float, p: float, side: str) -> np.ndarray:
     return _pl_kernel_weights(GradedMesh(n, r).nodes, p, side)
 
 
-def _check_samples(samples, mesh: GradedMesh, max_ndim: int = 1) -> np.ndarray:
-    """The samples as floats: one value per node along the last of at most
-    max_ndim axes."""
+def _check_samples(samples, mesh: GradedMesh) -> np.ndarray:
+    """The samples as floats: one row of one value per node, or a stack of
+    such rows, shape (m, n+1)."""
     g = np.asarray(samples, dtype=float)
-    if not (1 <= g.ndim <= max_ndim and g.shape[-1] == mesh.n + 1):
+    if not (1 <= g.ndim <= 2 and g.shape[-1] == mesh.n + 1):
         raise MeshMismatch(
             f"expected {mesh.n + 1} samples for a mesh with {mesh.n} intervals, "
             f"got shape {g.shape}"
@@ -769,7 +771,7 @@ def rl_integral(order: float, samples, rule: QuadratureRule) -> np.ndarray:
     """
     if not (math.isfinite(order) and order > 0.0):
         raise OutOfDomain(f"integral order must be > 0, got {order}")
-    g = _check_samples(samples, rule.mesh, max_ndim=2)
+    g = _check_samples(samples, rule.mesh)
     n, r = rule.mesh.n, rule.mesh.r
     whole = math.floor(order + _ORDER_EPS)
     frac = float(order) - whole
@@ -785,16 +787,8 @@ def rl_integral(order: float, samples, rule: QuadratureRule) -> np.ndarray:
 
 
 def differentiate(samples, mesh: GradedMesh) -> np.ndarray:
-    """Nodal derivative by three-point stencils (one-sided at both ends)."""
-    v = _check_samples(samples, mesh)
-    if mesh.n < 2:
-        raise InsufficientNodes(f"differentiation needs >= 2 intervals, got {mesh.n}")
-    return _stencil(v, mesh.nodes)
-
-
-def _stencil(v: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """differentiate along the last axis of v, one row or a stack of rows;
-    each row of a stack comes out bit for bit as its own one-row call.
+    """Nodal derivative by three-point stencils (one-sided at both ends) of
+    one row or a stack of rows, as rl_integral takes them.
 
     Each weight is a ratio of two widths over a third, so no product of two
     widths is formed (on steep meshes such products underflow), and the
@@ -802,6 +796,10 @@ def _stencil(v: np.ndarray, t: np.ndarray) -> np.ndarray:
     instead of leaving a rounding error times |v|/h^2.  With every width at
     least the smallest normal double (GradedMesh checks this), no weight
     exceeds 1/min h and all stay finite."""
+    v = _check_samples(samples, mesh)
+    if mesh.n < 2:
+        raise InsufficientNodes(f"differentiation needs >= 2 intervals, got {mesh.n}")
+    t = mesh.nodes
     h = np.diff(t)
     dv = np.diff(v)
     out = np.empty_like(v)
@@ -835,32 +833,24 @@ def hilfer_derivative(alpha: float, beta: float, samples, rule: QuadratureRule) 
     alpha = 1 is admitted as the classical-derivative limit (all fractional
     orders collapse to zero).  beta = 0 is the Riemann-Liouville derivative
     d/dt I^(1-alpha) g, beta = 1 the Caputo derivative I^(1-alpha) g'.
+    ``samples`` is one row or a stack of rows, as rl_integral takes them.
     """
     if not (math.isfinite(alpha) and 0.0 < alpha <= 1.0):
         raise OutOfDomain(f"alpha must lie in (0, 1], got {alpha}")
     if not (0.0 <= beta <= 1.0):
         raise OutOfDomain(f"beta must lie in [0, 1], got {beta}")
-    # 1 - gamma as (1-alpha)(1-beta): at beta = 1/2 it is then bitwise the
-    # outer order beta(1-alpha), and both stages share one SOE operator.
-    inner = (1.0 - alpha) * (1.0 - beta)
-    outer = beta * (1.0 - alpha)
-    stage = _integral_derivative(inner, samples, rule)
-    return stage if outer < _ORDER_EPS else rl_integral(outer, stage, rule)
-
-
-def _integral_derivative(order: float, samples, rule: QuadratureRule,
-                         max_ndim: int = 1) -> np.ndarray:
-    """d/dt I^order g, 0 <= order < 1: the inner stages of hilfer_derivative.
-    With max_ndim = 2 ``samples`` may be a stack of rows, shape (m, n+1),
-    each of which comes out bit for bit as its one-row call; with order
-    1 - alpha a row's result is then hilfer_derivative(alpha, 0.0, row)."""
     if rule.mesh.n < 4:
         raise InsufficientNodes(
             f"fractional derivatives need >= 4 mesh intervals, got {rule.mesh.n}"
         )
-    g = _check_samples(samples, rule.mesh, max_ndim)
-    stage = g if order < _ORDER_EPS else rl_integral(order, g, rule)
-    return _stencil(stage, rule.mesh.nodes)
+    g = _check_samples(samples, rule.mesh)
+    # 1 - gamma as (1-alpha)(1-beta): at beta = 1/2 it is then bitwise the
+    # outer order beta(1-alpha), and both stages share one SOE operator.
+    inner = (1.0 - alpha) * (1.0 - beta)
+    outer = beta * (1.0 - alpha)
+    stage = g if inner < _ORDER_EPS else rl_integral(inner, g, rule)
+    stage = differentiate(stage, rule.mesh)
+    return stage if outer < _ORDER_EPS else rl_integral(outer, stage, rule)
 
 
 def boundary_kernel_weights(alpha: float, mesh: GradedMesh) -> np.ndarray:

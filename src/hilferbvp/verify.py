@@ -35,12 +35,7 @@ import numpy as np
 
 from .core import DerivedConstants, GradedMesh, HilferProblem, WeightedGridFunction
 from .errors import NotConstantRhs, OutOfDomain, RequiresLambdaZero, SingularProblem
-from .fracops import (
-    QuadratureRule,
-    _integral_derivative,
-    hilfer_derivative,
-    physical_integral,
-)
+from .fracops import QuadratureRule, hilfer_derivative, physical_integral
 
 # Relative tolerance used to decide that sampled rhs values are "the same
 # constant"; pure roundoff in user callbacks stays far below this.
@@ -99,12 +94,7 @@ def _residual_stack(problems: Sequence[HilferProblem],
         v = np.zeros_like(w)
         v[:, 1:] = t[1:] ** (gamma - 1.0) * (w[:, 1:] - w[:, :1])
         # The Riemann-Liouville form of the derivative (module docstring).
-        # hilfer_derivative takes one row; a stack goes through its inner
-        # stages, which give each row the same bits.
-        if len(w) == 1:
-            derivative = hilfer_derivative(lead.alpha, 0.0, v[0], rule)[None]
-        else:
-            derivative = _integral_derivative(1.0 - lead.alpha, v, rule, max_ndim=2)
+        derivative = hilfer_derivative(lead.alpha, 0.0, v, rule)
         y = t[mask] ** (gamma - 1.0) * w[:, mask]
         f = lead.rhs_values(np.tile(t[mask], len(w)), y.reshape(-1)).reshape(y.shape)
         interior = np.max(np.abs(derivative[:, mask] - f), axis=1).tolist()

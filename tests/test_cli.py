@@ -736,11 +736,15 @@ def _csv_writer_solution(path, w):
 
 
 class TestSolutionCsv:
-    @pytest.mark.parametrize("n", [8, 4096])
-    @pytest.mark.parametrize("gamma", [0.75, 1.0])
+    # The last mesh is the steepest GradedMesh accepts at n = 257: t_1 is
+    # 8.7e-307, and with gamma = 0.02 the column y reaches ~1e300.
+    @pytest.mark.parametrize("gamma, n, r", [
+        pytest.param(gamma, n, 2.0 / gamma, id=f"{gamma}-{n}")
+        for gamma in (0.75, 1.0) for n in (8, 4096)
+    ] + [pytest.param(0.02, 257, 127.0, id="0.02-257-127")])
     @pytest.mark.parametrize("w0", [0.0, 1.3])
-    def test_same_bytes_as_csv_writer(self, tmp_path, n, gamma, w0):
-        mesh = GradedMesh(n, 2.0 / gamma)
+    def test_same_bytes_as_csv_writer(self, tmp_path, gamma, n, r, w0):
+        mesh = GradedMesh(n, r)
         values = np.random.default_rng(n).uniform(0.0, 3.0, n + 1)
         values[0] = w0
         w = WeightedGridFunction(mesh, gamma, values)
@@ -755,7 +759,7 @@ class TestBenchmarkTracer:
 
     LAYERS = {"solver.apply_delta", "fracops.rl_integral",
               "fracops.boundary_kernel_weights", "fracops.physical_integral",
-              "verify.residual_check"}
+              "fracops.hilfer_derivative", "verify.residual_check"}
 
     @staticmethod
     def _trace(tmp_path, *cli_args):

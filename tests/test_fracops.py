@@ -96,11 +96,12 @@ class TestRlIntegral:
             rl_integral(0.5, np.zeros((2, 3, 17)), rule)
         with pytest.raises(MeshMismatch):
             rl_integral(0.5, 1.0, rule)
-        # The derivatives take one row only.
-        with pytest.raises(MeshMismatch):
-            differentiate(np.zeros((2, 17)), rule.mesh)
-        with pytest.raises(MeshMismatch):
-            hilfer_derivative(0.5, 0.5, np.zeros((2, 17)), rule)
+        # The derivatives take a row or a stack of rows, as rl_integral.
+        for bad in (np.zeros((2, 3, 17)), np.zeros((3, 16))):
+            with pytest.raises(MeshMismatch):
+                differentiate(bad, rule.mesh)
+            with pytest.raises(MeshMismatch):
+                hilfer_derivative(0.5, 0.5, bad, rule)
 
     def test_weights_nonnegative(self):
         # Positivity preservation of the cone hinges on this: every table of
@@ -174,16 +175,23 @@ class TestDifferentiate:
         assert np.max(np.abs(out[away] - 1.5 * t[away] ** 0.5)) <= 1e-6
 
     def test_stacked_rows_match_one_row_calls(self):
-        # The stencil behind differentiate and hilfer_derivative takes a
-        # stack of rows, each bit for bit its one-row call, as rl_integral.
+        # differentiate and hilfer_derivative take a stack of rows, each bit
+        # for bit its one-row call, as rl_integral.
         rule = make_rule(300, r=8.0 / 3.0)
         t = rule.mesh.nodes
         rows = np.stack([smooth_profile(t), t ** 1.5, np.sin(5.0 * t)])
-        stacked = fracops._integral_derivative(0.5, rows, rule, max_ndim=2)
-        plain = fracops._integral_derivative(0.0, rows, rule, max_ndim=2)
-        for k, g in enumerate(rows):
-            assert np.array_equal(stacked[k], hilfer_derivative(0.5, 0.0, g, rule))
-            assert np.array_equal(plain[k], differentiate(g, rule.mesh))
+        for m in (1, 3):
+            plain = differentiate(rows[:m], rule.mesh)
+            assert plain.shape == (m, 301)
+            for k, g in enumerate(rows[:m]):
+                assert np.array_equal(plain[k], differentiate(g, rule.mesh))
+            for alpha, beta in ((0.5, 0.0), (0.5, 0.5), (0.3, 0.8), (0.7, 1.0),
+                                (1.0, 0.0), (1.0, 0.5)):
+                stacked = hilfer_derivative(alpha, beta, rows[:m], rule)
+                assert stacked.shape == (m, 301)
+                for k, g in enumerate(rows[:m]):
+                    one = hilfer_derivative(alpha, beta, g, rule)
+                    assert np.array_equal(stacked[k], one), (alpha, beta, m)
 
 
 class TestRlDerivative:
