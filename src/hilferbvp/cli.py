@@ -174,11 +174,7 @@ def _settings(cfg: RunConfig) -> solver.PicardSettings:
 def cmd_solve(args) -> int:
     cfg = _apply_overrides(parse_run_file(args.config), args)
     problem = cfg.to_problem()
-    try:
-        consts = derive_constants(problem)
-    except SingularProblem as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
+    consts = derive_constants(problem)
     mesh = cfg.mesh()
     rule = QuadratureRule(mesh)
     result = solver.solve_picard(problem, consts, _settings(cfg), rule)
@@ -415,11 +411,7 @@ def _read_solution_csv(path: str, mesh) -> np.ndarray:
 def cmd_verify(args) -> int:
     cfg = _apply_overrides(parse_run_file(args.config), args)
     problem = cfg.to_problem()
-    try:
-        consts = derive_constants(problem)
-    except SingularProblem as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
+    consts = derive_constants(problem)
     mesh = cfg.mesh()
     w_values = _read_solution_csv(args.solution, mesh)
     solution = WeightedGridFunction(mesh, consts.gamma, w_values)
@@ -487,6 +479,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NonFiniteResidual as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESIDUAL
+    except SingularProblem as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SINGULAR
     except HilferBvpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

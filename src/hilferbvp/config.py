@@ -390,42 +390,5 @@ def parse_sweep_file(path: str) -> SweepConfig:
     return parse_sweep_text(text, path)
 
 
-def emit_run_config(cfg: RunConfig) -> str:
-    """Serialize a RunConfig; parse_run_text inverts this exactly."""
-    lines = ["[problem]"]
-    lines.append(f"alpha = {cfg.alpha!r}")
-    lines.append(f"beta = {cfg.beta!r}")
-    lines.append(f"lambda = {cfg.lam!r}")
-    lines.append(f"d = {cfg.d!r}")
-    lines.append("")
-    lines.append("[rhs]")
-    lines.append(f"kind = {cfg.rhs.kind}")
-    for key in _RHS_PARAM_KEYS[cfg.rhs.kind]:
-        value = getattr(cfg.rhs, key)
-        lines.append(f"{key} = {value if key == 'expr' else repr(value)}")
-    if cfg.lipschitz is not None:
-        lines.append(f"lipschitz = {cfg.lipschitz!r}")
-    lines.append("")
-    lines.append("[mesh]")
-    lines.append(f"n = {cfg.mesh_n}")
-    lines.append(f"r = {'auto' if cfg.mesh_r is None else repr(cfg.mesh_r)}")
-    lines.append("")
-    lines.append("[picard]")
-    lines.append(f"tol = {cfg.tol!r}")
-    lines.append(f"max_iter = {cfg.max_iter}")
-    if cfg.lower is not None or cfg.upper is not None:
-        lines.append("")
-        lines.append("[bounds]")
-        if cfg.lower is not None:
-            lines.append(f"lower = {cfg.lower!r}")
-        if cfg.upper is not None:
-            lines.append(f"upper = {cfg.upper!r}")
-    lines.append("")
-    lines.append("[output]")
-    lines.append(f"dir = {cfg.output_dir}")
-    lines.append("")
-    return "\n".join(lines)
-
-
 _KNOWN_RUN = frozenset({"problem", "rhs", "mesh", "picard", "bounds", "output"})
 _KNOWN_SWEEP = _KNOWN_RUN | {"sweep"}

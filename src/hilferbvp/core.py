@@ -206,18 +206,27 @@ def unguarded_constants(problem: HilferProblem) -> DerivedConstants:
     return DerivedConstants(gamma=gamma, mu=mu, capital_lambda=capital_lambda)
 
 
-def derive_constants(problem: HilferProblem) -> DerivedConstants:
-    """Compute (gamma, mu, Lambda) for a problem.
-
-    Raises SingularProblem when |mu| < MU_TOLERANCE: the equivalence between
-    the differential problem and the integral equation requires mu != 0.
-    A negative mu is recorded, not fatal here; positivity analyses reject it.
-    """
-    consts = unguarded_constants(problem)
+def mu_error(problem: HilferProblem,
+             consts: DerivedConstants) -> Optional[SingularProblem]:
+    """The SingularProblem of a problem whose |mu| < MU_TOLERANCE, else None:
+    the equivalence between the differential problem and the integral
+    equation requires mu != 0."""
     if abs(consts.mu) < MU_TOLERANCE:
-        raise SingularProblem(
+        return SingularProblem(
             f"mu = 1 - lam/Gamma(gamma+1) = {consts.mu:.3e} with lam={problem.lam}, "
             f"gamma={consts.gamma}: the integral-equation formulation requires mu != 0"
         )
-    return consts
+    return None
 
+
+def derive_constants(problem: HilferProblem) -> DerivedConstants:
+    """Compute (gamma, mu, Lambda) for a problem.
+
+    Raises the mu_error of a problem whose mu is numerically zero.  A
+    negative mu is recorded, not fatal here; positivity analyses reject it.
+    """
+    consts = unguarded_constants(problem)
+    error = mu_error(problem, consts)
+    if error is not None:
+        raise error
+    return consts

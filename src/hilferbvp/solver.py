@@ -23,11 +23,11 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from .core import (
-    MU_TOLERANCE,
     DerivedConstants,
     GradedMesh,
     HilferProblem,
     WeightedGridFunction,
+    mu_error,
 )
 from .errors import (
     HilferBvpError,
@@ -35,7 +35,6 @@ from .errors import (
     NonFiniteIterate,
     RhsEvaluationFailure,
     RhsNegative,
-    SingularProblem,
 )
 from .fracops import QuadratureRule, boundary_kernel_weights, rl_integral
 
@@ -123,16 +122,6 @@ def _sample_errors(samples: np.ndarray, t: np.ndarray) -> List[Optional[HilferBv
     return errors
 
 
-def _mu_error(consts: DerivedConstants) -> Optional[SingularProblem]:
-    """SingularProblem when mu rules out the integral equation, else None."""
-    if abs(consts.mu) < MU_TOLERANCE:
-        return SingularProblem(
-            f"mu = {consts.mu:.3e} is numerically zero: the integral equation "
-            "is unavailable (it requires mu != 0)"
-        )
-    return None
-
-
 def apply_delta(problem: Union[HilferProblem, Sequence[HilferProblem]],
                 consts: Union[DerivedConstants, Sequence[DerivedConstants]],
                 w: Union[WeightedGridFunction, np.ndarray], rule: QuadratureRule):
@@ -151,13 +140,16 @@ def apply_delta(problem: Union[HilferProblem, Sequence[HilferProblem]],
     (m, n+1) array of images, each equal to that of the one-problem call
     bit for bit.
 
-    A problem fails with SingularProblem, RhsEvaluationFailure,
-    RhsNegative, or NonFiniteIterate when its image overflows.  A stack
-    raises what the one-problem call of its first failing row raises, and
-    that error's ``rows`` attribute holds the outcome of every row: the
-    list of each row's own error (None for a row that did not fail) and the
-    (m, n+1) images, whose rows without error are those of the one-problem
-    calls bit for bit.  No row is evaluated twice.
+    Every row is applied, and only then given its first error, checked in
+    this order: SingularProblem (the mu_error of its constants),
+    RhsEvaluationFailure or RhsNegative (its rhs samples), NonFiniteIterate
+    (its image overflowed).  When every row fails one of the first two
+    checks, nothing is applied and the images are nan.  A stack raises the
+    error of its first failing row, which is what that row's one-problem
+    call raises, and the error's ``rows`` attribute holds the outcome of
+    every row: the list of each row's own error (None for a row that did
+    not fail) and the (m, n+1) images, whose rows without error are those
+    of the one-problem calls bit for bit.  No row is evaluated twice.
     """
     if isinstance(problem, HilferProblem):
         images = _apply_stack((problem,), (consts,), w.values[None], rule)
@@ -168,8 +160,7 @@ def apply_delta(problem: Union[HilferProblem, Sequence[HilferProblem]],
 def _apply_stack(problems: Sequence[HilferProblem],
                  consts: Sequence[DerivedConstants], w: np.ndarray,
                  rule: QuadratureRule) -> np.ndarray:
-    """apply_delta of a stack; see there.  A row that fails a stage leaves
-    the stack before the next one."""
+    """apply_delta of a stack; see there."""
     lead = problems[0]
     if any(p.alpha != lead.alpha or p.beta != lead.beta or p.rhs is not lead.rhs
            for p in problems):
@@ -177,48 +168,40 @@ def _apply_stack(problems: Sequence[HilferProblem],
     mesh = rule.mesh
     t = mesh.nodes
     gamma = consts[0].gamma
-    errors = [_mu_error(c) for c in consts]
+    samples = _rhs_samples(lead, gamma, w, mesh)
+    errors = [mu_error(p, c) or error
+              for p, c, error in zip(problems, consts, _sample_errors(samples, t))]
+    if None not in errors:
+        # No row is left to apply, so nothing is convolved: a solve whose
+        # rhs fails at its first iterate reports that, not MeshTooLarge.
+        errors[0].rows = (errors, np.full_like(w, np.nan))
+        raise errors[0]
     out = np.empty_like(w)
-
-    def survivors(values, rows):
-        # The rows still without error, and their values.
-        keep = [k for k, i in enumerate(rows) if errors[i] is None]
-        if len(keep) == len(rows):
-            return values, rows
-        return values[keep], [rows[k] for k in keep]
-
-    w, rows = survivors(w, list(range(len(w))))
-    if rows:
-        samples = _rhs_samples(lead, gamma, w, mesh)
-        for i, error in zip(rows, _sample_errors(samples, t)):
-            errors[i] = error
-        samples, rows = survivors(samples, rows)
-    if rows:
-        images = out if len(rows) == len(out) else np.empty(samples.shape)
-        heads = np.array([consts[i].capital_lambda for i in rows])
-        weights = None
-        # Overflow shows as a non-finite image, which is checked below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            conv = rl_integral(lead.alpha, samples, rule)
-            # B row by row through einsum's own loop: BLAS ddot splits long
-            # vectors over its threads, so its sum depends on the thread count.
-            for k, i in enumerate(rows):
-                if problems[i].lam != 0.0:
-                    if weights is None:
-                        weights = boundary_kernel_weights(lead.alpha, mesh)
-                    b = float(np.einsum("i,i->", weights, samples[k]))
-                    heads[k] += problems[i].lam * b / (math.gamma(gamma) * consts[i].mu)
-            images[:, 0] = heads
-            images[:, 1:] = heads[:, None] + t[1:] ** (1.0 - gamma) * conv[:, 1:]
-        finite = np.isfinite(images)
-        for k in np.flatnonzero(~finite.all(axis=1)):
+    heads = np.array([c.capital_lambda for c in consts])
+    weights = None
+    # The samples of a failed row and an overflow give non-finite images,
+    # which are checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        conv = rl_integral(lead.alpha, samples, rule)
+        # B row by row through einsum's own loop: BLAS ddot splits long
+        # vectors over its threads, so its sum depends on the thread count.
+        # A failed row gets no B: at mu = 0 it would divide by zero.
+        for k, (p, c) in enumerate(zip(problems, consts)):
+            if p.lam != 0.0 and errors[k] is None:
+                if weights is None:
+                    weights = boundary_kernel_weights(lead.alpha, mesh)
+                b = float(np.einsum("i,i->", weights, samples[k]))
+                heads[k] += p.lam * b / (math.gamma(gamma) * c.mu)
+        out[:, 0] = heads
+        out[:, 1:] = heads[:, None] + t[1:] ** (1.0 - gamma) * conv[:, 1:]
+    finite = np.isfinite(out)
+    for k in np.flatnonzero(~finite.all(axis=1)):
+        if errors[k] is None:
             j = int(np.argmin(finite[k]))
-            errors[rows[k]] = NonFiniteIterate(
-                f"the operator image is {images[k, j]} at t={t[j]}: the iterate "
+            errors[k] = NonFiniteIterate(
+                f"the operator image is {out[k, j]} at t={t[j]}: the iterate "
                 "overflowed double precision"
             )
-        if images is not out:
-            out[rows] = images
     failed = [error for error in errors if error is not None]
     if failed:
         failed[0].rows = (errors, out)
@@ -330,13 +313,13 @@ def _solve_stack(problems: Sequence[HilferProblem], consts: Sequence[DerivedCons
     rhs callable and the mesh, run in lock-step: each iteration makes one
     apply_delta call for the problems still running.  Residuals, stopping
     test, Anderson history, cone safeguard and iteration count are kept per
-    problem, and a problem leaves the stack when it converges, reaches
-    ``settings.max_iter`` or its operator fails.
+    problem.
 
     The outcome of each problem is what solve_picard gives for it alone,
     bit for bit: its SolveResult, or the HilferBvpError its solve raises.
-    When the stacked apply_delta raises, its error holds each row's outcome
-    (see apply_delta): a row with an error retires with it, and the others
+    The stacked apply_delta applies every row and only then gives each its
+    first error (see there), so one pass per iteration retires each row on
+    its error, on convergence or at ``settings.max_iter``.  The other rows
     continue from their own images, which equal those of solo applies bit
     for bit, so no row is applied again.
     """
@@ -350,25 +333,19 @@ def _solve_stack(problems: Sequence[HilferProblem], consts: Sequence[DerivedCons
         try:
             g = apply_delta([problems[i] for i in running],
                             [consts[i] for i in running], x, rule)
+            errors = [None] * len(running)
         except HilferBvpError as exc:
             # The error of each row (see apply_delta), or of every row for an
-            # error that is not a row's own, such as MeshTooLarge.
-            errors, g = vars(exc).pop("rows", ([exc] * len(running), None))
-            kept = []
-            for r, (i, error) in enumerate(zip(running, errors)):
-                if error is None:
-                    kept.append(r)
-                else:
-                    outcomes[i] = error
-            if not kept:
-                break
-            running = [running[r] for r in kept]
-            x, g = x[kept], g[kept]
-            mixer.keep(kept)
+            # error that is not a row's own, such as MeshTooLarge; then x
+            # stands in for the images, which no retired row reads.
+            errors, g = vars(exc).pop("rows", ([exc] * len(running), x))
         residual = g - x
         steps = np.max(np.abs(residual), axis=1)
         rows = []
-        for r, i in enumerate(running):
+        for r, (i, error) in enumerate(zip(running, errors)):
+            if error is not None:
+                outcomes[i] = error
+                continue
             step = float(steps[r])
             history = histories[i]
             history.append(step)
@@ -399,7 +376,7 @@ def boundary_identity_gap(problem: HilferProblem, consts: DerivedConstants,
     The identity therefore closes to stopping tolerance rather than
     quadrature tolerance; verify.residual_check measures the same defect
     with A by direct quadrature."""
-    error = _mu_error(consts)
+    error = mu_error(problem, consts)
     if error is None:
         samples = _rhs_samples(problem, consts.gamma, w.values[None], rule.mesh)
         error = _sample_errors(samples, rule.mesh.nodes)[0]

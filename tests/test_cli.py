@@ -98,10 +98,12 @@ class TestSolve:
     def test_singular_lambda_exit_code_and_message(self, tmp_path, capsys):
         lam = repr(math.gamma(1.75))
         path, _ = write_config(tmp_path, lam=lam)
-        assert main(["solve", str(path)]) == EXIT_SINGULAR
-        err = capsys.readouterr().err
-        assert "mu" in err
-        assert "!= 0" in err
+        for args in (["solve", str(path)],
+                     ["verify", str(path), str(tmp_path / "solution.csv")]):
+            assert main(args) == EXIT_SINGULAR
+            err = capsys.readouterr().err
+            assert "mu" in err
+            assert "!= 0" in err
 
     def test_not_converged_exit(self, tmp_path):
         path, _ = write_config(tmp_path,
@@ -562,18 +564,27 @@ class TestSweep:
         path, out, cells = self._sweep(tmp_path, axes, mesh_n)
         assert [len(stack) for stack in cli._sweep_stacks(cells)] == stacks
         args = ["sweep", str(path), "--mesh-n", str(mesh_n)]
+        runs = (["--workers", "1"], ["--workers", "3"], ["--max-iter", "2"])
         texts = []
-        for workers in ("1", "3"):
-            assert main(args + ["--workers", workers]) == EXIT_OK
+        for extra in runs:
+            assert main(args + extra) == EXIT_OK
             texts.append((out / "sweep.csv").read_bytes())
         monkeypatch.setattr(cli, "_sweep_stacks",
                             lambda cells: [[i] for i in range(len(cells))])
-        assert main(args) == EXIT_OK
-        texts.append((out / "sweep.csv").read_bytes())
-        assert texts[0] == texts[1] == texts[2]
-        rows = read_csv(out / "sweep.csv")
+        for extra in ([], ["--max-iter", "2"]):
+            assert main(args + extra) == EXIT_OK
+            texts.append((out / "sweep.csv").read_bytes())
+        assert texts[0] == texts[1] == texts[3]
+        # At max_iter = 2 every cell leaves its stack in the same pass,
+        # with what its solo solve gives.
+        assert texts[2] == texts[4]
+        rows = list(csv.reader(texts[0].decode("utf-8").splitlines()))
         assert len(rows) == len(cells) + 1
         assert all(r[-1] == "ok" and r[-5] == "True" for r in rows[1:])
+        rows = read_csv(out / "sweep.csv")
+        assert all(r[-5] == "False" and r[-4] == "2"
+                   and math.isfinite(float(r[-3])) and math.isfinite(float(r[-2]))
+                   for r in rows[1:])
 
     def test_stacks_split_on_tol_and_max_iter(self, tmp_path):
         # Cells are grouped on the plain fields: one that differs only in

@@ -5,7 +5,6 @@ from hilferbvp.config import (
     RunConfig,
     SweepAxis,
     apply_parameter,
-    emit_run_config,
     parse_run_text,
     parse_sweep_text,
 )
@@ -103,24 +102,41 @@ class TestParseRun:
 
 
 class TestRoundTrip:
+    """Each config text parses to its RunConfig: the second spells out every
+    field, the others leave mesh, picard and output to their defaults, and
+    together they cover every rhs kind."""
+
     CASES = [
-        RunConfig(alpha=0.5, beta=0.5, lam=0.2, d=1.0,
-                  rhs=RhsSpec(kind="constant", c=1.0)),
-        RunConfig(alpha=0.3, beta=1.0, lam=0.0, d=0.25,
-                  rhs=RhsSpec(kind="linear", a=0.125, b=2.0),
-                  mesh_n=512, mesh_r=3.5, tol=1e-8, max_iter=50,
-                  lower=1.0, upper=4.0, output_dir="out"),
-        RunConfig(alpha=0.9, beta=0.0, lam=0.7, d=2.0,
-                  rhs=RhsSpec(kind="power", sigma=1.75), lipschitz=0.0),
-        RunConfig(alpha=1.0, beta=0.25, lam=0.1, d=1.0,
-                  rhs=RhsSpec(kind="logistic", scale=0.5)),
-        RunConfig(alpha=0.6, beta=0.4, lam=0.3, d=1.5,
-                  rhs=RhsSpec(kind="expression", expr="(y+1)/4 + sin(t)^2")),
+        ("[problem]\nalpha = 0.5\nbeta = 0.5\nlambda = 0.2\nd = 1.0\n"
+         "[rhs]\nkind = constant\nc = 1.0\n",
+         RunConfig(alpha=0.5, beta=0.5, lam=0.2, d=1.0,
+                   rhs=RhsSpec(kind="constant", c=1.0))),
+        ("[problem]\nalpha = 0.3\nbeta = 1.0\nlambda = 0.0\nd = 0.25\n"
+         "[rhs]\nkind = linear\na = 0.125\nb = 2.0\n"
+         "[mesh]\nn = 512\nr = 3.5\n[picard]\ntol = 1e-08\nmax_iter = 50\n"
+         "[bounds]\nlower = 1.0\nupper = 4.0\n[output]\ndir = out\n",
+         RunConfig(alpha=0.3, beta=1.0, lam=0.0, d=0.25,
+                   rhs=RhsSpec(kind="linear", a=0.125, b=2.0),
+                   mesh_n=512, mesh_r=3.5, tol=1e-8, max_iter=50,
+                   lower=1.0, upper=4.0, output_dir="out")),
+        ("[problem]\nalpha = 0.9\nbeta = 0.0\nlambda = 0.7\nd = 2.0\n"
+         "[rhs]\nkind = power\nsigma = 1.75\nlipschitz = 0.0\n",
+         RunConfig(alpha=0.9, beta=0.0, lam=0.7, d=2.0,
+                   rhs=RhsSpec(kind="power", sigma=1.75), lipschitz=0.0)),
+        ("[problem]\nalpha = 1.0\nbeta = 0.25\nlambda = 0.1\nd = 1.0\n"
+         "[rhs]\nkind = logistic\nscale = 0.5\n",
+         RunConfig(alpha=1.0, beta=0.25, lam=0.1, d=1.0,
+                   rhs=RhsSpec(kind="logistic", scale=0.5))),
+        ("[problem]\nalpha = 0.6\nbeta = 0.4\nlambda = 0.3\nd = 1.5\n"
+         "[rhs]\nkind = expression\nexpr = (y+1)/4 + sin(t)^2\n",
+         RunConfig(alpha=0.6, beta=0.4, lam=0.3, d=1.5,
+                   rhs=RhsSpec(kind="expression", expr="(y+1)/4 + sin(t)^2"))),
     ]
 
-    @pytest.mark.parametrize("cfg", CASES)
-    def test_emit_parse_identity(self, cfg):
-        assert parse_run_text(emit_run_config(cfg)) == cfg
+    @pytest.mark.parametrize("text, cfg", CASES,
+                             ids=[f"cfg{i}" for i in range(len(CASES))])
+    def test_emit_parse_identity(self, text, cfg):
+        assert parse_run_text(text) == cfg
 
 
 class TestSweep:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from hilferbvp.core import (
 )
 from hilferbvp import solver
 from hilferbvp.errors import (
+    MeshTooLarge,
     MissingBounds,
     NonFiniteIterate,
     RhsEvaluationFailure,
     RhsNegative,
+    SingularProblem,
 )
 from hilferbvp.fracops import QuadratureRule
 from hilferbvp.solver import (
@@ -87,10 +90,19 @@ class TestApplyDelta:
         out = apply_delta(p, consts, w, rule)
         assert np.max(np.abs(out.values - expected)) < 1e-13
 
-    def test_negative_rhs_rejected(self):
+    def test_negative_rhs_rejected(self, monkeypatch):
         p = problem_with(lambda t, y: -1.0)
         consts, rule = setup(p)
         w = constant_lambda_start(consts, rule.mesh)
+        with pytest.raises(RhsNegative):
+            apply_delta(p, consts, w, rule)
+
+        # With no row left without an error, nothing is convolved: an
+        # operator too large for memory does not hide the rhs error.
+        def too_large(*args):
+            raise MeshTooLarge("the operator would not fit in memory")
+
+        monkeypatch.setattr(solver, "rl_integral", too_large)
         with pytest.raises(RhsNegative):
             apply_delta(p, consts, w, rule)
 
@@ -313,27 +325,34 @@ class TestStackedSolve:
             assert [r.converged for r in stacked] == [True, True, False, False]
 
     def test_failing_column_gets_its_solo_error(self):
-        # The stacked operator fails at the failing column's sixth
-        # iteration; that column retires with its solo error, and the other
-        # columns go on to their solo results, bit for bit.
+        # Two stacks, each with one failing column.  In the first, the
+        # stacked operator fails at that column's sixth iteration; in the
+        # second, hand-built constants with mu = 1e-13 fail the mu guard at
+        # the first.  The failing column retires with its solo error, and
+        # the other columns go on to their solo results, bit for bit.
         problems = [problem_with(self.rhs, lam=lam, d=d) for lam, d in self.CASES]
         consts = [derive_constants(p) for p in problems]
         rule = QuadratureRule(GradedMesh(64, default_grading(consts[0].gamma)))
         settings = PicardSettings()
         failing = self.CASES.index(self.FAILING)
-        with pytest.raises(RhsEvaluationFailure) as solo:
-            solve_picard(problems[failing], consts[failing], settings, rule)
-        stacked = solver._solve_stack(problems, consts, settings, rule)
-        assert type(stacked[failing]) is type(solo.value)
-        assert str(stacked[failing]) == str(solo.value)
-        for i, (p, c, got) in enumerate(zip(problems, consts, stacked)):
-            if i == failing:
-                continue
-            want = solve_picard(p, c, settings, rule)
-            assert got.solution.values.tobytes() == want.solution.values.tobytes()
-            assert got.history == want.history
-            assert (got.iterations, got.converged) == (want.iterations, want.converged)
-        assert [r.iterations for i, r in enumerate(stacked) if i != failing] == [9, 9, 10, 10]
+        near_singular = list(consts)
+        near_singular[failing] = replace(consts[failing], mu=1e-13)
+        for stack, kind in ((consts, RhsEvaluationFailure),
+                            (near_singular, SingularProblem)):
+            with pytest.raises(kind) as solo:
+                solve_picard(problems[failing], stack[failing], settings, rule)
+            stacked = solver._solve_stack(problems, stack, settings, rule)
+            assert type(stacked[failing]) is kind
+            assert str(stacked[failing]) == str(solo.value)
+            for i, (p, c, got) in enumerate(zip(problems, stack, stacked)):
+                if i == failing:
+                    continue
+                want = solve_picard(p, c, settings, rule)
+                assert got.solution.values.tobytes() == want.solution.values.tobytes()
+                assert got.history == want.history
+                assert (got.iterations, got.converged) == (want.iterations, want.converged)
+            assert ([r.iterations for i, r in enumerate(stacked) if i != failing]
+                    == [9, 9, 10, 10])
 
     def test_apply_delta_rows_equal_single_calls(self):
         problems = [problem_with(self.rhs, lam=lam, d=d) for lam, d in self.CASES]
