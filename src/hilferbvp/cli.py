@@ -271,12 +271,14 @@ def _sweep_cell(cell_cfg: RunConfig, setup,
     return record
 
 
-# Workspace bytes one stack of sweep cells may hold, so that peak memory
-# stays near that of one cell: the solver keeps 16 doubles per mesh node and
-# stacked cell (two Anderson ring buffers of depth 5, the iterate, image,
-# residual and mixed iterate, the last residual and image).  The operator's
-# temporaries add about 6 more at the peak of an iteration.
-_STACK_BYTES = 1 << 20
+# Workspace bytes one stack of sweep cells may hold.  The solver keeps 16
+# doubles per mesh node and stacked cell (two Anderson ring buffers of depth
+# 5, the iterate, image, residual and mixed iterate, the last residual and
+# image), and the operator's temporaries add about 6 more at the peak of an
+# iteration.  A stacked step has a fixed cost that larger stacks share out,
+# so 4 MiB holds 32 cells at n = 1024, 8 at 4096, 2 at 16384 and one cell
+# from 32768 up.
+_STACK_BYTES = 4 << 20
 _STACK_DOUBLES_PER_NODE = 16
 
 
@@ -284,8 +286,8 @@ def _sweep_stacks(cells: List[RunConfig]) -> List[List[int]]:
     """Indices of the cells to solve together.  Cells that share alpha,
     beta, the mesh, the rhs, tol and max_iter iterate the same operator and
     differ only in lambda, d or the Lipschitz constant; each such group is
-    cut into stacks of nearly equal size, none larger than the workspace
-    budget allows."""
+    cut into stacks of nearly equal size, none holding more than
+    _STACK_BYTES of solver workspace (at n = 1024, 32 cells)."""
     groups: Dict[tuple, List[int]] = {}
     for i, cfg in enumerate(cells):
         key = (cfg.alpha, cfg.beta, cfg.mesh_n, cfg.mesh_r, cfg.rhs,

@@ -779,10 +779,11 @@ def rl_integral(order: float, samples, rule: QuadratureRule) -> np.ndarray:
         out = g.copy()
     else:
         out = _cached_soe_operator(n, r, frac).apply(g)
-    half_widths = 0.5 * np.diff(rule.mesh.nodes)
-    for _ in range(whole):
-        steps = np.cumsum((out[..., :-1] + out[..., 1:]) * half_widths, axis=-1)
-        out = np.concatenate((np.zeros(steps.shape[:-1] + (1,)), steps), axis=-1)
+    if whole > 0:
+        half_widths = 0.5 * np.diff(rule.mesh.nodes)
+        for _ in range(whole):
+            steps = np.cumsum((out[..., :-1] + out[..., 1:]) * half_widths, axis=-1)
+            out = np.concatenate((np.zeros(steps.shape[:-1] + (1,)), steps), axis=-1)
     return out
 
 

@@ -219,15 +219,33 @@ def initial_iterate(consts: DerivedConstants, settings: PicardSettings,
     return WeightedGridFunction(mesh, consts.gamma, guess)
 
 
+def _pseudo_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The minimum-norm least-squares solution of gram x = rhs for each of a
+    stack of symmetric matrices, leaving out the eigendirections whose
+    |eigenvalue| is at most _ANDERSON_RCOND times the largest: the cutoff
+    that lstsq puts on the singular values, which for a symmetric matrix
+    are the |eigenvalues|.  numpy's eigh calls LAPACK once per matrix and
+    the products run in einsum's own loops, so each row's solution is that
+    of its one-row call, bit for bit."""
+    values, vectors = np.linalg.eigh(gram)
+    size = np.abs(values)
+    kept = size > _ANDERSON_RCOND * size.max(axis=1, keepdims=True)
+    inverse = np.divide(1.0, values, out=np.zeros_like(values), where=kept)
+    along = np.einsum("mji,mj->mi", vectors, rhs)
+    return np.einsum("mij,mj->mi", vectors, inverse * along)
+
+
 class _AndersonHistory:
     """Ring buffers of the last ANDERSON_DEPTH differences of the residuals
     f = Delta(x) - x and of the images Delta(x), one set per stacked column,
     with the Gram matrices of the residual differences kept up to date, so
     that one mixing step costs O(n * ANDERSON_DEPTH) per column.
 
-    Inner products go through numpy's own loops (``einsum``), not BLAS, so
-    the mixing step adds no dependence on the BLAS thread count; each
-    column's numbers are those of a one-column history, bit for bit.
+    Inner products go through numpy's own loops (``einsum``), not BLAS, and
+    the least-squares solves are LAPACK calls on matrices of at most
+    ANDERSON_DEPTH rows, which OpenBLAS does not thread, so the mixing step
+    adds no dependence on the BLAS thread count; each column's numbers are
+    those of a one-column history, bit for bit.
     """
 
     def __init__(self, columns: int, size: int):
@@ -238,18 +256,26 @@ class _AndersonHistory:
         self.last = None
 
     def keep(self, columns: List[int]) -> None:
-        """Drop every column not listed."""
-        self.d_f = self.d_f[columns]
-        self.d_g = self.d_g[columns]
-        self.gram = self.gram[columns]
+        """Drop every column not listed.  ``columns`` ascend, so each kept
+        column moves forward in place, and the buffers become views of
+        their first rows: no buffer is copied whole."""
+        buffers = [self.d_f, self.d_g, self.gram, *(self.last or ())]
+        for to, column in enumerate(columns):
+            if to != column:
+                for buffer in buffers:
+                    buffer[to] = buffer[column]
+        buffers = [buffer[:len(columns)] for buffer in buffers]
+        self.d_f, self.d_g, self.gram = buffers[:3]
         if self.last is not None:
-            self.last = (self.last[0][columns], self.last[1][columns])
+            self.last = tuple(buffers[3:])
 
     def mix(self, f: np.ndarray, g: np.ndarray):
         """Record the rows of (f_k, g_k) and return, per column, the Anderson
         iterate g_k - dG gamma with gamma = argmin ||f_k - dF gamma||_2, and
         whether it exists: it does not on the first call, when no
-        difference is known yet, nor where the differences overflow."""
+        difference is known yet, nor where the differences overflow.  The
+        history holds on to ``f`` and ``g`` until the next call, and keep()
+        moves their rows too."""
         last, self.last = self.last, (f, g)
         if last is None:
             return g, np.zeros(len(g), dtype=bool)
@@ -273,9 +299,7 @@ class _AndersonHistory:
             scale[scale == 0.0] = 1.0
             gram = gram / (scale[:, :, None] * scale[:, None, :])
             rhs = rhs / scale
-            for r in np.flatnonzero(finite):
-                coef[r] = np.linalg.lstsq(gram[r], rhs[r],
-                                          rcond=_ANDERSON_RCOND)[0] / scale[r]
+            coef[finite] = _pseudo_solve(gram[finite], rhs[finite]) / scale[finite]
             mixed = g - np.einsum("mi,mij->mj", coef, self.d_g[:, :used])
         return mixed, finite
 

@@ -1,3 +1,5 @@
+"""Shared helpers of the tests, imported as ``from helpers import ...``."""
+
 import os
 from pathlib import Path
 

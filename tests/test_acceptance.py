@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import smooth_profile
+from helpers import smooth_profile
 from hilferbvp.analysis import check_kernel_bound, contraction_certificate
 from hilferbvp.cli import EXIT_SINGULAR, main
 from hilferbvp.core import (

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import child_env
+from helpers import child_env
 from hilferbvp import cli, config, fracops, solver
 from hilferbvp.cli import (
     EXIT_CERTIFICATE,
@@ -554,13 +554,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("axes, mesh_n, stacks", [
         (LAMBDA_D.format(4, 3), 64, [12]),
-        (ALPHA_LAMBDA, 1024, [4, 5, 4, 5]),
+        (ALPHA_LAMBDA, 4096, [4, 5, 4, 5]),
     ], ids=["lambda-d", "alpha-lambda"])
     def test_stacking_keeps_sweep_bytes(self, tmp_path, monkeypatch, axes, mesh_n, stacks):
         # Cells sharing alpha, beta, mesh, rhs and Picard settings are solved
-        # in stacks (at n = 1024 at most 8 cells each); sweep.csv must be the
-        # same bytes for any worker count and equal to solving each cell
-        # alone.
+        # in stacks (at n = 4096 at most 8 cells each, so each alpha's 9
+        # cells are cut in two); sweep.csv must be the same bytes for any
+        # worker count and equal to solving each cell alone.
         path, out, cells = self._sweep(tmp_path, axes, mesh_n)
         assert [len(stack) for stack in cli._sweep_stacks(cells)] == stacks
         args = ["sweep", str(path), "--mesh-n", str(mesh_n)]
@@ -597,12 +597,11 @@ class TestSweep:
 
     def test_stack_workspace_within_budget(self, tmp_path):
         # The 42 cells of a 7 x 6 lambda x d sweep at n = 1024 form one group,
-        # cut into stacks of 7.  The traced peak of a stack stays within the
-        # 1 MiB workspace budget plus half for the operator's temporaries;
-        # one stack of all 42 cells would take about 7 MB.
+        # cut into stacks of 21.  The traced peak of a stack stays within the
+        # 4 MiB workspace budget plus half for the operator's temporaries.
         _, _, cells = self._sweep(tmp_path, self.LAMBDA_D.format(7, 6), 1024)
         stacks = cli._sweep_stacks(cells)
-        assert [len(stack) for stack in stacks] == [7] * 6
+        assert [len(stack) for stack in stacks] == [21, 21]
         stack = [cells[i] for i in stacks[-1]]
         cli._sweep_stack(stack)                 # builds the operators
         tracemalloc.start()

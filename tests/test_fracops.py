@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import child_env, smooth_profile
+from helpers import child_env, smooth_profile
 from hilferbvp import fracops
 from hilferbvp.core import GradedMesh, WeightedGridFunction
 from hilferbvp.errors import InsufficientNodes, MeshMismatch, MeshTooLarge, OutOfDomain

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -281,6 +282,75 @@ class TestAnderson:
         assert first.solution.values.tobytes() == second.solution.values.tobytes()
         assert first.history == second.history
 
+    @pytest.mark.parametrize("spread", [1.0, 1e-9], ids=["independent", "collinear"])
+    def test_batched_solve_matches_lstsq(self, spread):
+        # Six column-scaled Gram matrices of random differences, as mix forms
+        # them.  With spread = 1e-9 the last difference column nearly
+        # repeats the second, so each matrix has an eigenvalue below the
+        # cutoff, which lstsq and the batched eigensolve both leave out.
+        rng = np.random.default_rng(11)
+        d_f = rng.standard_normal((6, solver.ANDERSON_DEPTH, 200))
+        d_f[:, -1] = d_f[:, 1] + spread * d_f[:, -1]
+        gram = np.einsum("mij,mkj->mik", d_f, d_f)
+        scale = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+        gram /= scale[:, :, None] * scale[:, None, :]
+        rhs = np.einsum("mij,mj->mi", d_f, rng.standard_normal((6, 200))) / scale
+        sizes = np.abs(np.linalg.eigvalsh(gram))
+        cut = sizes <= solver._ANDERSON_RCOND * sizes.max(axis=1, keepdims=True)
+        assert cut.any(axis=1).tolist() == [spread < 1.0] * 6
+        got = solver._pseudo_solve(gram, rhs)
+        for row, matrix, b in zip(got, gram, rhs):
+            want = np.linalg.lstsq(matrix, b, rcond=solver._ANDERSON_RCOND)[0]
+            assert np.linalg.norm(row - want) <= 1e-12 * np.linalg.norm(want)
+        # A direction below the cutoff contributes exactly nothing: the
+        # eigenvectors of a diagonal matrix are unit vectors, and the
+        # coefficient along the eigenvalue 1e-12 is 0, not 1e12.
+        diagonal = np.diag([1.0, 0.5, 1e-12, 0.25, 2.0])[None]
+        got = solver._pseudo_solve(diagonal, np.ones((1, 5)))
+        assert got.tolist() == [[1.0, 2.0, 0.0, 4.0, 0.5]]
+        # Each row's cutoff is its own: eigenvalues 2 and 6e-10 keep both
+        # directions, also when stacked with a row whose eigenvalue is 1e3.
+        near = np.array([[1.0, 1.0 - 6e-10], [1.0 - 6e-10, 1.0]])
+        stack, b = np.stack([near, np.diag([1e3, 1.0])]), np.array([[1.0, -1.0], [1.0, 1.0]])
+        alone = solver._pseudo_solve(stack[:1], b[:1])[0]
+        assert np.abs(alone).min() > 1e8
+        assert solver._pseudo_solve(stack, b)[0].tobytes() == alone.tobytes()
+
+    def test_mixing_a_row_ignores_its_stack(self):
+        # One row's residuals and images are mixed alone, then as each row
+        # of stacks of 2 to 16 among random neighbours.  One neighbour turns
+        # non-finite at the fourth step, and half of them retire halfway.
+        # The row's mixed iterates and flags keep their bits throughout.
+        rng = np.random.default_rng(12)
+        steps, size = 2 * solver.ANDERSON_DEPTH, 64     # the rings wrap
+        f = rng.standard_normal((steps, size))
+        g = rng.uniform(0.0, 2.0, (steps, size))
+
+        def mixed(stack, row):
+            history = solver._AndersonHistory(stack, size)
+            columns = list(range(stack))    # the stack row of each column
+            seen = []
+            for k in range(steps):
+                if k == steps // 2:
+                    kept = [c for c, i in enumerate(columns) if i == row or i % 2]
+                    history.keep(kept)
+                    columns = [columns[c] for c in kept]
+                fs = rng.standard_normal((len(columns), size))
+                gs = rng.uniform(0.0, 2.0, (len(columns), size))
+                if k == 3 and stack > 1:
+                    fs[columns.index((row + 1) % stack), 7] = np.inf
+                at = columns.index(row)
+                fs[at], gs[at] = f[k], g[k]
+                out, usable = history.mix(fs, gs)
+                seen.append((out[at].tobytes(), bool(usable[at])))
+            return seen
+
+        alone = mixed(1, 0)
+        assert sum(usable for _, usable in alone) == steps - 1
+        for stack in range(2, 17):
+            for row in range(stack):
+                assert mixed(stack, row) == alone
+
 
 class TestStackedSolve:
     """Problems that share alpha, beta, the rhs and the mesh are solved in
@@ -324,12 +394,26 @@ class TestStackedSolve:
         if max_iter == 9:
             assert [r.converged for r in stacked] == [True, True, False, False]
 
-    def test_failing_column_gets_its_solo_error(self):
+    def test_failing_column_gets_its_solo_error(self, monkeypatch):
         # Two stacks, each with one failing column.  In the first, the
         # stacked operator fails at that column's sixth iteration; in the
         # second, hand-built constants with mu = 1e-13 fail the mu guard at
         # the first.  The failing column retires with its solo error, and
         # the other columns go on to their solo results, bit for bit.
+        # Retired columns leave the Anderson history in place: the traced
+        # peak inside keep stays below one column of one ring buffer.
+        keep, peaks = solver._AndersonHistory.keep, []
+
+        def traced_keep(history, columns):
+            column_bytes = history.d_f[0].nbytes
+            tracemalloc.start()
+            try:
+                keep(history, columns)
+                peaks.append((tracemalloc.get_traced_memory()[1], column_bytes))
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(solver._AndersonHistory, "keep", traced_keep)
         problems = [problem_with(self.rhs, lam=lam, d=d) for lam, d in self.CASES]
         consts = [derive_constants(p) for p in problems]
         rule = QuadratureRule(GradedMesh(64, default_grading(consts[0].gamma)))
@@ -353,6 +437,7 @@ class TestStackedSolve:
                 assert (got.iterations, got.converged) == (want.iterations, want.converged)
             assert ([r.iterations for i, r in enumerate(stacked) if i != failing]
                     == [9, 9, 10, 10])
+        assert peaks and all(peak < column_bytes for peak, column_bytes in peaks)
 
     def test_apply_delta_rows_equal_single_calls(self):
         problems = [problem_with(self.rhs, lam=lam, d=d) for lam, d in self.CASES]
