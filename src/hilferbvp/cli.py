@@ -30,11 +30,7 @@ from .config import (
     parse_run_file,
     parse_sweep_file,
 )
-from .core import (
-    HilferProblem,
-    WeightedGridFunction,
-    derive_constants,
-)
+from .core import WeightedGridFunction, derive_constants
 from .errors import ConfigError, HilferBvpError, NonFiniteResidual, SingularProblem
 from .fracops import QuadratureRule
 
@@ -115,8 +111,9 @@ def _write_solution_csv(path: Path, w: WeightedGridFunction) -> None:
             handle.write("".join(rows))
 
 
-def _certificate_rows(problem: HilferProblem) -> List[List[str]]:
-    certs = analysis.hypothesis_report(problem)
+def _certificate_rows(certs: List[Certificate]) -> List[List[str]]:
+    """certificates.csv rows of ``certs``, with a not-evaluable contraction
+    row when there is no contraction certificate."""
     rows = [[c.name, _fmt(c.value), _fmt(c.threshold), str(c.holds)] for c in certs]
     if all(c.name != CERT_CONTRACTION for c in certs):
         rows.append([CERT_CONTRACTION, "", "", _NOT_EVALUABLE])
@@ -205,8 +202,8 @@ def cmd_solve(args) -> int:
 
 def cmd_certify(args) -> int:
     cfg = _apply_overrides(parse_run_file(args.config), args)
-    problem = cfg.to_problem()
-    rows = _certificate_rows(problem)
+    certs = analysis.hypothesis_report(cfg.to_problem())
+    rows = _certificate_rows(certs)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     with (outdir / "certificates.csv").open("w", newline="", encoding="utf-8") as handle:
@@ -215,11 +212,9 @@ def cmd_certify(args) -> int:
         writer.writerows(rows)
     for row in rows:
         print(",".join(row))
-    evaluable = [row for row in rows if row[3] != _NOT_EVALUABLE]
-    if all(row[3] == "True" for row in evaluable):
+    if all(c.holds for c in certs):
         return EXIT_OK
-    mu_row = next(row for row in rows if row[0] == CERT_MU_NONZERO)
-    if mu_row[3] != "True":
+    if not next(c for c in certs if c.name == CERT_MU_NONZERO).holds:
         print("error: the mu hypothesis (mu = 1 - lambda/Gamma(gamma+1) != 0, "
               "mu > 0) does not hold", file=sys.stderr)
         return EXIT_SINGULAR

@@ -371,12 +371,26 @@ def parse_sweep_text(text: str, path: str = "<config>") -> SweepConfig:
             raise ConfigError(
                 f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}",
                 path, name_item.line)
+        if any(axis.parameter == parameter for axis in axes):
+            raise ConfigError(f"axis{index} repeats the sweep parameter {parameter!r} "
+                              f"of axis1", path, name_item.line)
         start = sweep.parse(f"axis{index}_start", _to_float, required=True)
         stop = sweep.parse(f"axis{index}_stop", _to_float, required=True)
         steps = sweep.parse(f"axis{index}_steps", _to_int, required=True)
         if steps < 2:
             raise ConfigError(f"axis{index}_steps must be >= 2, got {steps}", path)
-        axes.append(SweepAxis(parameter=parameter, start=start, stop=stop, steps=steps))
+        axis = SweepAxis(parameter=parameter, start=start, stop=stop, steps=steps)
+        # The values are monotone in k and every bound is an interval, so
+        # the first and last value stand for all of them.
+        values = axis.values()
+        for key, value in ((f"axis{index}_start", values[0]),
+                           (f"axis{index}_stop", values[-1])):
+            try:
+                check_run_config(apply_parameter(base, parameter, value), None)
+            except ConfigError as exc:
+                raise ConfigError(f"bad value for {key!r}: {exc}", path,
+                                  sweep.items[key].line) from None
+        axes.append(axis)
     _unknown_key_check(sections, _KNOWN_SWEEP, path)
     return SweepConfig(base=base, axes=tuple(axes))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -177,6 +177,34 @@ class HilferProblem:
                                    for a, b in zip(t.flat, y.flat)],
                                   dtype=float).reshape(t.shape)
         return np.full(t.shape, values) if values.ndim == 0 else values
+
+
+def rhs_samples(problems: Sequence[HilferProblem], w: np.ndarray,
+                mesh: GradedMesh) -> np.ndarray:
+    """f(t_j, y_j) with y_j = t_j^(gamma-1) w_j for every row of the (m, n+1)
+    array ``w`` of weighted samples of a stack of problems, in one rhs call
+    that receives the rows as one flat pair of 1-D arrays, as for a single
+    grid.  A stack must share alpha, beta and the rhs callable (else
+    ValueError), so one gamma and one f serve every row.  The samples are
+    not judged here: a non-finite y or f is left for the caller.
+
+    f is only defined for t > 0 and y may be unbounded at the origin, so the
+    first node reuses the first interior sample; the kernel mass it carries
+    is O(t_1^gamma) on the graded mesh.
+    """
+    lead = problems[0]
+    if any(p.alpha != lead.alpha or p.beta != lead.beta or p.rhs is not lead.rhs
+           for p in problems):
+        raise ValueError("a stack of problems must share alpha, beta and the rhs")
+    t = mesh.nodes
+    rows = w.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = (t[1:] ** (composite_order(lead.alpha, lead.beta) - 1.0)
+             * w[:, 1:]).reshape(-1)
+    out = np.empty_like(w)
+    out[:, 1:] = lead.rhs_values(np.tile(t[1:], rows), y).reshape(rows, -1)
+    out[:, 0] = out[:, 1]
+    return out
 
 
 @dataclass(frozen=True)

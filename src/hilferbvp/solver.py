@@ -28,6 +28,7 @@ from .core import (
     HilferProblem,
     WeightedGridFunction,
     mu_error,
+    rhs_samples,
 )
 from .errors import (
     HilferBvpError,
@@ -76,28 +77,6 @@ class SolveResult:
 class SolutionBracket:
     lower: WeightedGridFunction
     upper: WeightedGridFunction
-
-
-def _rhs_samples(problem: HilferProblem, gamma: float, w: np.ndarray,
-                 mesh: GradedMesh) -> np.ndarray:
-    """Evaluate f(t_j, y_j) with y_j = t_j^(gamma-1) w_j for every row of the
-    (m, n+1) array ``w`` in one rhs call, which receives the rows as one
-    flat pair of 1-D arrays, as for a single grid.  The samples are not
-    checked here (see _sample_errors).
-
-    f is only defined for t > 0 and y may be unbounded at the origin, so the
-    first node reuses the first interior sample; the kernel mass it carries
-    is O(t_1^gamma) on the graded mesh.
-    """
-    t = mesh.nodes
-    rows = w.shape[0]
-    # An overflowing y shows as a non-finite f, which is checked later.
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = (t[1:] ** (gamma - 1.0) * w[:, 1:]).reshape(-1)
-    out = np.empty_like(w)
-    out[:, 1:] = problem.rhs_values(np.tile(t[1:], rows), y).reshape(rows, -1)
-    out[:, 0] = out[:, 1]
-    return out
 
 
 def _sample_errors(samples: np.ndarray, t: np.ndarray) -> List[Optional[HilferBvpError]]:
@@ -151,49 +130,23 @@ def apply_delta(problem: Union[HilferProblem, Sequence[HilferProblem]],
     not fail) and the (m, n+1) images, whose rows without error are those
     of the one-problem calls bit for bit.  No row is evaluated twice.
     """
-    if isinstance(problem, HilferProblem):
-        images = _apply_stack((problem,), (consts,), w.values[None], rule)
-        return WeightedGridFunction(rule.mesh, consts.gamma, images[0])
-    return _apply_stack(problem, consts, w, rule)
-
-
-def _apply_stack(problems: Sequence[HilferProblem],
-                 consts: Sequence[DerivedConstants], w: np.ndarray,
-                 rule: QuadratureRule) -> np.ndarray:
-    """apply_delta of a stack; see there."""
-    lead = problems[0]
-    if any(p.alpha != lead.alpha or p.beta != lead.beta or p.rhs is not lead.rhs
-           for p in problems):
-        raise ValueError("a stack of problems must share alpha, beta and the rhs")
-    mesh = rule.mesh
-    t = mesh.nodes
-    gamma = consts[0].gamma
-    samples = _rhs_samples(lead, gamma, w, mesh)
-    errors = [mu_error(p, c) or error
-              for p, c, error in zip(problems, consts, _sample_errors(samples, t))]
+    single = isinstance(problem, HilferProblem)
+    problems, consts, w = (((problem,), (consts,), w.values[None]) if single
+                           else (problem, consts, w))
+    t = rule.mesh.nodes
+    samples, errors, heads = _origin(problems, consts, w, rule.mesh)
     if None not in errors:
         # No row is left to apply, so nothing is convolved: a solve whose
         # rhs fails at its first iterate reports that, not MeshTooLarge.
         errors[0].rows = (errors, np.full_like(w, np.nan))
         raise errors[0]
     out = np.empty_like(w)
-    heads = np.array([c.capital_lambda for c in consts])
-    weights = None
     # The samples of a failed row and an overflow give non-finite images,
     # which are checked below.
     with np.errstate(over="ignore", invalid="ignore"):
-        conv = rl_integral(lead.alpha, samples, rule)
-        # B row by row through einsum's own loop: BLAS ddot splits long
-        # vectors over its threads, so its sum depends on the thread count.
-        # A failed row gets no B: at mu = 0 it would divide by zero.
-        for k, (p, c) in enumerate(zip(problems, consts)):
-            if p.lam != 0.0 and errors[k] is None:
-                if weights is None:
-                    weights = boundary_kernel_weights(lead.alpha, mesh)
-                b = float(np.einsum("i,i->", weights, samples[k]))
-                heads[k] += p.lam * b / (math.gamma(gamma) * c.mu)
+        conv = rl_integral(problems[0].alpha, samples, rule)
         out[:, 0] = heads
-        out[:, 1:] = heads[:, None] + t[1:] ** (1.0 - gamma) * conv[:, 1:]
+        out[:, 1:] = heads[:, None] + t[1:] ** (1.0 - consts[0].gamma) * conv[:, 1:]
     finite = np.isfinite(out)
     for k in np.flatnonzero(~finite.all(axis=1)):
         if errors[k] is None:
@@ -206,7 +159,37 @@ def _apply_stack(problems: Sequence[HilferProblem],
     if failed:
         failed[0].rows = (errors, out)
         raise failed[0]
-    return out
+    return WeightedGridFunction(rule.mesh, consts[0].gamma, out[0]) if single else out
+
+
+def _origin(problems: Sequence[HilferProblem], consts: Sequence[DerivedConstants],
+            w: np.ndarray, mesh: GradedMesh):
+    """The rhs samples of a stack (core.rhs_samples), each row's first error
+    and each row's image at t = 0, Lambda + lam B / (Gamma(gamma) mu) with
+    the discrete boundary functional
+    B = integral_0^1 (Q(tau)/Gamma(alpha)) f(tau, y(tau)) dtau.
+
+    A row's first error is the mu_error of its constants, else that of its
+    samples (see _sample_errors), else None.  A failed row, and a row at
+    lam = 0, gets no B term: at mu = 0 it would divide by zero, and
+    0 * inf is nan.  An overflowing B gives a non-finite image, which is
+    left for the caller to judge.
+    """
+    samples = rhs_samples(problems, w, mesh)
+    errors = [mu_error(p, c) or error for p, c, error
+              in zip(problems, consts, _sample_errors(samples, mesh.nodes))]
+    heads = np.array([c.capital_lambda for c in consts])
+    weights = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        # B row by row through einsum's own loop: BLAS ddot splits long
+        # vectors over its threads, so its sum depends on the thread count.
+        for k, (p, c) in enumerate(zip(problems, consts)):
+            if p.lam != 0.0 and errors[k] is None:
+                if weights is None:
+                    weights = boundary_kernel_weights(p.alpha, mesh)
+                b = float(np.einsum("i,i->", weights, samples[k]))
+                heads[k] += p.lam * b / (math.gamma(c.gamma) * c.mu)
+    return samples, errors, heads
 
 
 def initial_iterate(consts: DerivedConstants, settings: PicardSettings,
@@ -393,28 +376,22 @@ def _solve_stack(problems: Sequence[HilferProblem], consts: Sequence[DerivedCons
 
 def boundary_identity_gap(problem: HilferProblem, consts: DerivedConstants,
                           w: WeightedGridFunction, rule: QuadratureRule) -> float:
-    """|Gamma(gamma) w(0) - lam A - d| for a computed solution, where
-    A = integral_0^1 y is taken in the closed form the operator itself
-    uses, A = d/(mu Gamma(gamma+1)) + B/mu with the discrete boundary
-    functional B = integral_0^1 (Q(tau)/Gamma(alpha)) f(tau, y(tau)) dtau.
-    The identity therefore closes to stopping tolerance rather than
-    quadrature tolerance; verify.residual_check measures the same defect
-    with A by direct quadrature."""
-    error = mu_error(problem, consts)
-    if error is None:
-        samples = _rhs_samples(problem, consts.gamma, w.values[None], rule.mesh)
-        error = _sample_errors(samples, rule.mesh.nodes)[0]
-    if error is not None:
-        raise error
-    lhs = math.gamma(consts.gamma) * float(w.values[0])
-    # The lam A term is left out at lam = 0: A may overflow, and 0 * inf
-    # is nan.
-    if problem.lam != 0.0:
-        weights = boundary_kernel_weights(problem.alpha, rule.mesh)
-        b = float(np.einsum("i,i->", weights, samples[0]))
-        a = problem.d / (consts.mu * math.gamma(consts.gamma + 1.0)) + b / consts.mu
-        lhs -= problem.lam * a
-    return abs(lhs - problem.d)
+    """Gamma(gamma) |w(0) - Delta(w)(0)|, the defect at t = 0 of a computed
+    solution as a fixed point of the operator Delta of apply_delta.
+
+    This is the boundary defect |Gamma(gamma) w(0) - lam A - d| with
+    A = integral_0^1 y taken as the operator itself takes it, through the
+    discrete boundary functional B: Gamma(gamma) Delta(w)(0) =
+    Gamma(gamma) Lambda + lam B / mu = lam A + d.  The identity therefore
+    closes to stopping tolerance rather than quadrature tolerance;
+    verify.residual_check measures the same defect with A by direct
+    quadrature.  Only the value at t = 0 is formed, so no convolution runs.
+    Raises the error apply_delta would raise for w before its image
+    (SingularProblem, RhsEvaluationFailure or RhsNegative)."""
+    _, errors, heads = _origin((problem,), (consts,), w.values[None], rule.mesh)
+    if errors[0] is not None:
+        raise errors[0]
+    return math.gamma(consts.gamma) * abs(float(w.values[0]) - float(heads[0]))
 
 
 def bracket_from_bounds(problem: HilferProblem, consts: DerivedConstants,

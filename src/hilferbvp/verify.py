@@ -33,7 +33,8 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
-from .core import DerivedConstants, GradedMesh, HilferProblem, WeightedGridFunction
+from .core import (DerivedConstants, GradedMesh, HilferProblem, WeightedGridFunction,
+                   rhs_samples)
 from .errors import NotConstantRhs, OutOfDomain, RequiresLambdaZero, SingularProblem
 from .fracops import QuadratureRule, hilfer_derivative, physical_integral
 
@@ -71,33 +72,20 @@ def residual_check(problem: Union[HilferProblem, Sequence[HilferProblem]],
     caller to judge."""
     if not (0.0 < t_cut < 0.5):
         raise OutOfDomain(f"t_cut must lie in (0, 0.5), got {t_cut}")
-    if isinstance(problem, HilferProblem):
-        return _residual_stack((problem,), (consts,), (solution,), rule, t_cut)[0]
-    return _residual_stack(problem, consts, solution, rule, t_cut)
-
-
-def _residual_stack(problems: Sequence[HilferProblem],
-                    consts: Sequence[DerivedConstants],
-                    solutions: Sequence[WeightedGridFunction],
-                    rule: QuadratureRule, t_cut: float) -> List[ResidualReport]:
-    """residual_check of a stack; see there."""
-    lead = problems[0]
-    if any(p.alpha != lead.alpha or p.beta != lead.beta or p.rhs is not lead.rhs
-           for p in problems):
-        raise ValueError("a stack of problems must share alpha, beta and the rhs")
+    single = isinstance(problem, HilferProblem)
+    problems, consts, solutions = (((problem,), (consts,), (solution,)) if single
+                                   else (problem, consts, solution))
     t = rule.mesh.nodes
-    gamma = consts[0].gamma
     w = np.stack([s.values for s in solutions])
+    f = rhs_samples(problems, w, rule.mesh)
     mask = t >= t_cut
     with np.errstate(over="ignore", invalid="ignore"):
         # Bounded part v = t^(gamma-1) (w - w(0)); v(0) = 0 since w is continuous.
         v = np.zeros_like(w)
-        v[:, 1:] = t[1:] ** (gamma - 1.0) * (w[:, 1:] - w[:, :1])
+        v[:, 1:] = t[1:] ** (consts[0].gamma - 1.0) * (w[:, 1:] - w[:, :1])
         # The Riemann-Liouville form of the derivative (module docstring).
-        derivative = hilfer_derivative(lead.alpha, 0.0, v, rule)
-        y = t[mask] ** (gamma - 1.0) * w[:, mask]
-        f = lead.rhs_values(np.tile(t[mask], len(w)), y.reshape(-1)).reshape(y.shape)
-        interior = np.max(np.abs(derivative[:, mask] - f), axis=1).tolist()
+        derivative = hilfer_derivative(problems[0].alpha, 0.0, v, rule)
+        interior = np.max(np.abs(derivative[:, mask] - f[:, mask]), axis=1).tolist()
         count = int(np.count_nonzero(mask))
         reports = []
         for p, c, solution, row in zip(problems, consts, solutions, interior):
@@ -108,7 +96,7 @@ def _residual_stack(problems: Sequence[HilferProblem],
             boundary = abs(defect - p.d)
             reports.append(ResidualReport(interior_residual=row, boundary_residual=boundary,
                                           t_cut=t_cut, node_count=count))
-    return reports
+    return reports[0] if single else reports
 
 
 def _detect_constant(problem: HilferProblem) -> float:

@@ -731,6 +731,57 @@ class TestOverrideValidation:
         assert not out.exists()
 
 
+class TestSweepAxisValidation:
+    """A sweep axis is checked as the config key it replaces is checked, and
+    may not repeat the other axis: the run exits 1 with one error at the
+    axis's line, before any stack is solved or sweep.csv is written."""
+
+    @staticmethod
+    def _sweep(tmp_path, axes):
+        path, out = write_config(tmp_path)
+        text = path.read_text() + "\n[sweep]\n"
+        for k, (name, start, stop) in enumerate(axes, start=1):
+            text += (f"axis{k} = {name}\naxis{k}_start = {start}\n"
+                     f"axis{k}_stop = {stop}\naxis{k}_steps = 3\n")
+        path.write_text(text, encoding="utf-8")
+        return path, out, text.splitlines()
+
+    def _rejected_at(self, tmp_path, capsys, monkeypatch, axes, key):
+        path, out, lines = self._sweep(tmp_path, axes)
+        monkeypatch.setattr(solver, "_solve_stack", None)   # must not be reached
+        assert main(["sweep", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        line = next(k for k, text in enumerate(lines, start=1) if text.startswith(key))
+        assert err.startswith(f"error: {path}:{line}: ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+        return err
+
+    @pytest.mark.parametrize("axes, key", [
+        ([("alpha", 0.5, 1.2)], "axis1_stop"),
+        ([("alpha", 0.0, 0.5)], "axis1_start"),
+        ([("beta", -0.1, 0.5)], "axis1_start"),
+        ([("beta", 0.5, 1.5)], "axis1_stop"),
+        ([("lambda", -0.5, 0.2)], "axis1_start"),
+        ([("d", 1.0, -1.0)], "axis1_stop"),
+        ([("lipschitz", -1.0, 1.0)], "axis1_start"),
+        ([("lambda", 0.0, 0.2), ("alpha", 0.5, 1.2)], "axis2_stop"),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(map(str, v[-1])))
+    def test_out_of_domain_axis_rejected(self, tmp_path, capsys, monkeypatch, axes, key):
+        err = self._rejected_at(tmp_path, capsys, monkeypatch, axes, key)
+        assert f"bad value for '{key}'" in err
+
+    def test_repeated_axis_rejected(self, tmp_path, capsys, monkeypatch):
+        axes = [("lambda", 0.0, 0.2), ("lambda", 0.0, 0.2)]
+        err = self._rejected_at(tmp_path, capsys, monkeypatch, axes, "axis2 =")
+        assert "repeats the sweep parameter 'lambda'" in err
+
+    def test_axes_on_their_domain_edges_run(self, tmp_path):
+        path, out, _ = self._sweep(tmp_path, [("alpha", 0.25, 1.0), ("beta", 0.0, 1.0)])
+        assert main(["sweep", str(path)]) == EXIT_OK
+        assert len(read_csv(out / "sweep.csv")) == 10
+
+
 def _csv_writer_solution(path, w):
     """The csv.writer code that wrote solution.csv before the row-string
     writer: the bytes it must keep."""

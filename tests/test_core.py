@@ -11,12 +11,12 @@ from hilferbvp.core import (
     composite_order,
     default_grading,
     derive_constants,
+    rhs_samples,
 )
 from hilferbvp.analysis import CERT_RHS_NONNEGATIVE, hypothesis_report
 from hilferbvp.config import RhsSpec
 from hilferbvp.errors import ConfigError, DegenerateMesh, MeshTooLarge, OutOfDomain, SingularProblem
 from hilferbvp.fracops import QuadratureRule
-from hilferbvp.solver import _rhs_samples
 from hilferbvp.verify import residual_check
 
 # Reference values computed with mpmath.gamma at 30 digits.
@@ -213,7 +213,7 @@ class TestRhsValues:
         rule = QuadratureRule(GradedMesh.graded_for(32, consts.gamma))
         w = WeightedGridFunction(rule.mesh, consts.gamma,
                                  np.linspace(1.0, 2.0, 33))
-        samples = _rhs_samples(p, consts.gamma, w.values[None], rule.mesh)[0]
+        samples = rhs_samples((p,), w.values[None], rule.mesh)[0]
         assert f.calls == 1
         t = rule.mesh.nodes
         y = t[1:] ** (consts.gamma - 1.0) * w.values[1:]

@@ -13,6 +13,7 @@ from hilferbvp.core import (
     WeightedGridFunction,
     default_grading,
     derive_constants,
+    rhs_samples,
 )
 from hilferbvp import solver
 from hilferbvp.errors import (
@@ -462,6 +463,17 @@ class TestStackedSolve:
                 apply_delta(stack, [derive_constants(p) for p in stack], w, rule)
 
 
+# The problems of acceptance criterion 7 (tests/test_acceptance.py).
+CRITERION_7_BATTERY = [
+    HilferProblem(0.5, 0.5, 0.2, 1.0, rhs=lambda t, y: 1.0),
+    HilferProblem(0.5, 0.5, 0.2, 1.0, rhs=lambda t, y: (y + 1.0) / 4.0),
+    HilferProblem(0.5, 0.5, 0.0, 1.0, rhs=lambda t, y: t ** 0.5),
+    HilferProblem(0.7, 0.3, 0.4, 0.5, rhs=lambda t, y: 0.5 * y / (1.0 + y)),
+    HilferProblem(0.9, 1.0, 0.6, 2.0, rhs=lambda t, y: 1.0 + 0.1 * y),
+    HilferProblem(0.3, 0.8, 0.0, 0.0, rhs=lambda t, y: 2.0),
+]
+
+
 class TestBoundaryIdentity:
     @pytest.mark.parametrize("lam", [0.0, 0.2, 0.6])
     def test_gap_within_ten_tolerances(self, lam):
@@ -473,10 +485,31 @@ class TestBoundaryIdentity:
         gap = boundary_identity_gap(p, consts, res.solution, rule)
         assert gap <= 10.0 * settings.tol
 
+    @pytest.mark.parametrize("problem", CRITERION_7_BATTERY,
+                             ids=[str(k) for k in range(len(CRITERION_7_BATTERY))])
+    def test_gap_is_the_operator_defect_at_the_origin(self, problem):
+        consts, rule = setup(problem, n=128)
+        w = solve_picard(problem, consts, PicardSettings(), rule).solution
+        scale = math.gamma(consts.gamma)
+        w0 = float(w.values[0])
+        gap = boundary_identity_gap(problem, consts, w, rule)
+        image = float(apply_delta(problem, consts, w, rule).values[0])
+        assert gap == scale * abs(w0 - image)
+        # The same defect as |Gamma(gamma) w(0) - lam A - d| with
+        # A = d/(mu Gamma(gamma+1)) + B/mu and the discrete boundary
+        # functional B, up to rounding.
+        from hilferbvp.fracops import boundary_kernel_weights
+        samples = rhs_samples((problem,), w.values[None], rule.mesh)[0]
+        b = float(np.einsum("i,i->", boundary_kernel_weights(problem.alpha, rule.mesh),
+                            samples))
+        a = problem.d / (consts.mu * math.gamma(consts.gamma + 1.0)) + b / consts.mu
+        closed = abs(scale * w0 - problem.lam * a - problem.d)
+        assert abs(gap - closed) <= 1e-15 * scale * abs(w0)
+
     def test_integral_closed_form_matches_direct_quadrature(self):
         # Same number two ways: the closed form A = d/(mu Gamma(gamma+1)) + B/mu
-        # of boundary_identity_gap, with the discrete boundary functional B,
-        # vs direct singular quadrature of t^(g-1) w.
+        # that the operator's value at t = 0 implies, with the discrete
+        # boundary functional B, vs direct singular quadrature of t^(g-1) w.
         from hilferbvp.fracops import boundary_kernel_weights, physical_integral
         p = problem_with(lambda t, y: 1.0, lam=0.2)
         consts, rule = setup(p, n=512)
