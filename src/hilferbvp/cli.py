@@ -27,8 +27,10 @@ from .config import (
     RunConfig,
     SweepConfig,
     check_run_config,
+    convert,
     parse_run_file,
     parse_sweep_file,
+    to_grading,
 )
 from .core import WeightedGridFunction, derive_constants
 from .errors import ConfigError, HilferBvpError, NonFiniteResidual, SingularProblem
@@ -54,14 +56,8 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     updates = {}
     if args.mesh_n is not None:
         updates["mesh_n"] = args.mesh_n
-    if args.mesh_r == "auto":
-        updates["mesh_r"] = None
-    elif args.mesh_r is not None:
-        try:
-            updates["mesh_r"] = float(args.mesh_r)
-        except ValueError:
-            raise ConfigError(f"--mesh-r must be a number or 'auto', "
-                              f"got {args.mesh_r!r}", "command line") from None
+    if args.mesh_r is not None:
+        updates["mesh_r"] = convert("--mesh-r", args.mesh_r, to_grading, "command line")
     if args.tol is not None:
         updates["tol"] = args.tol
     if args.max_iter is not None:
@@ -126,8 +122,8 @@ def _report_lines(cfg: RunConfig, consts, certs: List[Certificate],
     lines.append(f"  alpha = {cfg.alpha:g}, beta = {cfg.beta:g}, "
                  f"lambda = {cfg.lam:g}, d = {cfg.d:g}")
     lines.append(f"  rhs: {cfg.rhs.describe()}")
-    lines.append(f"  mesh: n = {cfg.mesh_n}, r = "
-                 f"{cfg.mesh().r:g}{' (auto)' if cfg.mesh_r is None else ''}")
+    lines.append(f"  mesh: n = {cfg.mesh_n}, r = {result.solution.mesh.r:g}"
+                 f"{' (auto)' if cfg.mesh_r is None else ''}")
     lines.append("constants:")
     lines.append(f"  gamma  = {_fmt(consts.gamma)}")
     lines.append(f"  mu     = {_fmt(consts.mu)}")

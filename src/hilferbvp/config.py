@@ -11,23 +11,37 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
-from .core import GradedMesh, HilferProblem, composite_order, default_grading
+from .core import GradedMesh, HilferProblem, composite_order
 from .errors import ConfigError
 from .expressions import parse_expression
 
-RHS_KINDS = ("constant", "linear", "power", "logistic", "expression")
+
+class _RhsKind(NamedTuple):
+    """One row of the rhs catalog."""
+
+    keys: Tuple[str, ...]                      # its parameters, in config order
+    build: Callable[..., Callable]             # f(t, y) from the parameters
+    lipschitz: Callable[..., Optional[float]]  # analytic constant in y, None if opaque
+    describe: str                              # "f(t, y) = ..." text, formatted with them
+
+
+_RHS_CATALOG: Dict[str, _RhsKind] = {
+    "constant": _RhsKind(("c",), lambda c: lambda t, y: c, lambda c: 0.0, "{c:g}"),
+    "linear": _RhsKind(("a", "b"), lambda a, b: lambda t, y: a * y + b,
+                       lambda a, b: abs(a), "{a:g}*y + {b:g}"),
+    "power": _RhsKind(("sigma",), lambda sigma: lambda t, y: t ** (sigma - 1.0),
+                      lambda sigma: 0.0, "t^({sigma:g} - 1)"),
+    "logistic": _RhsKind(("scale",), lambda scale: lambda t, y: scale * y / (1.0 + y),
+                         lambda scale: abs(scale), "{scale:g}*y/(1 + y)"),
+    "expression": _RhsKind(("expr",), lambda expr: parse_expression(expr),
+                           lambda expr: None, "{expr}"),
+}
+
+RHS_KINDS = tuple(_RHS_CATALOG)
 
 SWEEP_PARAMETERS = ("alpha", "beta", "lambda", "d", "lipschitz")
-
-_RHS_PARAM_KEYS = {
-    "constant": ("c",),
-    "linear": ("a", "b"),
-    "power": ("sigma",),
-    "logistic": ("scale",),
-    "expression": ("expr",),
-}
 
 
 @dataclass(frozen=True)
@@ -42,41 +56,22 @@ class RhsSpec:
     scale: float = 1.0
     expr: str = ""
 
+    def _row(self) -> Tuple[_RhsKind, Dict[str, object]]:
+        row = _RHS_CATALOG[self.kind]
+        return row, {key: getattr(self, key) for key in row.keys}
+
     def build(self) -> Callable[[float, float], float]:
-        if self.kind == "constant":
-            c = self.c
-            return lambda t, y: c
-        if self.kind == "linear":
-            a, b = self.a, self.b
-            return lambda t, y: a * y + b
-        if self.kind == "power":
-            sigma = self.sigma
-            return lambda t, y: t ** (sigma - 1.0)
-        if self.kind == "logistic":
-            scale = self.scale
-            return lambda t, y: scale * y / (1.0 + y)
-        return parse_expression(self.expr)
+        row, params = self._row()
+        return row.build(**params)
 
     def catalog_lipschitz(self) -> Optional[float]:
         """Analytic Lipschitz constant in y, None for opaque expressions."""
-        if self.kind in ("constant", "power"):
-            return 0.0
-        if self.kind == "linear":
-            return abs(self.a)
-        if self.kind == "logistic":
-            return abs(self.scale)
-        return None
+        row, params = self._row()
+        return row.lipschitz(**params)
 
     def describe(self) -> str:
-        if self.kind == "constant":
-            return f"f(t, y) = {self.c:g}"
-        if self.kind == "linear":
-            return f"f(t, y) = {self.a:g}*y + {self.b:g}"
-        if self.kind == "power":
-            return f"f(t, y) = t^({self.sigma:g} - 1)"
-        if self.kind == "logistic":
-            return f"f(t, y) = {self.scale:g}*y/(1 + y)"
-        return f"f(t, y) = {self.expr}"
+        row, params = self._row()
+        return "f(t, y) = " + row.describe.format(**params)
 
 
 @dataclass(frozen=True)
@@ -110,8 +105,7 @@ class RunConfig:
     def mesh(self) -> GradedMesh:
         if self.mesh_r is not None:
             return GradedMesh(self.mesh_n, self.mesh_r)
-        gamma = composite_order(self.alpha, self.beta)
-        return GradedMesh(self.mesh_n, default_grading(gamma))
+        return GradedMesh.graded_for(self.mesh_n, composite_order(self.alpha, self.beta))
 
 
 @dataclass(frozen=True)
@@ -144,14 +138,10 @@ class SweepConfig:
 
 
 def apply_parameter(cfg: RunConfig, parameter: str, value: float) -> RunConfig:
-    if parameter == "lambda":
-        return replace(cfg, lam=value)
-    if parameter == "lipschitz":
-        return replace(cfg, lipschitz=value)
-    if parameter in ("alpha", "beta", "d"):
-        return replace(cfg, **{parameter: value})
-    raise ConfigError(f"unknown sweep parameter {parameter!r}; "
-                      f"expected one of {SWEEP_PARAMETERS}")
+    if parameter not in SWEEP_PARAMETERS:
+        raise ConfigError(f"unknown sweep parameter {parameter!r}; "
+                          f"expected one of {SWEEP_PARAMETERS}")
+    return replace(cfg, **{"lam" if parameter == "lambda" else parameter: value})
 
 
 # --- low-level reader ----------------------------------------------------
@@ -222,12 +212,17 @@ class _SectionView:
         item = self.require(key) if required else self.take(key)
         if item is None:
             return default
-        try:
-            return conv(item.value)
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}", self.path, item.line)
+        return convert(key, item.value, conv, self.path, item.line)
+
+
+def convert(key: str, text: str, conv, path: Optional[str], line: Optional[int] = None):
+    """conv(text), its failure raised as a ConfigError naming ``key``."""
+    try:
+        return conv(text)
+    except ConfigError:
+        raise
+    except Exception as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}", path, line) from None
 
 
 def _to_float(text: str) -> float:
@@ -239,6 +234,17 @@ def _to_float(text: str) -> float:
 
 def _to_int(text: str) -> int:
     return int(text, 10)
+
+
+def to_grading(text: str) -> Optional[float]:
+    """A mesh grading exponent, ``[mesh] r`` or ``--mesh-r``: None for
+    'auto' (RunConfig.mesh then picks it), else a finite number."""
+    return None if text == "auto" else _to_float(text)
+
+
+def _to_expression(text: str) -> str:
+    parse_expression(text)      # fail early, at parse time
+    return text
 
 
 def _unknown_key_check(sections, known: FrozenSet[str], path: str):
@@ -260,14 +266,10 @@ def _parse_rhs(sections, path: str) -> Tuple[RhsSpec, Optional[float]]:
         raise ConfigError(f"unknown rhs kind {kind!r}; expected one of {RHS_KINDS}",
                           path, kind_item.line)
     fields: Dict[str, object] = {"kind": kind}
-    for key in _RHS_PARAM_KEYS[kind]:
-        if key == "expr":
-            item = rhs.require("expr")
-            parse_expression(item.value)      # fail early, with the line number
-            fields["expr"] = item.value
-        else:
-            fields[key] = rhs.parse(key, _to_float, required=True)
-    if kind == "power" and fields["sigma"] < 1.0:
+    for key in _RHS_CATALOG[kind].keys:
+        fields[key] = rhs.parse(key, _to_expression if key == "expr" else _to_float,
+                                required=True)
+    if fields.get("sigma", 1.0) < 1.0:
         raise ConfigError(f"power rhs needs sigma >= 1, got {fields['sigma']}", path)
     lipschitz = rhs.parse("lipschitz", _to_float)
     if lipschitz is not None and lipschitz < 0.0:
@@ -288,13 +290,7 @@ def _parse_run(sections, path: str) -> RunConfig:
 
     mesh = _SectionView(sections, "mesh", path)
     mesh_n = mesh.parse("n", _to_int, default=256)
-    r_item = mesh.take("r")
-    mesh_r: Optional[float] = None
-    if r_item is not None and r_item.value != "auto":
-        try:
-            mesh_r = _to_float(r_item.value)
-        except Exception as exc:
-            raise ConfigError(f"bad value for 'r': {exc}", path, r_item.line)
+    mesh_r = mesh.parse("r", to_grading)
 
     picard = _SectionView(sections, "picard", path)
     tol = picard.parse("tol", _to_float, default=1e-10)
@@ -304,9 +300,7 @@ def _parse_run(sections, path: str) -> RunConfig:
     lower = bounds.parse("lower", _to_float)
     upper = bounds.parse("upper", _to_float)
 
-    output = _SectionView(sections, "output", path)
-    dir_item = output.take("dir")
-    output_dir = dir_item.value if dir_item is not None else "."
+    output_dir = _SectionView(sections, "output", path).parse("dir", str, default=".")
 
     return check_run_config(
         RunConfig(alpha=alpha, beta=beta, lam=lam, d=d, rhs=rhs_spec,
@@ -344,13 +338,16 @@ def parse_run_text(text: str, path: str = "<config>") -> RunConfig:
     return cfg
 
 
-def parse_run_file(path: str) -> RunConfig:
+def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}", path)
-    return parse_run_text(text, path)
+
+
+def parse_run_file(path: str) -> RunConfig:
+    return parse_run_text(_read_file(path), path)
 
 
 def parse_sweep_text(text: str, path: str = "<config>") -> SweepConfig:
@@ -396,12 +393,7 @@ def parse_sweep_text(text: str, path: str = "<config>") -> SweepConfig:
 
 
 def parse_sweep_file(path: str) -> SweepConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}", path)
-    return parse_sweep_text(text, path)
+    return parse_sweep_text(_read_file(path), path)
 
 
 _KNOWN_RUN = frozenset({"problem", "rhs", "mesh", "picard", "bounds", "output"})

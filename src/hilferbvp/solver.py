@@ -135,26 +135,26 @@ def apply_delta(problem: Union[HilferProblem, Sequence[HilferProblem]],
                            else (problem, consts, w))
     t = rule.mesh.nodes
     samples, errors, heads = _origin(problems, consts, w, rule.mesh)
-    if None not in errors:
+    if None in errors:
+        out = np.empty_like(w)
+        # The samples of a failed row and an overflow give non-finite images,
+        # which are checked below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            conv = rl_integral(problems[0].alpha, samples, rule)
+            out[:, 0] = heads
+            out[:, 1:] = heads[:, None] + t[1:] ** (1.0 - consts[0].gamma) * conv[:, 1:]
+        finite = np.isfinite(out)
+        for k in np.flatnonzero(~finite.all(axis=1)):
+            if errors[k] is None:
+                j = int(np.argmin(finite[k]))
+                errors[k] = NonFiniteIterate(
+                    f"the operator image is {out[k, j]} at t={t[j]}: the iterate "
+                    "overflowed double precision"
+                )
+    else:
         # No row is left to apply, so nothing is convolved: a solve whose
         # rhs fails at its first iterate reports that, not MeshTooLarge.
-        errors[0].rows = (errors, np.full_like(w, np.nan))
-        raise errors[0]
-    out = np.empty_like(w)
-    # The samples of a failed row and an overflow give non-finite images,
-    # which are checked below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        conv = rl_integral(problems[0].alpha, samples, rule)
-        out[:, 0] = heads
-        out[:, 1:] = heads[:, None] + t[1:] ** (1.0 - consts[0].gamma) * conv[:, 1:]
-    finite = np.isfinite(out)
-    for k in np.flatnonzero(~finite.all(axis=1)):
-        if errors[k] is None:
-            j = int(np.argmin(finite[k]))
-            errors[k] = NonFiniteIterate(
-                f"the operator image is {out[k, j]} at t={t[j]}: the iterate "
-                "overflowed double precision"
-            )
+        out = np.full_like(w, np.nan)
     failed = [error for error in errors if error is not None]
     if failed:
         failed[0].rows = (errors, out)

@@ -120,6 +120,13 @@ class TestSolve:
     def test_missing_file_exit(self, capsys):
         assert main(["solve", "/nonexistent/x.cfg"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_non_utf8_config_exit_without_traceback(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"[problem]\nalpha = 0.5 # \xb5\n")
+        assert main([command, str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {path}: cannot read config: ")
+
     def test_rhs_failure_exit_without_traceback(self, tmp_path, capsys):
         # a = 400 drives the iterates to overflow, so f turns non-finite.
         path, _ = write_config(tmp_path, rhs="kind = linear\na = 400\nb = 0.25")
@@ -336,6 +343,23 @@ class TestSolve:
         path, out = write_config(tmp_path)
         assert main(["solve", str(path), "--mesh-n", "32", "--tol", "1e-8"]) == EXIT_OK
         assert len(read_csv(out / "solution.csv")) == 34
+
+    def test_mesh_r_auto_overrides_file_r(self, tmp_path):
+        # --mesh-r auto over r = 3.5 in the file runs as r = auto in the file.
+        runs = {}
+        for name, r, override in (("file-auto", "auto", []), ("file-3.5", "3.5", []),
+                                  ("flag-auto", "3.5", ["--mesh-r", "auto"])):
+            (tmp_path / name).mkdir()
+            path, out = write_config(tmp_path / name)
+            path.write_text(path.read_text().replace("r = auto", f"r = {r}"),
+                            encoding="utf-8")
+            assert main(["solve", str(path), *override]) == EXIT_OK
+            mesh_line = next(line for line in (out / "report.txt").read_text().splitlines()
+                             if line.startswith("  mesh:"))
+            runs[name] = mesh_line, (out / "solution.csv").read_bytes()
+        assert runs["file-3.5"][0] == "  mesh: n = 64, r = 3.5"
+        assert runs["flag-auto"][0].endswith(" (auto)")
+        assert runs["flag-auto"] == runs["file-auto"] != runs["file-3.5"]
 
 
 class TestCertify:
@@ -713,6 +737,7 @@ class TestOverrideValidation:
     @pytest.mark.parametrize("override", [
         ["--tol", "0"], ["--tol", "nan"], ["--max-iter", "0"], ["--mesh-n", "0"],
         ["--mesh-n", "2"], ["--mesh-r", "0.5"], ["--mesh-r", "nan"],
+        ["--mesh-r", "abc"], ["--mesh-r", "inf"],
     ], ids=" ".join)
     def test_rejected_like_config_keys(self, tmp_path, capsys, command, override):
         path, out = (write_config if command == "solve" else _sweep_config)(tmp_path)
@@ -720,6 +745,14 @@ class TestOverrideValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: command line: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "inf", "nan", ""])
+    def test_mesh_r_parsed_like_config_r(self, tmp_path, capsys, value):
+        # --mesh-r goes through the converter of [mesh] r, under its own name.
+        path, _ = write_config(tmp_path)
+        assert main(["solve", str(path), "--mesh-r", value]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: command line: bad value for '--mesh-r': ")
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
@@ -794,6 +827,25 @@ def _csv_writer_solution(path, w):
         for j in range(1, t.size):
             y = t[j] ** (w.gamma - 1.0) * w.values[j]
             writer.writerow([cli._fmt(t[j]), cli._fmt(w.values[j]), cli._fmt(y)])
+
+
+class TestBenchmarkSetupProbe:
+    """perfbench/run.py times `setup_s` with a probe: a fresh interpreter that
+    imports a parser from hilferbvp.cli and parses the workload's config.  A
+    refactor that moves those names fails here, not only in the benchmark."""
+
+    @pytest.mark.parametrize("workload", ["solve-verify", "sweep-lambda"])
+    def test_probe_parses_the_workload_config(self, tmp_path, monkeypatch, workload):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import run
+        import workloads
+        w = workloads.WORKLOADS[workload](4242)
+        for name, text in w.configs.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        done = subprocess.run([sys.executable, "-c", run.PROBE.format(parser=w.setup_parser),
+                               w.setup_config], cwd=tmp_path, env=child_env(),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestSolutionCsv:

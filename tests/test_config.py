@@ -1,6 +1,7 @@
 import pytest
 
 from hilferbvp.config import (
+    RHS_KINDS,
     RhsSpec,
     RunConfig,
     SweepAxis,
@@ -99,6 +100,33 @@ class TestParseRun:
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate key"):
             parse_run_text(BASE + "\n[extra]\nx = 1\nx = 2\n")
+
+
+class TestRhsCatalog:
+    """Each kind's row of the catalog: the text report.txt prints, the
+    analytic Lipschitz constant in y and one value of f."""
+
+    ROWS = [
+        (RhsSpec("constant", c=1.5), "f(t, y) = 1.5", 0.0, (0.25, 7.0, 1.5)),
+        (RhsSpec("linear", a=-0.25, b=1.0), "f(t, y) = -0.25*y + 1", 0.25,
+         (0.25, 2.0, 0.5)),
+        (RhsSpec("power", sigma=1.5), "f(t, y) = t^(1.5 - 1)", 0.0, (0.25, 7.0, 0.5)),
+        (RhsSpec("logistic", scale=-0.5), "f(t, y) = -0.5*y/(1 + y)", 0.5,
+         (0.25, 3.0, -0.375)),
+        (RhsSpec("expression", expr="(y+1)/4 + t"), "f(t, y) = (y+1)/4 + t", None,
+         (0.5, 3.0, 1.5)),
+    ]
+
+    def test_rows_cover_every_kind(self):
+        assert tuple(spec.kind for spec, *_ in self.ROWS) == RHS_KINDS
+
+    @pytest.mark.parametrize("spec, text, lipschitz, point", ROWS,
+                             ids=[spec.kind for spec, *_ in ROWS])
+    def test_row(self, spec, text, lipschitz, point):
+        assert spec.describe() == text
+        assert spec.catalog_lipschitz() == lipschitz
+        t, y, value = point
+        assert spec.build()(t, y) == value
 
 
 class TestRoundTrip:
