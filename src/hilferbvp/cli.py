@@ -380,16 +380,18 @@ def _read_solution_csv(path: str, mesh) -> np.ndarray:
                 if len(row) < 2:
                     raise ConfigError("solution row needs a t and a w value",
                                       path, reader.line_num)
-                t, w = float(row[0]), float(row[1])
+                try:
+                    t, w = float(row[0]), float(row[1])
+                except ValueError as exc:
+                    raise ConfigError(f"bad number in solution file: {exc}",
+                                      path, reader.line_num) from None
                 if not (math.isfinite(t) and math.isfinite(w)):
                     raise ConfigError(f"solution row has a non-finite value "
                                       f"(t = {row[0]}, w = {row[1]})",
                                       path, reader.line_num)
                 rows.append((t, w))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read solution: {exc}", path)
-    except ValueError as exc:
-        raise ConfigError(f"bad number in solution file: {exc}", path)
     if len(rows) != mesh.n + 1:
         raise ConfigError(
             f"solution has {len(rows)} samples but the config mesh has "

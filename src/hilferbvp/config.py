@@ -216,11 +216,15 @@ class _SectionView:
 
 
 def convert(key: str, text: str, conv, path: Optional[str], line: Optional[int] = None):
-    """conv(text), its failure raised as a ConfigError naming ``key``."""
+    """conv(text), its failure raised as a ConfigError naming ``key``.  A
+    ConfigError of conv's own keeps its type and message and gains the
+    location when it has none."""
     try:
         return conv(text)
-    except ConfigError:
-        raise
+    except ConfigError as exc:
+        if exc.path is not None:
+            raise
+        raise type(exc)(str(exc), path, line) from None
     except Exception as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}", path, line) from None
 

@@ -20,12 +20,14 @@ from __future__ import annotations
 import math
 import os
 import weakref
+import zlib
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
 
+from . import tablestore
 from .core import GradedMesh, WeightedGridFunction
 from .errors import InsufficientNodes, MeshMismatch, MeshTooLarge, OutOfDomain
 
@@ -633,6 +635,46 @@ def _near_tables(t: np.ndarray, order: float) -> Tuple[np.ndarray, ...]:
     return near
 
 
+def _order_shapes(size: int, gauss: int, k: int):
+    """Shapes of the tables of one order on `size` nodes with `gauss` Gauss
+    and k trapezoid modes, as _SoeOperator.tables lists them."""
+    b = _SOE_BLOCK
+    blocks = -(-size // b)
+    hist = blocks - 1
+    return [*((blocks, _SOE_ROWS, width) for width in _SOE_NEAR_WIDTHS),
+            (hist, gauss, b + 1), (hist, b, gauss), (hist, gauss + k), (k,)]
+
+
+def _mode_shapes(tiers):
+    """Shapes of the shared tables of the plan `tiers` (_soe_tiers), as
+    _SoeModes.tables lists them."""
+    b = _SOE_BLOCK
+    return [(tiers[0][2] if tiers else 0,),
+            *((c1 - c0, k, b + 1) for c0, c1, k in tiers),
+            *((c1 - c0, b, k) for c0, c1, k in tiers)]
+
+
+def _checked_bytes(n: int, shapes) -> int:
+    """Bytes of float64 tables of these shapes on n mesh intervals.  Raises
+    MeshTooLarge when they exceed physical memory."""
+    need = 8 * sum(math.prod(shape) for shape in shapes)
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise MeshTooLarge(
+            f"a sum-of-exponentials operator on {n} mesh intervals needs "
+            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
+            f"of physical memory"
+        )
+    return need
+
+
+def _allocation_failure(n: int, need: int) -> MeshTooLarge:
+    return MeshTooLarge(
+        f"the {need / 2**30:.3g} GiB of sum-of-exponentials tables on {n} "
+        f"mesh intervals could not be allocated"
+    )
+
+
 def _soe_operator(nodes: np.ndarray, order: float,
                   modes: Optional[_SoeModes] = None) -> _SoeOperator:
     """The SOE form of the product-trapezoidal I^order, 0 < order < 1.  Its
@@ -647,26 +689,13 @@ def _soe_operator(nodes: np.ndarray, order: float,
     allocated."""
     t = nodes
     n = t.size - 1
-    b = _SOE_BLOCK
-    blocks = -(-(n + 1) // b)
     delta = _history_delta(t)
     x, w = (np.zeros(0), np.zeros(0)) if delta is None else _soe_nodes(1.0 - order, delta)
     gauss = min(x.size, _SOE_GAUSS_NODES)
-    k = x.size - gauss
-    # Bytes of the near field, of the Gauss modes' gather and spread, of
-    # decay and of the weights; then of the shared x and tiers if built here.
-    hist = blocks - 1
-    need = 8 * (blocks * _SOE_ROWS * sum(_SOE_NEAR_WIDTHS)
-                + hist * (2 * b + 1) * gauss + hist * x.size + k)
+    shapes = _order_shapes(t.size, gauss, x.size - gauss)
     if modes is None:
-        need += 8 * (k + sum((c1 - c0) * (2 * b + 1) * kt for c0, c1, kt in _soe_tiers(t)))
-    have = _physical_memory()
-    if have is not None and need > have:
-        raise MeshTooLarge(
-            f"a sum-of-exponentials operator on {n} mesh intervals needs "
-            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
-            f"of physical memory"
-        )
+        shapes += _mode_shapes(_soe_tiers(t))
+    need = _checked_bytes(n, shapes)
     try:
         if modes is None:
             modes = _soe_modes(t)
@@ -676,14 +705,63 @@ def _soe_operator(nodes: np.ndarray, order: float,
         w = w / math.gamma(order)
         spread *= w[:gauss]
     except MemoryError:
-        raise MeshTooLarge(
-            f"the {need / 2**30:.3g} GiB of sum-of-exponentials tables on {n} "
-            f"mesh intervals could not be allocated"
-        ) from None
+        raise _allocation_failure(n, need) from None
     weights = w[gauss:]
     op = _SoeOperator(n, near, gather, spread, decay, weights, modes)
     for table in op.tables():
         table.setflags(write=False)
+    return op
+
+
+@cache
+def _source_crc() -> Optional[int]:
+    """crc32 of this module's source, which builds every stored table; None
+    when it cannot be read."""
+    try:
+        with open(__file__, "rb") as handle:
+            return zlib.crc32(handle.read())
+    except OSError:
+        return None
+
+
+def _stored_soe_operator(t: np.ndarray, order: float,
+                         modes: Optional[_SoeModes]) -> _SoeOperator:
+    """_soe_operator(t, order, modes) with its tables, and the shared ones
+    when `modes` is None, read from the table store (tablestore) where it
+    holds them, bit for bit as built; the tables built here are written to
+    it.  Entries are keyed by the node bytes, and the order's also by the
+    order's bits.  MeshTooLarge is raised as by _soe_operator, before any
+    table is read."""
+    n = t.size - 1
+    tiers = list(modes.tiers) if modes is not None else _soe_tiers(t)
+    own = _order_shapes(t.size, _SOE_GAUSS_NODES if tiers else 0,
+                        tiers[0][2] if tiers else 0)
+    shared = [] if modes is not None else _mode_shapes(tiers)
+    need = _checked_bytes(n, own + shared)
+    source = _source_crc()
+    if source is None:
+        return _soe_operator(t, order, modes)
+    key = f"hilferbvp.fracops {source:08x} n={n} nodes={zlib.crc32(t):08x}"
+    order_key = f"{key} order={order.hex()}"
+    tables = None
+    try:
+        if modes is None:
+            stored = tablestore.load(f"{key} modes", shared)
+            if stored is not None:
+                k = len(tiers)
+                modes = _SoeModes(stored[0], tuple(tiers), tuple(stored[1:1 + k]),
+                                  tuple(stored[1 + k:]))
+        if modes is not None:
+            tables = tablestore.load(order_key, own)
+    except MemoryError:
+        raise _allocation_failure(n, need) from None
+    if tables is not None:
+        near = len(_SOE_NEAR_WIDTHS)
+        return _SoeOperator(n, tuple(tables[:near]), *tables[near:], modes)
+    op = _soe_operator(t, order, modes)
+    if modes is None:
+        tablestore.save(f"{key} modes", op.modes.tables())
+    tablestore.save(order_key, op.tables())
     return op
 
 
@@ -715,14 +793,15 @@ def _cached_convolution_matrix(n: int, r: float, order: float) -> np.ndarray:
     return _convolution_matrix(GradedMesh(n, r).nodes, order)
 
 
-# The shared SOE modes of each mesh (n, r), built on the first SOE miss on
-# it; they live while a cached operator on that mesh does.
+# The shared SOE modes of each mesh (n, r), built or read from the table
+# store on the first SOE miss on it; they live while a cached operator on
+# that mesh does.
 _soe_mesh_modes = weakref.WeakValueDictionary()
 
 
 @lru_cache(maxsize=16)
 def _cached_soe_operator(n: int, r: float, order: float) -> _SoeOperator:
-    op = _soe_operator(GradedMesh(n, r).nodes, order, _soe_mesh_modes.get((n, r)))
+    op = _stored_soe_operator(GradedMesh(n, r).nodes, order, _soe_mesh_modes.get((n, r)))
     _soe_mesh_modes[n, r] = op.modes
     return op
 

@@ -1,11 +1,13 @@
 """Shared helpers of the tests, imported as ``from helpers import ...``."""
 
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
 
 import hilferbvp
+from hilferbvp import tablestore
 
 
 def smooth_profile(t, seed=7, offset=2.0):
@@ -23,3 +25,12 @@ def child_env(threads=1):
     src = str(Path(hilferbvp.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+
+
+def clear_table_store():
+    """Empty the test's own operator table store, which conftest.py sets up,
+    so that the next operator is built as in a process on a fresh store."""
+    store = Path(tablestore.directory())
+    if store.parent.name != "xdg-cache":
+        raise RuntimeError(f"{store} is not a test's own table store")
+    shutil.rmtree(store, ignore_errors=True)

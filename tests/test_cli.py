@@ -25,7 +25,9 @@ from hilferbvp.cli import (
     EXIT_SINGULAR,
     main,
 )
+from hilferbvp.config import parse_run_file
 from hilferbvp.core import GradedMesh, WeightedGridFunction
+from hilferbvp.errors import ExpressionError
 
 CONFIG = """
 [problem]
@@ -126,6 +128,22 @@ class TestSolve:
         path.write_bytes(b"[problem]\nalpha = 0.5 # \xb5\n")
         assert main([command, str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"error: {path}: cannot read config: ")
+
+    @pytest.mark.parametrize("command", ["solve", "certify", "sweep"])
+    def test_malformed_expression_names_its_line(self, tmp_path, capsys, command):
+        path, _ = write_config(tmp_path, rhs="kind = expression\nexpr = y +* 2")
+        if command == "sweep":
+            path.write_text(path.read_text() + (
+                "\n[sweep]\naxis1 = lambda\naxis1_start = 0.0\n"
+                "axis1_stop = 0.2\naxis1_steps = 2\n"), encoding="utf-8")
+        line = path.read_text().splitlines().index("expr = y +* 2") + 1
+        assert main([command, str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {path}:{line}: unexpected '*' at position 3 in rhs "
+            f"expression 'y +* 2'\n")
+        with pytest.raises(ExpressionError) as raised:
+            parse_run_file(str(path))
+        assert (raised.value.path, raised.value.line) == (str(path), line)
 
     def test_rhs_failure_exit_without_traceback(self, tmp_path, capsys):
         # a = 400 drives the iterates to overflow, so f turns non-finite.
@@ -681,14 +699,16 @@ class TestVerify:
         # Above n of about 10^4 OpenBLAS splits a dot product over its
         # threads.  The solver's boundary functional and verify's integral
         # of y sum in einsum's own loop instead, so solve and verify write
-        # and print the same bytes with one and two threads.
+        # and print the same bytes with one and two threads.  Each thread
+        # count builds its SOE tables on a table store of its own.
         path, _ = write_config(tmp_path, rhs="kind = linear\na = 0.25\nb = 0.25")
         outputs = []
         for threads in (1, 2):
             out = tmp_path / f"threads{threads}"
+            env = dict(child_env(threads), XDG_CACHE_HOME=str(out / "store"))
             printed = [subprocess.run([sys.executable, "-m", "hilferbvp.cli", *args,
                                        "--mesh-n", "20000", "--output-dir", str(out)],
-                                      env=child_env(threads), capture_output=True,
+                                      env=env, capture_output=True,
                                       text=True, check=True).stdout
                        for args in (["solve", str(path)],
                                     ["verify", str(path), str(out / "solution.csv")])]
@@ -703,7 +723,7 @@ class TestVerify:
         assert main(["verify", str(path), str(out / "solution.csv"),
                      "--mesh-n", "32"]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("edit", ["w_nan", "short_row", "t_nan"])
+    @pytest.mark.parametrize("edit", ["w_nan", "short_row", "t_nan", "w_not_a_number"])
     def test_bad_solution_file_is_config_error(self, tmp_path, capsys, edit):
         path, out = write_config(tmp_path)
         assert main(["solve", str(path)]) == EXIT_OK
@@ -713,6 +733,8 @@ class TestVerify:
             rows[3][1] = "nan"
         elif edit == "short_row":
             rows[3] = rows[3][:1]
+        elif edit == "w_not_a_number":
+            rows[3][1] = "abc"
         else:
             rows[3][0] = "nan"
         solution.write_text("".join(",".join(row) + "\n" for row in rows),
@@ -722,6 +744,16 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "solution.csv:4:" in err
+
+
+    def test_non_utf8_solution_exit_without_traceback(self, tmp_path, capsys):
+        path, out = write_config(tmp_path)
+        assert main(["solve", str(path)]) == EXIT_OK
+        solution = out / "solution.csv"
+        solution.write_bytes(solution.read_bytes().replace(b"\r\n", b"\xb5\r\n", 4))
+        capsys.readouterr()
+        assert main(["verify", str(path), str(solution)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {solution}: cannot read solution: ")
 
 
 def _sweep_config(tmp_path):

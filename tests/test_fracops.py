@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import child_env, smooth_profile
+from helpers import child_env, clear_table_store, smooth_profile
 from hilferbvp import fracops
 from hilferbvp.core import GradedMesh, WeightedGridFunction
 from hilferbvp.errors import InsufficientNodes, MeshMismatch, MeshTooLarge, OutOfDomain
@@ -625,8 +625,11 @@ class TestOperatorCacheHooks:
 
 
 def _clear_operator_caches():
+    """Empty the operator caches and the table store: the next SOE operator
+    is built, as in a process on a fresh store."""
     fracops._cached_convolution_matrix.cache_clear()
     fracops._cached_soe_operator.cache_clear()
+    clear_table_store()
 
 
 def _operator_cache_sizes():
@@ -927,7 +930,7 @@ class TestSoeOperator:
         finally:
             _clear_operator_caches()
 
-    def test_independent_of_blas_threads(self):
+    def test_independent_of_blas_threads(self, tmp_path):
         # The SOE apply makes one small BLAS dgemv per row and block, which
         # OpenBLAS runs in one thread (_SoeOperator); the cumulative
         # trapezoid uses no BLAS.  So the output is the same bytes with
@@ -963,13 +966,16 @@ class TestSoeOperator:
             "out += fracops.rl_integral(0.05, stack, rule).tobytes()\n"
             "print(hashlib.sha256(out).hexdigest())\n"
         )
+        # Each thread count builds on a store of its own; the last run reads
+        # the first one's tables back.
         digests = []
-        for threads in (1, 2, 4):
-            done = subprocess.run([sys.executable, "-c", script], env=child_env(threads),
+        for threads, store in ((1, "one"), (2, "two"), (4, "four"), (2, "one")):
+            env = dict(child_env(threads), XDG_CACHE_HOME=str(tmp_path / store))
+            done = subprocess.run([sys.executable, "-c", script], env=env,
                                   capture_output=True, text=True, check=True)
             digests.append(done.stdout.strip())
         assert len(digests[0]) == 64
-        assert digests[0] == digests[1] == digests[2]
+        assert digests[0] == digests[1] == digests[2] == digests[3]
 
 
 class TestSharedSoeTables:
