@@ -729,9 +729,9 @@ def _stored_soe_operator(t: np.ndarray, order: float,
     """_soe_operator(t, order, modes) with its tables, and the shared ones
     when `modes` is None, read from the table store (tablestore) where it
     holds them, bit for bit as built; the tables built here are written to
-    it.  Entries are keyed by the node bytes, and the order's also by the
-    order's bits.  MeshTooLarge is raised as by _soe_operator, before any
-    table is read."""
+    it.  Entries are keyed by the node bytes (their crc32 and adler32), and
+    the order's also by the order's bits.  MeshTooLarge is raised as by
+    _soe_operator, before any table is read."""
     n = t.size - 1
     tiers = list(modes.tiers) if modes is not None else _soe_tiers(t)
     own = _order_shapes(t.size, _SOE_GAUSS_NODES if tiers else 0,
@@ -741,7 +741,8 @@ def _stored_soe_operator(t: np.ndarray, order: float,
     source = _source_crc()
     if source is None:
         return _soe_operator(t, order, modes)
-    key = f"hilferbvp.fracops {source:08x} n={n} nodes={zlib.crc32(t):08x}"
+    nodes = f"{zlib.crc32(t):08x}{zlib.adler32(t):08x}"
+    key = f"hilferbvp.fracops {source:08x} n={n} nodes={nodes}"
     order_key = f"{key} order={order.hex()}"
     tables = None
     try:

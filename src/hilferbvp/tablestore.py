@@ -25,6 +25,7 @@ silently, never raising.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import sys
 import tempfile
@@ -51,11 +52,38 @@ def directory() -> Optional[str]:
     return os.path.join(base, "hilferbvp") if os.path.isabs(base) else None
 
 
+def _lapack() -> str:
+    """The LAPACK that numpy.linalg runs: its name and version as numpy was
+    built, and for OpenBLAS its build and the core whose kernels it picked
+    by CPU model or OPENBLAS_CORETYPE.  OpenBLAS is looked up through the
+    handle of numpy.linalg's extension, which searches only the libraries
+    it links, not another package's BLAS in the process."""
+    from numpy.linalg import _umath_linalg
+    try:
+        built = np.__config__.CONFIG["Build Dependencies"]["lapack"]
+        names = [f"{built['name']} {built['version']}"]
+    except (AttributeError, KeyError, TypeError):
+        names = ["?"]
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return " ".join(names)
+    for prefix, suffix in (("", ""), ("", "64_"), ("scipy_", ""), ("scipy_", "64_")):
+        config = getattr(lib, f"{prefix}openblas_get_config{suffix}", None)
+        core = getattr(lib, f"{prefix}openblas_get_corename{suffix}", None)
+        if config is not None and core is not None:
+            config.restype = core.restype = ctypes.c_char_p
+            names.append(f"({config().decode()}; core {core().decode()})")
+            break
+    return " ".join(names)
+
+
 @cache
 def _environment() -> str:
     """What besides the key decides a table's bits: the Python, libc and
-    numpy versions, and the CPU features numpy enabled, on which its SIMD
-    exp and pow dispatch."""
+    numpy versions, the CPU features numpy enabled, on which its SIMD exp
+    and pow dispatch, and the LAPACK that gives the Gauss modes'
+    eigenvectors (_lapack)."""
     try:
         from numpy._core._multiarray_umath import __cpu_features__ as features
     except ImportError:                 # numpy < 2
@@ -65,7 +93,8 @@ def _environment() -> str:
     except (AttributeError, ValueError, OSError):
         libc = "?"
     enabled = " ".join(sorted(name for name, on in features.items() if on))
-    return f"python {sys.version.split()[0]}; {libc}; numpy {np.__version__}; {enabled}"
+    return (f"python {sys.version.split()[0]}; {libc}; numpy {np.__version__}; "
+            f"{enabled}; {_lapack()}")
 
 
 def _header(key: str, shapes: Sequence[Shape]) -> bytes:
@@ -105,9 +134,12 @@ def load(key: str, shapes: Sequence[Shape]) -> Optional[List[np.ndarray]]:
                 filled += got
         if zlib.crc32(data) != int.from_bytes(head[len(_MAGIC):_PREFIX], "little"):
             return None
-        os.utime(path)
     except OSError:
         return None
+    try:
+        os.utime(path)
+    except OSError:
+        pass                            # say, another user's entry
     data.setflags(write=False)
     arrays, start = [], 0
     for shape, size in zip(shapes, sizes):

@@ -2,9 +2,12 @@
 its use beneath fracops._cached_soe_operator."""
 
 import os
+import platform
 import shutil
 import subprocess
 import sys
+import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -114,6 +117,63 @@ class TestHits:
         fracops._cached_soe_operator(257, 2.0, 0.5)
         assert builds == [0.5, None, np.nextafter(0.5, 1.0), 0.5, None, 0.5, None]
         assert len(_entries(table_store)) == 7
+
+    def test_meshes_with_one_node_crc32_told_apart(self, table_store, monkeypatch, builds):
+        # Two gradings whose node bytes had the same crc32 still miss apart;
+        # neighbouring ones, whose tables have the same shapes.
+        monkeypatch.setattr(fracops, "zlib", SimpleNamespace(
+            crc32=lambda data, value=0: 0, adler32=zlib.adler32))
+        for r in (2.0, np.nextafter(2.0, 3.0)):
+            _fresh_process()
+            _assert_same_operator(fracops._cached_soe_operator(256, r, 0.5),
+                                  GradedMesh(256, r).nodes, 0.5)
+        assert builds == [0.5, None, 0.5, None]
+
+    def test_hit_whose_mtime_cannot_be_refreshed(self, table_store, monkeypatch, builds):
+        # Say, another user's entry in a shared store: still a hit.
+        fracops._cached_soe_operator(256, 2.0, 0.5)
+        _fresh_process()
+
+        def refused(*args, **kwargs):
+            raise PermissionError("not the owner")
+
+        monkeypatch.setattr(tablestore.os, "utime", refused)
+        _assert_same_operator(fracops._cached_soe_operator(256, 2.0, 0.5),
+                              GradedMesh(256, 2.0).nodes, 0.5)
+        assert builds == [0.5, None]
+
+    def test_keyed_by_environment(self, table_store, monkeypatch, builds):
+        # Tables stored under other BLAS kernels, CPU features or versions
+        # are not read.
+        fracops._cached_soe_operator(256, 2.0, 0.5)
+        monkeypatch.setattr(tablestore, "_environment", lambda: "another machine")
+        _fresh_process()
+        _assert_same_operator(fracops._cached_soe_operator(256, 2.0, 0.5),
+                              GradedMesh(256, 2.0).nodes, 0.5)
+        assert builds == [0.5, None, 0.5, None]
+        assert len(_entries(table_store)) == 4
+
+
+def _child_environment(*lines, **env):
+    code = "\n".join(["import numpy", *lines, "from hilferbvp import tablestore",
+                      "print(tablestore._environment())"])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(child_env(), **env), check=True).stdout
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
+                    or "DYNAMIC_ARCH" not in tablestore._lapack(),
+                    reason="needs a run-time dispatching OpenBLAS on x86-64")
+def test_environment_names_the_openblas_core():
+    # OpenBLAS picks its kernels by CPU model, or by OPENBLAS_CORETYPE.
+    assert _child_environment(OPENBLAS_CORETYPE="Haswell").rstrip().endswith("core Haswell)")
+
+
+def test_environment_ignores_other_blas_libraries():
+    # Another package's BLAS in the process, here scipy's, does not build
+    # the tables: a library caller that imported it shares the CLI's entries.
+    pytest.importorskip("scipy.linalg")
+    assert _child_environment("import scipy.linalg") == _child_environment()
 
 
 def _damage_truncate(data):
