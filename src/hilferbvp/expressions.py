@@ -1,36 +1,37 @@
-"""Minimal arithmetic expression grammar for user-supplied right-hand sides.
+"""Arithmetic expressions for user-supplied right-hand sides.
 
-Accepted: the variables t and y, decimal numbers, + - * / ^ (right
-associative), unary minus, parentheses, and the functions exp, sin, cos.
-Expressions are evaluated with numpy ufuncs on floats or arrays.  The grammar
-is deliberately total: a domain error gives nan element by element instead
-of raising (division by zero, overflow of ^ or exp, ^ with no real value
-such as a fractional power of a negative base, sin/cos of an infinity), so
-a bad rhs fails the nonnegativity certificate rather than crashing a run.
+The language is Python's arithmetic grammar over the tokens of `_tokenize`,
+with ^ for ** (right associative, above unary minus: -t^2 is -(t^2)):
+numbers, t, y, unary minus, + - * / ^, parentheses, and exp, sin or cos of
+one argument.  Parentheses nest at most 200 deep and operators `_MAX_DEPTH`;
+a chain such as a+b-c*d does not nest, and Python's parser takes a few
+thousand terms.  Every error reads "unexpected <token> at position <p> in
+rhs expression <text>", then ": <limit>" if a limit was reached.
 
-    expr   := term (('+'|'-') term)*
-    term   := factor (('*'|'/') factor)*
-    factor := '-' factor | power
-    power  := atom ('^' factor)?
-    atom   := NUMBER | 't' | 'y' | FUNC '(' expr ')' | '(' expr ')'
+Values are numpy ufunc results on floats or arrays, and total: division by
+zero, overflow of ^ or exp, ^ with no real value (such as a fractional power
+of a negative base) and sin/cos of an infinity give nan element by element,
+so a bad rhs fails the nonnegativity certificate instead of crashing a run.
 """
 
 from __future__ import annotations
 
+import ast
+import itertools
 import re
-from typing import Callable, List, Tuple
+from typing import Callable, List
 
 import numpy as np
 
 from .errors import ExpressionError
 
-_TOKEN_RE = re.compile(r"""
-    (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
+_TOKEN_RE = re.compile(r"""\s*(?:
+    (?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?P<exponent>[eE][+-]?\d+)?)
   | (?P<name>[A-Za-z_]+)
   | (?P<op>[-+*/^()])
-  | (?P<ws>\s+)
-""", re.VERBOSE)
+  | (?P<other>\S))""", re.VERBOSE)
 
+_MAX_DEPTH = 500    # evaluation recurses once a level: well inside the recursion limit
 Evaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -43,141 +44,89 @@ def _overflow_to_nan(result, *operands):
 
 
 _FUNCTIONS = {"exp": lambda x: _overflow_to_nan(np.exp(x), x), "sin": np.sin, "cos": np.cos}
-_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply,
-           "/": lambda a, b: np.where(b == 0.0, np.nan, np.divide(a, b)),
-           "^": lambda a, b: _overflow_to_nan(np.power(a, b), a, b)}
+_VARIABLES = {"t": lambda t, y: t, "y": lambda t, y: y}
+_BINARY = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
+           ast.Div: lambda a, b: np.where(b == 0.0, np.nan, np.divide(a, b)),
+           ast.Pow: lambda a, b: _overflow_to_nan(np.power(a, b), a, b)}
 
 
-def _tokenize(text: str) -> List[Tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExpressionError(
-                f"unexpected character {text[pos]!r} at position {pos} in rhs "
-                f"expression {text!r}"
-            )
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _error(text: str, index: int, reason: str = "") -> ExpressionError:
+    """The error at the index-th token of ``text``, or at its end."""
+    m = next(itertools.islice(_TOKEN_RE.finditer(text), index, None), None)
+    at = f"{m[m.lastindex]!r} at position {m.start(m.lastindex)}" if m else \
+        f"end of expression at position {len(text)}"
+    limit = f": {reason}" if reason.startswith("too") else ""    # only limits are named
+    return ExpressionError(f"unexpected {at} in rhs expression {text!r}{limit}")
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _tokenize(text: str) -> List[str]:
+    """The Python source of each token, closed by an empty end token: ^ as **,
+    a number as a float literal of its value (of float() if not ASCII)."""
+    pieces = []
+    for num, exponent, name, op, _ in _TOKEN_RE.findall(text):
+        if num:
+            num = num if exponent else num + "e0"
+            pieces.append(num if num.isascii() else repr(float(num)).replace("inf", "1e999"))
+        elif op or name in _VARIABLES or name in _FUNCTIONS:
+            pieces.append("**" if op == "^" else op or name)
+        else:
+            raise _error(text, len(pieces))
+    return pieces + [""]
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _compile(node: ast.expr, source: str, depth: int = 0) -> Evaluator:
+    """The evaluator of a tree; other nodes raise SyntaxError at a token."""
+    if isinstance(node, ast.Constant):
+        return lambda t, y, const=node.value: const
+    if isinstance(node, ast.Name) and node.id in _VARIABLES:
+        return _VARIABLES[node.id]
+    if depth > _MAX_DEPTH:
+        raise SyntaxError("too many nested operators", ("", 1, node.col_offset + 1, ""))
+    if isinstance(node, ast.BinOp):
+        # A left-associative chain runs in a loop, in the order of its terms.
+        spine = []
+        while isinstance(node, ast.BinOp):
+            spine.append(node)
+            node = node.left
+        first = _compile(node, source, depth + 1)
+        steps = []
+        for link in reversed(spine):
+            steps.append((_BINARY[type(link.op)], _compile(link.right, source, depth + 1)))
 
-    def expect_op(self, op: str):
-        kind, value, pos = self.peek()
-        if kind != "op" or value != op:
-            raise ExpressionError(
-                f"expected {op!r} at position {pos} in rhs expression {self.text!r}, "
-                f"found {value!r}" if value else
-                f"expected {op!r} at end of rhs expression {self.text!r}"
-            )
-        self.advance()
-
-    def parse(self) -> Evaluator:
-        fn = self.expr()
-        kind, value, pos = self.peek()
-        if kind != "end":
-            raise ExpressionError(
-                f"unexpected {value!r} at position {pos} in rhs expression {self.text!r}"
-            )
-        return fn
-
-    def expr(self) -> Evaluator:
-        fn = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                fn = self._binary(value, fn, rhs)
-            else:
-                return fn
-
-    def term(self) -> Evaluator:
-        fn = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                rhs = self.factor()
-                fn = self._binary(value, fn, rhs)
-            else:
-                return fn
-
-    def factor(self) -> Evaluator:
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            inner = self.factor()
-            return lambda t, y: -inner(t, y)
-        return self.power()
-
-    def power(self) -> Evaluator:
-        base = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            expo = self.factor()
-            return self._binary("^", base, expo)
-        return base
-
-    def atom(self) -> Evaluator:
-        kind, value, pos = self.advance()
-        if kind == "number":
-            const = float(value)
-            return lambda t, y: const
-        if kind == "name":
-            if value == "t":
-                return lambda t, y: t
-            if value == "y":
-                return lambda t, y: y
-            if value in _FUNCTIONS:
-                func = _FUNCTIONS[value]
-                self.expect_op("(")
-                inner = self.expr()
-                self.expect_op(")")
-                return lambda t, y: func(inner(t, y))
-            raise ExpressionError(
-                f"unknown name {value!r} at position {pos} in rhs expression "
-                f"{self.text!r}; allowed names: t, y, exp, sin, cos"
-            )
-        if kind == "op" and value == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ExpressionError(
-            f"unexpected {value!r} at position {pos} in rhs expression {self.text!r}"
-        )
-
-    @staticmethod
-    def _binary(op: str, lhs: Evaluator, rhs: Evaluator) -> Evaluator:
-        func = _BINARY[op]
-        return lambda t, y: func(lhs(t, y), rhs(t, y))
+        def chain(t, y):
+            value = first(t, y)
+            for func, operand in steps:
+                value = func(value, operand(t, y))
+            return value
+        return chain
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        inner = _compile(node.operand, source, depth + 1)
+        return lambda t, y: -inner(t, y)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCTIONS and source[node.func.end_col_offset + 1] == "("
+            and len(node.args) == 1 and not node.keywords):
+        func, inner = _FUNCTIONS[node.func.id], _compile(node.args[0], source, depth + 1)
+        return lambda t, y: func(inner(t, y))
+    # Any other call, and a function name with no '(' after it, fail at the
+    # token after the callee or the name.
+    call = isinstance(node, (ast.Call, ast.Name))
+    offset = getattr(node, "func", node).end_col_offset + 1 if call else node.col_offset
+    raise SyntaxError("", ("", 1, offset + 1, ""))
 
 
 def parse_expression(text: str) -> Evaluator:
-    """Compile an rhs expression into a callable (t, y) -> value, evaluated
-    elementwise on floats or arrays of one shape."""
-    if not text or text.isspace():
-        raise ExpressionError("empty rhs expression")
-    fn = _Parser(text).parse()
+    """Compile an rhs expression into a callable (t, y) -> value, elementwise."""
+    pieces = _tokenize(text)
+    source = " ".join(pieces)
+    try:
+        fn = _compile(compile(source, "<rhs>", "eval", ast.PyCF_ONLY_AST).body, source)
+    except (RecursionError, MemoryError):   # CPython's parser ran out of depth
+        raise _error(text, len(pieces), "too long or nested too deeply") from None
+    except SyntaxError as exc:
+        # Tokens hold no spaces, so the spaces before an offset count its token;
+        # CPython 3.11 gives offset 0 at the end of the source.
+        index = source.count(" ", 0, exc.offset - 1 if exc.offset else None)
+        raise _error(text, index, exc.msg) from None
 
     def evaluate(t, y):
         with np.errstate(all="ignore"):

@@ -145,6 +145,28 @@ class TestSolve:
             parse_run_file(str(path))
         assert (raised.value.path, raised.value.line) == (str(path), line)
 
+    def test_long_expression_solves(self, tmp_path, capsys):
+        # Each term of a sum is one step of a loop, not one level of recursion.
+        expr = " + ".join(["0.0001*y"] * 2000) + " + 0.25"
+        path, out = write_config(tmp_path, rhs=f"kind = expression\nexpr = {expr}")
+        assert main(["solve", str(path)]) == EXIT_OK
+        assert (out / "solution.csv").exists()
+
+    @pytest.mark.parametrize("expr", [" + ".join(["0.0001*y"] * 5000), "^".join(["1"] * 2000)],
+                             ids=["5000-term-sum", "2000-level-power"])
+    @pytest.mark.parametrize("command", ["solve", "certify", "sweep"])
+    def test_expression_past_the_limits_names_its_line(self, tmp_path, capsys, command, expr):
+        path, _ = write_config(tmp_path, rhs=f"kind = expression\nexpr = {expr}")
+        if command == "sweep":
+            path.write_text(path.read_text() + (
+                "\n[sweep]\naxis1 = lambda\naxis1_start = 0.0\n"
+                "axis1_stop = 0.2\naxis1_steps = 2\n"), encoding="utf-8")
+        line = path.read_text().splitlines().index(f"expr = {expr}") + 1
+        assert main([command, str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{line}: unexpected ")
+        assert err.count("\n") == 1 and err.count("error:") == 1
+
     def test_rhs_failure_exit_without_traceback(self, tmp_path, capsys):
         # a = 400 drives the iterates to overflow, so f turns non-finite.
         path, _ = write_config(tmp_path, rhs="kind = linear\na = 400\nb = 0.25")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,46 @@ class TestParsing:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ExpressionError):
             parse_expression(bad)
+
+
+class TestLanguageBoundary:
+    """Forms at the edge of the language, parsed and evaluated with warnings
+    as errors; each value equals the numpy expression it denotes bit for
+    bit, on arrays and on scalars."""
+
+    T = np.array([0.0, 0.5, -2.0, 3.0])
+    Y = np.array([1.0, -0.0, 2.5, -4.0])
+
+    @pytest.mark.parametrize("text,expected", [
+        ("007", lambda t, y: 7.0),
+        ("1.", lambda t, y: 1.0),
+        (".5", lambda t, y: 0.5),
+        ("1e400", lambda t, y: np.inf),
+        ("2--3", lambda t, y: np.subtract(2.0, -3.0)),
+        ("--t", lambda t, y: -(-t)),
+        ("2*-3", lambda t, y: np.multiply(2.0, -3.0)),
+        ("2^-1^2", lambda t, y: np.power(2.0, -np.power(1.0, 2.0))),
+        ("t\t+\n1", lambda t, y: np.add(t, 1.0)),
+    ])
+    def test_accepted(self, text, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fn = parse_expression(text)
+            for t, y in [(self.T, self.Y), *zip(self.T.tolist(), self.Y.tolist())]:
+                got = np.asarray(fn(t, y))
+                want = np.asarray(expected(t, y), dtype=float)
+                assert (got.dtype, got.shape, got.tobytes()) == (
+                    want.dtype, want.shape, want.tobytes())
+
+    @pytest.mark.parametrize("bad", [
+        "+t", "2 ** 3", "1_0", "0x10", "t2", "inf", "exp", "sin(1, 2)", "sin(t)(y)",
+        "2(3)", "t # y",
+    ])
+    def test_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ExpressionError):
+                parse_expression(bad)
 
 
 class TestTotality:

@@ -452,6 +452,20 @@ class TestStackedSolve:
             single = apply_delta(p, c, WeightedGridFunction(rule.mesh, c.gamma, row), rule)
             assert single.values.tobytes() == image.tobytes()
 
+    def test_rows_equal_single_calls_past_einsum_buffer(self):
+        # A row of 16385 nodes is longer than numpy's 8192-element iterator
+        # buffer, where a stacked einsum("mi,i->m") for B would no longer
+        # sum each row as its one-row einsum does.
+        problems = [problem_with(self.rhs, lam=lam, d=d)
+                    for lam, d in ((0.3, 1.0), (0.6, 2.0), (0.7, 1.0))]
+        consts = [derive_constants(p) for p in problems]
+        rule = QuadratureRule(GradedMesh(16384, default_grading(consts[0].gamma)))
+        w = np.random.default_rng(5).uniform(0.0, 3.0, (len(problems), 16385))
+        images = apply_delta(problems, consts, w, rule)
+        for p, c, row, image in zip(problems, consts, w, images):
+            single = apply_delta(p, c, WeightedGridFunction(rule.mesh, c.gamma, row), rule)
+            assert single.values.tobytes() == image.tobytes()
+
     def test_stack_must_share_the_operator(self):
         rhs = self.rhs
         rule = QuadratureRule(GradedMesh(64, 2.0))

@@ -211,6 +211,27 @@ class TestResidualCheck:
             assert np.isfinite(alone.interior_residual)
         assert len({report.interior_residual for report in stacked}) == len(problems)
 
+    def test_stack_matches_one_problem_calls_past_einsum_buffer(self):
+        # n = 16384: each row is longer than numpy's 8192-element iterator
+        # buffer, where a stacked einsum would no longer give each row the
+        # bits of its one-problem sum.
+        def rhs(t, y):
+            return 0.8 * y + 0.3 + 0.1 * np.sin(y)
+
+        problems = [problem_with(rhs, lam=lam, d=d)
+                    for lam, d in ((0.1, 1.0), (0.2, 2.0), (0.3, 0.7))]
+        _, mesh, rule = setup(problems[0], n=16384)
+        consts = [derive_constants(p) for p in problems]
+        rng = np.random.default_rng(7)
+        solutions = [WeightedGridFunction(mesh, c.gamma, rng.uniform(0.5, 2.0, mesh.n + 1))
+                     for c in consts]
+        stacked = residual_check(problems, consts, solutions, rule)
+        for p, c, w, report in zip(problems, consts, solutions, stacked):
+            alone = residual_check(p, c, w, rule)
+            assert report == alone
+            assert (report.interior_residual.hex(), report.boundary_residual.hex()) == (
+                alone.interior_residual.hex(), alone.boundary_residual.hex())
+
     def test_stack_must_share_the_rhs(self):
         problems = [problem_with(lambda t, y: 1.0, lam=lam) for lam in (0.0, 0.1)]
         _, mesh, rule = setup(problems[0])
