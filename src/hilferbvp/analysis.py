@@ -76,11 +76,7 @@ def check_kernel_bound(alpha: float, grid_size: int = 1000) -> Certificate:
 def contraction_certificate(consts: DerivedConstants, alpha: float,
                             lam: float, lipschitz: float) -> Certificate:
     """Contraction constant q = (lam e/(Gamma(gamma) mu) + 1/Gamma(alpha+1)) L_f;
-    the iteration is certified when q < 1 strictly.
-
-    The constant e enters verbatim even though sup Q/Gamma(alpha) is the
-    sharper 1/Gamma(alpha+1); the sharpened value is reported in the detail.
-    """
+    the iteration is certified when q < 1 strictly."""
     if consts.mu <= 0.0:
         raise SingularProblem(
             f"mu = {consts.mu:.3e} <= 0: the positive-cone contraction "
@@ -93,14 +89,12 @@ def contraction_certificate(consts: DerivedConstants, alpha: float,
     # Summed as lam-term + L_f/Gamma(alpha+1) so that the boundary case
     # lam = 0, L_f = Gamma(alpha+1) lands on exactly 1.0.
     q = lam * math.e * lipschitz / (g_gamma * consts.mu) + lipschitz / g_alpha1
-    sharpened = (lam * lipschitz / (g_gamma * consts.mu) + lipschitz) / g_alpha1
     return Certificate(
         name=CERT_CONTRACTION,
         holds=q < 1.0,
         value=q,
         threshold=1.0,
-        detail=(f"L_f = {lipschitz:.17g}; sharpened constant with "
-                f"sup Q/Gamma(alpha) in place of e: {sharpened:.17g}"),
+        detail=f"L_f = {lipschitz:.17g}",
     )
 
 

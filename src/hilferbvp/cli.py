@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -217,11 +217,11 @@ def cmd_certify(args) -> int:
     return EXIT_CERTIFICATE
 
 
-def _cell_problem(cell_cfg: RunConfig):
-    """The problem and constants of a sweep cell, or the record of a cell
-    that has none."""
+def _cell_problem(cell_cfg: RunConfig, rhs: Callable):
+    """The problem of a sweep cell with `rhs` as f, and its constants, or
+    the record of a cell that has none."""
     try:
-        problem = cell_cfg.to_problem()
+        problem = cell_cfg.to_problem(rhs)
         return problem, derive_constants(problem)
     except SingularProblem:
         return {"status": "singular"}
@@ -297,15 +297,19 @@ def _sweep_stack(cells: List[RunConfig]) -> List[dict]:
     """Records of cells that _sweep_stacks put together: one stacked Picard
     solve (solver._solve_stack), one stacked residual check of the solved
     cells, then _sweep_cell for each cell.  A mesh that cannot be built
-    fails every cell of the stack."""
-    setups = [_cell_problem(cfg) for cfg in cells]
+    fails every cell of the stack.  The stack's cells share one RhsSpec
+    (_sweep_stacks), so one rhs callable serves them all, and an rhs that
+    cannot be built fails every cell too."""
+    try:
+        rhs = cells[0].rhs.build()
+    except HilferBvpError as exc:
+        return [{"status": f"failed:{type(exc).__name__}"} for _ in cells]
+    setups = [_cell_problem(cfg, rhs) for cfg in cells]
     solvable = [i for i, setup in enumerate(setups) if not isinstance(setup, dict)]
     solved: List[Union[solver.SolveResult, HilferBvpError, None]] = [None] * len(cells)
     checked: List[Union[verify.ResidualReport, HilferBvpError, None]] = [None] * len(cells)
     if solvable:
-        # The stack evaluates one rhs callable for all its problems.
-        rhs = setups[solvable[0]][0].rhs
-        problems = [replace(setups[i][0], rhs=rhs) for i in solvable]
+        problems = [setups[i][0] for i in solvable]
         consts = [setups[i][1] for i in solvable]
         cfg = cells[solvable[0]]
         try:

@@ -95,10 +95,11 @@ class RunConfig:
             return self.lipschitz
         return self.rhs.catalog_lipschitz()
 
-    def to_problem(self) -> HilferProblem:
+    def to_problem(self, rhs: Optional[Callable] = None) -> HilferProblem:
         return HilferProblem(
             alpha=self.alpha, beta=self.beta, lam=self.lam, d=self.d,
-            rhs=self.rhs.build(), lipschitz=self.effective_lipschitz(),
+            rhs=self.rhs.build() if rhs is None else rhs,
+            lipschitz=self.effective_lipschitz(),
             lower_bound=self.lower, upper_bound=self.upper,
         )
 

@@ -682,32 +682,20 @@ def _soe_operator(nodes: np.ndarray, order: float,
     history carries the SOE quadrature's relative error (below 5e-15 for
     delta >= 1e-16, up to 1.1e-14 on the steepest meshes; see _soe_nodes).
     `modes` are the shared tables _soe_modes(nodes), built here when not
-    given.
-
-    Raises MeshTooLarge, before any table is allocated, when the tables
-    this call builds exceed physical memory, and when they cannot be
-    allocated."""
+    given.  No memory guard: _stored_soe_operator checks the tables' bytes
+    before it calls this."""
     t = nodes
-    n = t.size - 1
     delta = _history_delta(t)
     x, w = (np.zeros(0), np.zeros(0)) if delta is None else _soe_nodes(1.0 - order, delta)
     gauss = min(x.size, _SOE_GAUSS_NODES)
-    shapes = _order_shapes(t.size, gauss, x.size - gauss)
     if modes is None:
-        shapes += _mode_shapes(_soe_tiers(t))
-    need = _checked_bytes(n, shapes)
-    try:
-        if modes is None:
-            modes = _soe_modes(t)
-        near = _near_tables(t, order)
-        gather, spread = _history_tables(t, x[:gauss])
-        decay = _decay_table(t, x)
-        w = w / math.gamma(order)
-        spread *= w[:gauss]
-    except MemoryError:
-        raise _allocation_failure(n, need) from None
-    weights = w[gauss:]
-    op = _SoeOperator(n, near, gather, spread, decay, weights, modes)
+        modes = _soe_modes(t)
+    near = _near_tables(t, order)
+    gather, spread = _history_tables(t, x[:gauss])
+    decay = _decay_table(t, x)
+    w = w / math.gamma(order)
+    spread *= w[:gauss]
+    op = _SoeOperator(t.size - 1, near, gather, spread, decay, w[gauss:], modes)
     for table in op.tables():
         table.setflags(write=False)
     return op
@@ -730,8 +718,11 @@ def _stored_soe_operator(t: np.ndarray, order: float,
     when `modes` is None, read from the table store (tablestore) where it
     holds them, bit for bit as built; the tables built here are written to
     it.  Entries are keyed by the node bytes (their crc32 and adler32), and
-    the order's also by the order's bits.  MeshTooLarge is raised as by
-    _soe_operator, before any table is read."""
+    the order's also by the order's bits.
+
+    Raises MeshTooLarge, before any table is read or built, when the tables
+    this call reads or builds exceed physical memory, and when they cannot
+    be allocated."""
     n = t.size - 1
     tiers = list(modes.tiers) if modes is not None else _soe_tiers(t)
     own = _order_shapes(t.size, _SOE_GAUSS_NODES if tiers else 0,
@@ -739,13 +730,12 @@ def _stored_soe_operator(t: np.ndarray, order: float,
     shared = [] if modes is not None else _mode_shapes(tiers)
     need = _checked_bytes(n, own + shared)
     source = _source_crc()
-    if source is None:
-        return _soe_operator(t, order, modes)
-    nodes = f"{zlib.crc32(t):08x}{zlib.adler32(t):08x}"
-    key = f"hilferbvp.fracops {source:08x} n={n} nodes={nodes}"
-    order_key = f"{key} order={order.hex()}"
-    tables = None
     try:
+        if source is None:
+            return _soe_operator(t, order, modes)
+        nodes = f"{zlib.crc32(t):08x}{zlib.adler32(t):08x}"
+        key = f"hilferbvp.fracops {source:08x} n={n} nodes={nodes}"
+        order_key = f"{key} order={order.hex()}"
         if modes is None:
             stored = tablestore.load(f"{key} modes", shared)
             if stored is not None:
@@ -754,12 +744,12 @@ def _stored_soe_operator(t: np.ndarray, order: float,
                                   tuple(stored[1 + k:]))
         if modes is not None:
             tables = tablestore.load(order_key, own)
+            if tables is not None:
+                near = len(_SOE_NEAR_WIDTHS)
+                return _SoeOperator(n, tuple(tables[:near]), *tables[near:], modes)
+        op = _soe_operator(t, order, modes)
     except MemoryError:
         raise _allocation_failure(n, need) from None
-    if tables is not None:
-        near = len(_SOE_NEAR_WIDTHS)
-        return _SoeOperator(n, tuple(tables[:near]), *tables[near:], modes)
-    op = _soe_operator(t, order, modes)
     if modes is None:
         tablestore.save(f"{key} modes", op.modes.tables())
     tablestore.save(order_key, op.tables())
@@ -827,7 +817,7 @@ def _check_samples(samples, mesh: GradedMesh) -> np.ndarray:
 @cache
 def _physical_memory() -> Optional[int]:
     """Bytes of physical memory, or None where sysconf cannot tell: the one
-    figure that GradedMesh and _soe_operator hold their arrays to."""
+    figure that GradedMesh and _stored_soe_operator hold their arrays to."""
     try:
         size = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
@@ -843,7 +833,7 @@ def rl_integral(order: float, samples, rule: QuadratureRule) -> np.ndarray:
     (skipped when f < _ORDER_EPS); I^k is then k passes of the cumulative
     trapezoidal rule, which is the product-trapezoidal I^1 exactly.  Raises
     MeshTooLarge when the SOE tables of I^f would exceed physical memory
-    (see _soe_operator).
+    (see _stored_soe_operator).
 
     ``samples`` is one row of n + 1 node values or a stack of m such rows,
     shape (m, n+1); each row of the result equals the one-row call bit for

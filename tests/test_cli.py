@@ -677,6 +677,39 @@ class TestSweep:
         assert all(record["converged"] for record in records)
         assert peak <= 1.5 * cli._STACK_BYTES
 
+    def test_one_rhs_build_per_stack(self, tmp_path, monkeypatch):
+        # The 7 x 6 lambda x d expression sweep at n = 1024 runs as two
+        # stacks of 21.  Its expression is parsed once as the config is read,
+        # once for each of check_run_config's 5 checks, and once per stack,
+        # not once per cell; sweep.csv keeps the bytes of one cell per stack.
+        path, out, _ = self._sweep(tmp_path, self.LAMBDA_D.format(7, 6), 1024)
+        path.write_text(path.read_text().replace("\nn = 64\n", "\nn = 1024\n"),
+                        encoding="utf-8")
+        parse = config.parse_expression
+        parsed = []
+
+        def counting(text):
+            parsed.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(config, "parse_expression", counting)
+        assert main(["sweep", str(path)]) == EXIT_OK
+        assert len(parsed) <= 8, len(parsed)
+        together = (out / "sweep.csv").read_bytes()
+        monkeypatch.setattr(cli, "_sweep_stacks",
+                            lambda cells: [[i] for i in range(len(cells))])
+        assert main(["sweep", str(path)]) == EXIT_OK
+        assert (out / "sweep.csv").read_bytes() == together
+
+    def test_rhs_build_failure_fails_every_cell(self, tmp_path, monkeypatch):
+        _, _, cells = self._sweep(tmp_path, self.LAMBDA_D.format(2, 2), 64)
+
+        def failing(spec):
+            raise ExpressionError("no rhs")
+
+        monkeypatch.setattr(config.RhsSpec, "build", failing)
+        assert cli._sweep_stack(cells) == [{"status": "failed:ExpressionError"}] * 4
+
     def test_cli_import_leaves_out_the_thread_pool(self):
         script = "import sys, hilferbvp.cli; print('concurrent.futures' in sys.modules)"
         done = subprocess.run([sys.executable, "-c", script], env=child_env(),
