@@ -680,7 +680,10 @@ def _soe_operator(nodes: np.ndarray, order: float,
     """The SOE form of the product-trapezoidal I^order, 0 < order < 1.  Its
     near-field entries are those of _convolution_matrix bit for bit; the far
     history carries the SOE quadrature's relative error (below 5e-15 for
-    delta >= 1e-16, up to 1.1e-14 on the steepest meshes; see _soe_nodes).
+    delta >= 1e-16, up to 1.1e-14 on the steepest meshes; see _soe_nodes)
+    and the rounding carried through the n/64 block steps of the apply, so
+    an apply is within 1e-15 relative up to n = 10^5 and about 1e-20 n
+    beyond (3.0e-15 at n = 3*10^5; README, Numerics).
     `modes` are the shared tables _soe_modes(nodes), built here when not
     given.  No memory guard: _stored_soe_operator checks the tables' bytes
     before it calls this."""

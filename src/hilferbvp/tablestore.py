@@ -6,19 +6,28 @@ store is the directory $XDG_CACHE_HOME/hilferbvp, or ~/.cache/hilferbvp
 when XDG_CACHE_HOME is unset or not an absolute path.  Each entry is one
 file holding a list of arrays under a key string:
 
-    8 bytes   magic
+    8 bytes   magic, HBVPTAB2
     4 bytes   zlib crc32 of the data, little-endian
     header    the key, the environment (_environment) and the array
-              shapes, one text line each
+              shapes, one text line each, then spaces up to the next
+              multiple of 64 bytes from the start of the file
     data      the arrays' float64 bytes, C order, one after the other
 
 A reader compares the whole header with the one it expects, the file size
-with the header and the shapes, and the data with the crc32; any mismatch
-reads as a miss.  Writers fill a temporary file in the store and rename it
-over the entry, so a reader sees a whole entry or none.  Nothing is synced
-to disk: an entry cut short by a crash fails those checks and is rebuilt.
+with the header and the shapes, and the data with the crc32; any mismatch,
+an entry of another format among them, reads as a miss.  A hit is served
+from a read-only map of the file, not a copy: the padding puts the data on
+a 64-byte boundary of the map, so every array is aligned for its dtype and
+numpy runs its matmul on them as on built ones.  Writers fill a temporary
+file in the store and rename it over the entry, so a reader sees a whole
+entry or none, and a mapped file is never changed: renaming a new entry
+over it or removing it leaves the mapping as it was.  Nothing may truncate
+or rewrite an entry in place, which would end a process that maps it with
+SIGBUS.  Nothing is synced to disk: an entry cut short by a crash fails
+those checks and is rebuilt.
 The store holds at most CAP_BYTES; a write that takes it past removes the
-least recently used files (a read refreshes an entry's mtime) until it fits.
+least recently used files (a read refreshes an entry's mtime) until it
+fits, skipping those it cannot stat or remove.
 A store that cannot be read or written reads as empty and is written to
 silently, never raising.
 """
@@ -26,6 +35,8 @@ silently, never raising.
 from __future__ import annotations
 
 import ctypes
+import errno
+import mmap
 import os
 import sys
 import tempfile
@@ -37,8 +48,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 CAP_BYTES = 1 << 30
-_MAGIC = b"HBVPTAB1"
+_MAGIC = b"HBVPTAB2"
 _PREFIX = len(_MAGIC) + 4
+_ALIGN = 64
 _SUFFIX = ".tab"
 
 Shape = Tuple[int, ...]
@@ -98,53 +110,60 @@ def _environment() -> str:
 
 
 def _header(key: str, shapes: Sequence[Shape]) -> bytes:
+    """The header, padded so that the data starts at a multiple of _ALIGN."""
     dims = ";".join(",".join(map(str, shape)) for shape in shapes)
-    return f"{key}\n{_environment()}\n{dims}\n".encode()
+    text = f"{key}\n{_environment()}\n{dims}\n".encode()
+    return text + b" " * (-(_PREFIX + len(text)) % _ALIGN)
 
 
 def _entry(folder: str, header: bytes) -> str:
-    """The entry's file: two checksums of its header name it.  Entries whose
+    """The entry's file: two checksums of the magic and the header name it,
+    so entries of another format keep files of their own.  Entries whose
     names collide overwrite each other, and their readers see a mismatch."""
-    return os.path.join(folder, f"{zlib.crc32(header):08x}{zlib.adler32(header):08x}{_SUFFIX}")
+    named = _MAGIC + header
+    return os.path.join(folder, f"{zlib.crc32(named):08x}{zlib.adler32(named):08x}{_SUFFIX}")
 
 
 def load(key: str, shapes: Sequence[Shape]) -> Optional[List[np.ndarray]]:
     """The read-only arrays stored under `key`, if the store holds an
     intact entry of exactly these shapes; else None.  The arrays are views
-    of one buffer.  Raises MemoryError when that cannot be allocated."""
+    of one read-only map of the entry's file, which they keep open; only
+    once the header and the size match is the file mapped and its data
+    checked.  A map that fails reads as a miss, except for want of address
+    space or memory (ENOMEM), which raises MemoryError."""
     folder = directory()
     if folder is None:
         return None
     header = _header(key, shapes)
     path = _entry(folder, header)
     sizes = [prod(shape) for shape in shapes]
+    start = _PREFIX + len(header)
+    size = start + 8 * sum(sizes)
     try:
         with open(path, "rb", buffering=0) as handle:
-            head = handle.read(_PREFIX + len(header))
+            head = handle.read(start)
             if (head[:len(_MAGIC)] != _MAGIC or head[_PREFIX:] != header
-                    or os.fstat(handle.fileno()).st_size != len(head) + 8 * sum(sizes)):
+                    or os.fstat(handle.fileno()).st_size != size):
                 return None
-            data = np.empty(sum(sizes))
-            view = memoryview(data).cast("B")
-            filled = 0
-            while filled < view.nbytes:
-                got = handle.readinto(view[filled:])
-                if not got:
-                    return None
-                filled += got
-        if zlib.crc32(data) != int.from_bytes(head[len(_MAGIC):_PREFIX], "little"):
-            return None
-    except OSError:
+            try:
+                mapping = mmap.mmap(handle.fileno(), size, access=mmap.ACCESS_READ)
+            except OSError as error:
+                if error.errno == errno.ENOMEM:
+                    raise MemoryError(f"cannot map {size} bytes of {path}") from error
+                raise
+    except (OSError, ValueError):       # ValueError: shorter than its fstat
+        return None
+    crc = int.from_bytes(head[len(_MAGIC):_PREFIX], "little")
+    if zlib.crc32(memoryview(mapping)[start:]) != crc:
         return None
     try:
         os.utime(path)
     except OSError:
         pass                            # say, another user's entry
-    data.setflags(write=False)
-    arrays, start = [], 0
-    for shape, size in zip(shapes, sizes):
-        arrays.append(data[start:start + size].reshape(shape))
-        start += size
+    arrays = []
+    for shape, count in zip(shapes, sizes):
+        arrays.append(np.ndarray(shape, np.float64, buffer=mapping, offset=start))
+        start += 8 * count
     return arrays
 
 
@@ -185,13 +204,20 @@ def save(key: str, arrays: Sequence[np.ndarray]) -> None:
 
 def _evict(folder: str) -> None:
     """Remove the store's least recently used files, entries and leftover
-    temporary files alike, until the rest take at most CAP_BYTES."""
+    temporary files alike, until the rest take at most CAP_BYTES.  A file
+    that cannot be removed, say another user's, is skipped and still counts
+    against the cap; one that cannot be stat'ed is left out."""
     files = []
     with os.scandir(folder) as entries:
         for entry in entries:
-            if entry.name.endswith((_SUFFIX, ".tmp")) and entry.is_file(follow_symlinks=False):
-                stat = entry.stat(follow_symlinks=False)
-                files.append((stat.st_mtime_ns, stat.st_size, entry.path))
+            if not entry.name.endswith((_SUFFIX, ".tmp")):
+                continue
+            try:
+                if entry.is_file(follow_symlinks=False):
+                    stat = entry.stat(follow_symlinks=False)
+                    files.append((stat.st_mtime_ns, stat.st_size, entry.path))
+            except OSError:
+                continue                # say, removed by another process
     total = sum(size for _, size, _ in files)
     for _, size, path in sorted(files):
         if total <= CAP_BYTES:
@@ -199,5 +225,7 @@ def _evict(folder: str) -> None:
         try:
             os.unlink(path)
         except FileNotFoundError:
-            pass
+            pass                        # removed by another process: freed
+        except OSError:
+            continue
         total -= size

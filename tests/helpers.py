@@ -2,6 +2,7 @@
 
 import os
 import shutil
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,17 @@ def child_env(threads=1):
     src = str(Path(hilferbvp.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+
+
+def minor_faults(argv, env):
+    """Run ``argv`` as a child process with environment ``env``, its output
+    discarded; return its exit code and its minor page faults, from its own
+    getrusage record (wait4)."""
+    child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
+                             stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    return child.returncode, usage.ru_minflt
 
 
 def clear_table_store():

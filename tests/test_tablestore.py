@@ -1,6 +1,8 @@
 """The on-disk store of the SOE operator tables (hilferbvp.tablestore) and
 its use beneath fracops._cached_soe_operator."""
 
+import errno
+import mmap
 import os
 import platform
 import shutil
@@ -12,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import child_env
+from helpers import child_env, minor_faults
 from hilferbvp import fracops, tablestore
 from hilferbvp.cli import main
 from hilferbvp.core import GradedMesh
@@ -152,6 +154,124 @@ class TestHits:
                               GradedMesh(256, 2.0).nodes, 0.5)
         assert builds == [0.5, None, 0.5, None]
         assert len(_entries(table_store)) == 4
+
+
+@pytest.fixture
+def stored_keys(monkeypatch):
+    """The (key, shapes) of each table set that fracops looks up."""
+    keys = []
+    load = tablestore.load
+
+    def recording(key, shapes):
+        keys.append((key, shapes))
+        return load(key, shapes)
+
+    monkeypatch.setattr(tablestore, "load", recording)
+    return keys
+
+
+def _mapping(array):
+    """The object at the end of an array's chain of bases."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return array
+
+
+class TestMappedHits:
+    # Keys of every length mod 64, so every amount of padding; shapes with
+    # an empty array and odd sizes, so later arrays start off 64 bytes.
+    @pytest.mark.parametrize("pad", range(0, 64, 7))
+    def test_data_aligned_and_arrays_read_only_views_of_the_map(self, pad, table_store):
+        key = "k" * pad
+        stored = [np.arange(3.0), np.zeros((0, 5)), np.full((7, 3), -1.5), np.ones((2, 1, 3))]
+        tablestore.save(key, stored)
+        path, = _entries(table_store)
+        data = sum(a.nbytes for a in stored)
+        assert path.read_bytes()[:8] == b"HBVPTAB2"
+        assert (path.stat().st_size - data) % 64 == 0
+        loaded = tablestore.load(key, [a.shape for a in stored])
+        assert loaded[0].ctypes.data % 64 == 0
+        for ours, theirs in zip(loaded, stored):
+            assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+            assert not ours.flags.writeable and ours.flags.c_contiguous
+            assert ours.flags.aligned and ours.ctypes.data % 8 == 0
+            # No private copy: every array reads the map itself.
+            assert isinstance(_mapping(ours), mmap.mmap)
+            assert _mapping(ours) is _mapping(loaded[0])
+        with pytest.raises(ValueError, match="read-only"):
+            loaded[0][0] = 1.0
+
+    @pytest.mark.parametrize("how", ["unlinked", "replaced", "store removed"])
+    def test_loaded_tables_outlive_their_entry(self, how, table_store, stored_keys, builds):
+        n, r = 1025, 8.0 / 3.0
+        nodes = GradedMesh(n, r).nodes
+        fracops._cached_soe_operator(n, r, 0.5)
+        _fresh_process()
+        op = fracops._cached_soe_operator(n, r, 0.5)
+        assert builds == [0.5, None]
+        assert isinstance(_mapping(op.tables()[0]), mmap.mmap)
+        if how == "unlinked":
+            for path in _entries(table_store):
+                path.unlink()
+        elif how == "replaced":
+            # A writer renames a new entry over each mapped one.
+            for key, shapes in list(stored_keys):
+                tablestore.save(key, [np.full(shape, 7.0) for shape in shapes])
+                assert tablestore.load(key, shapes)[0].flat[0] == 7.0
+        else:
+            shutil.rmtree(table_store)
+        _assert_same_operator(op, nodes, 0.5)
+
+    @pytest.mark.parametrize("rewrite", ["magic", "layout"])
+    def test_format_1_entry_is_a_miss(self, rewrite, table_store, stored_keys, builds):
+        # An entry of the format before the map, HBVPTAB1, at the file a
+        # lookup opens: its magic alone, or its whole unpadded layout.
+        n, r = 256, 2.0
+        fracops._cached_soe_operator(n, r, 0.5)
+        for key, shapes in list(stored_keys):
+            header = tablestore._header(key, shapes)
+            path = tablestore._entry(str(table_store), header)
+            with open(path, "rb") as handle:
+                entry = handle.read()
+            start = tablestore._PREFIX + len(header)
+            if rewrite == "magic":
+                entry = b"HBVPTAB1" + entry[8:]
+            else:
+                entry = b"HBVPTAB1" + entry[8:12] + header.rstrip(b" ") + entry[start:]
+            with open(path, "wb") as handle:
+                handle.write(entry)
+            assert tablestore.load(key, shapes) is None
+        _fresh_process()
+        _assert_same_operator(fracops._cached_soe_operator(n, r, 0.5),
+                              GradedMesh(n, r).nodes, 0.5)
+        assert builds == [0.5, None, 0.5, None]
+
+    def test_unmappable_entry_is_a_miss(self, table_store, monkeypatch, builds):
+        fracops._cached_soe_operator(256, 2.0, 0.5)
+        _fresh_process()
+
+        def refused(*args, **kwargs):
+            raise PermissionError("mapping refused")
+
+        monkeypatch.setattr(tablestore.mmap, "mmap", refused)
+        _assert_same_operator(fracops._cached_soe_operator(256, 2.0, 0.5),
+                              GradedMesh(256, 2.0).nodes, 0.5)
+        assert builds == [0.5, None, 0.5, None]
+
+    def test_map_without_memory_raises_mesh_too_large(self, table_store, monkeypatch,
+                                                       stored_keys):
+        fracops._cached_soe_operator(1025, 2.0, 0.5)
+        _fresh_process()
+
+        def no_room(*args, **kwargs):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(tablestore.mmap, "mmap", no_room)
+        with pytest.raises(MemoryError):
+            tablestore.load(*stored_keys[0])
+        with pytest.raises(MeshTooLarge, match="could not be allocated"):
+            fracops._cached_soe_operator(1025, 2.0, 0.5)
+        assert fracops._cached_soe_operator.cache_info().currsize == 0
 
 
 def _child_environment(*lines, **env):
@@ -319,6 +439,60 @@ class TestEviction:
         kept = [i for i in range(8) if tablestore.load(f"entry {i}", [(1000,)]) is not None]
         assert kept == [3, 6, 7]
 
+    @pytest.mark.parametrize("failure", ["unlink", "stat"])
+    def test_file_that_cannot_be_removed_is_skipped(self, failure, table_store, monkeypatch):
+        # The oldest entry is another user's (unlink raises) or is removed
+        # by another process between the listing and its stat: the newer
+        # entries are still evicted down to the cap.
+        tablestore.save("probe", [np.zeros(1000)])
+        probe, = _entries(table_store)
+        size = probe.stat().st_size
+        probe.unlink()
+        monkeypatch.setattr(tablestore, "CAP_BYTES", 3 * size + size // 2)
+        tablestore.save("entry 0", [np.zeros(1000)])
+        oldest, = _entries(table_store)
+        os.utime(oldest, ns=(0, 0))
+        unlink, scandir = os.unlink, os.scandir
+
+        def refusing(path, *args, **kwargs):
+            if os.fspath(path) == str(oldest):
+                raise PermissionError("not the owner")
+            return unlink(path, *args, **kwargs)
+
+        class Gone:
+            def __init__(self, entry):
+                self.name, self.path, self.is_file = entry.name, entry.path, entry.is_file
+
+            def stat(self, **kwargs):
+                raise FileNotFoundError(self.path)
+
+        class Listing:
+            def __init__(self, folder):
+                self.listing = scandir(folder)
+
+            def __enter__(self):
+                return (Gone(e) if e.path == str(oldest) else e for e in self.listing)
+
+            def __exit__(self, *exc):
+                self.listing.close()
+
+        if failure == "unlink":
+            monkeypatch.setattr(tablestore.os, "unlink", refusing)
+        else:
+            monkeypatch.setattr(tablestore.os, "scandir", Listing)
+        for i in range(1, 8):
+            tablestore.save(f"entry {i}", [np.full(1000, float(i))])
+            new = max(_entries(table_store), key=lambda path: path.stat().st_mtime_ns)
+            os.utime(new, ns=(0, i * 10 ** 9))
+        kept = [i for i in range(8) if tablestore.load(f"entry {i}", [(1000,)]) is not None]
+        if failure == "unlink":
+            # The refused entry still counts against the cap.
+            assert kept == [0, 6, 7]
+        else:
+            # An entry that cannot be stat'ed is not counted; here it stays,
+            # as nothing removed it.
+            assert kept == [0, 5, 6, 7]
+
     def test_entry_larger_than_cap_not_stored(self, table_store, monkeypatch, builds):
         monkeypatch.setattr(tablestore, "CAP_BYTES", 1000)
         fracops._cached_soe_operator(1025, 2.0, 0.5)
@@ -360,6 +534,29 @@ def test_cli_solve_imports_no_hashlib(tmp_path):
         assert "hilferbvp.tablestore" in imported
         assert not imported & {"hashlib", "_hashlib"}
     assert len(_entries(tmp_path / "xdg-cache" / "hilferbvp")) == 2
+
+
+def test_warm_cli_solve_maps_its_tables(tmp_path):
+    # A hit maps its entries instead of copying them, so the tables cost a
+    # warm CLI solve almost no page faults: the kernel maps a file's cached
+    # pages some 16 to a fault, while a private copy takes a fault per
+    # 4 KiB page.  The tables at n = 4096 take about 1,030 pages more than
+    # at n = 1024; a copying load adds about as many faults, a mapped one a
+    # few dozen.
+    faults = {}
+    for n in (1024, 4096):
+        config = tmp_path / f"run{n}.ini"
+        config.write_text(
+            "[problem]\nalpha = 0.5\nbeta = 0.5\nlambda = 0.2\nd = 1.0\n\n"
+            "[rhs]\nkind = linear\na = 0.25\nb = 0.25\n\n"
+            f"[mesh]\nn = {n}\nr = auto\n\n[output]\ndir = {tmp_path / 'out'}\n",
+            encoding="utf-8")
+        argv = [sys.executable, "-m", "hilferbvp.cli", "solve", str(config)]
+        runs = [minor_faults(argv, child_env()) for _ in range(2)]     # a miss, a hit
+        assert [code for code, _ in runs] == [0, 0]
+        faults[n] = runs[1][1]
+    assert len(_entries(tmp_path / "xdg-cache" / "hilferbvp")) == 4
+    assert faults[4096] - faults[1024] < 500, faults
 
 
 def _damage_all(store):
