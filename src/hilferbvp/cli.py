@@ -262,15 +262,13 @@ def _sweep_cell(cell_cfg: RunConfig, setup,
     return record
 
 
-# Workspace bytes one stack of sweep cells may hold.  The solver keeps 16
-# doubles per mesh node and stacked cell (two Anderson ring buffers of depth
-# 5, the iterate, image, residual and mixed iterate, the last residual and
-# image), and the operator's temporaries add about 6 more at the peak of an
-# iteration.  A stacked step has a fixed cost that larger stacks share out,
-# so 4 MiB holds 32 cells at n = 1024, 8 at 4096, 2 at 16384 and one cell
-# from 32768 up.
+# Workspace bytes one stack of sweep cells may hold, counted in the 16
+# doubles per mesh node and stacked cell that the solver keeps
+# (solver._WORKSPACE_DOUBLES_PER_NODE); the operator's temporaries add about
+# 6 more at the peak of an iteration.  A stacked step has a fixed cost that
+# larger stacks share out, so 4 MiB holds 32 cells at n = 1024, 8 at 4096,
+# 2 at 16384 and one cell from 32768 up.
 _STACK_BYTES = 4 << 20
-_STACK_DOUBLES_PER_NODE = 16
 
 
 def _sweep_stacks(cells: List[RunConfig]) -> List[List[int]]:
@@ -286,7 +284,7 @@ def _sweep_stacks(cells: List[RunConfig]) -> List[List[int]]:
         groups.setdefault(key, []).append(i)
     stacks = []
     for members in groups.values():
-        per_cell = 8 * _STACK_DOUBLES_PER_NODE * cells[members[0]].mesh_n
+        per_cell = 8 * solver._WORKSPACE_DOUBLES_PER_NODE * cells[members[0]].mesh_n
         count = -(-len(members) // max(1, _STACK_BYTES // per_cell))
         cuts = [len(members) * k // count for k in range(count + 1)]
         stacks += [members[a:b] for a, b in zip(cuts, cuts[1:])]

@@ -9,7 +9,10 @@ carried on the mesh.  All types here are immutable after construction.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,6 +26,37 @@ _WIDTH_CHUNK = 1 << 16
 # Below this magnitude of mu the constant Lambda overflows and the integral
 # equation is numerically meaningless.
 MU_TOLERANCE = 1e-12
+
+
+@cache
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where sysconf cannot tell: the one
+    figure that _memory_guard holds allocations to."""
+    try:
+        size = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return size if size > 0 else None
+
+
+@contextmanager
+def _memory_guard(need: int, what: str):
+    """Guard the allocation of the `need` bytes of `what` (say "nodes of a
+    mesh with 8 intervals") that the block allocates: raise MeshTooLarge
+    before the block runs when they exceed physical memory, and when the
+    block raises MemoryError."""
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise MeshTooLarge(
+            f"the {what} need {need / 2**30:.3g} GiB, more than the "
+            f"{have / 2**30:.3g} GiB of physical memory"
+        )
+    try:
+        yield
+    except MemoryError:
+        raise MeshTooLarge(
+            f"the {need / 2**30:.3g} GiB of {what} could not be allocated"
+        ) from None
 
 
 def default_grading(gamma: float) -> float:
@@ -53,24 +87,10 @@ class GradedMesh:
             raise ValueError(f"mesh needs a positive number of intervals, got {self.n}")
         if not (math.isfinite(self.r) and self.r >= 1.0):
             raise ValueError(f"grading exponent must be >= 1, got {self.r}")
-        # fracops builds on this module, so its memory figure is read here.
-        from .fracops import _physical_memory
-        need, have = 8 * (self.n + 1), _physical_memory()
-        if have is not None and need > have:
-            raise MeshTooLarge(
-                f"the nodes of a mesh with {self.n} intervals need "
-                f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
-                f"of physical memory"
-            )
         # In place, one array at a time: the same bits as
         # (np.arange(n + 1) / n) ** r at half the peak.
-        try:
+        with _memory_guard(8 * (self.n + 1), f"nodes of a mesh with {self.n} intervals"):
             nodes = np.arange(self.n + 1, dtype=float)
-        except MemoryError:
-            raise MeshTooLarge(
-                f"the {need / 2**30:.3g} GiB of nodes of a mesh with {self.n} "
-                f"intervals could not be allocated"
-            ) from None
         nodes /= self.n
         nodes **= self.r
         tiny = np.finfo(float).tiny

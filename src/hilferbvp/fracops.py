@@ -18,7 +18,6 @@ the derivatives take one row of node samples or a stack of rows, shape
 from __future__ import annotations
 
 import math
-import os
 import weakref
 import zlib
 from dataclasses import dataclass
@@ -28,8 +27,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import tablestore
-from .core import GradedMesh, WeightedGridFunction
-from .errors import InsufficientNodes, MeshMismatch, MeshTooLarge, OutOfDomain
+from .core import GradedMesh, WeightedGridFunction, _memory_guard
+from .errors import InsufficientNodes, MeshMismatch, OutOfDomain
 
 # Orders this small are collapsed to the identity (they arise from
 # beta*(1-alpha) or 1-gamma evaluating to roundoff instead of exact zero),
@@ -499,6 +498,22 @@ class _SoeModes:
     def tables(self) -> Tuple[np.ndarray, ...]:
         return (self.x, *self.gather, *self.spread)
 
+    @staticmethod
+    def shapes(tiers) -> list:
+        """The shapes of the tables of the plan `tiers` (_soe_tiers), as
+        tables() lists them."""
+        b = _SOE_BLOCK
+        return [(tiers[0][2] if tiers else 0,),
+                *((c1 - c0, k, b + 1) for c0, c1, k in tiers),
+                *((c1 - c0, b, k) for c0, c1, k in tiers)]
+
+    @classmethod
+    def from_tables(cls, tiers, tables) -> "_SoeModes":
+        """The modes of the plan `tiers` from their tables, as tables()
+        lists them."""
+        k = len(tiers)
+        return cls(tables[0], tuple(tiers), tuple(tables[1:1 + k]), tuple(tables[1 + k:]))
+
     @property
     def nbytes(self) -> int:
         return sum(a.nbytes for a in self.tables())
@@ -569,6 +584,24 @@ class _SoeOperator:
     def tables(self) -> Tuple[np.ndarray, ...]:
         return (*self.near, self.gather, self.spread, self.decay, self.weights)
 
+    @staticmethod
+    def shapes(size: int, tiers) -> list:
+        """The shapes of the tables of one order on `size` nodes whose shared
+        modes follow the plan `tiers` (_soe_tiers), as tables() lists them."""
+        b = _SOE_BLOCK
+        gauss, k = (_SOE_GAUSS_NODES, tiers[0][2]) if tiers else (0, 0)
+        blocks = -(-size // b)
+        return [*((blocks, _SOE_ROWS, width) for width in _SOE_NEAR_WIDTHS),
+                (blocks - 1, gauss, b + 1), (blocks - 1, b, gauss),
+                (blocks - 1, gauss + k), (k,)]
+
+    @classmethod
+    def from_tables(cls, n: int, tables, modes: _SoeModes) -> "_SoeOperator":
+        """The operator on n intervals from its tables, as tables() lists
+        them, and the shared `modes`."""
+        near = len(_SOE_NEAR_WIDTHS)
+        return cls(n, tuple(tables[:near]), *tables[near:], modes)
+
     @property
     def nbytes(self) -> int:
         return sum(a.nbytes for a in self.tables())
@@ -635,46 +668,6 @@ def _near_tables(t: np.ndarray, order: float) -> Tuple[np.ndarray, ...]:
     return near
 
 
-def _order_shapes(size: int, gauss: int, k: int):
-    """Shapes of the tables of one order on `size` nodes with `gauss` Gauss
-    and k trapezoid modes, as _SoeOperator.tables lists them."""
-    b = _SOE_BLOCK
-    blocks = -(-size // b)
-    hist = blocks - 1
-    return [*((blocks, _SOE_ROWS, width) for width in _SOE_NEAR_WIDTHS),
-            (hist, gauss, b + 1), (hist, b, gauss), (hist, gauss + k), (k,)]
-
-
-def _mode_shapes(tiers):
-    """Shapes of the shared tables of the plan `tiers` (_soe_tiers), as
-    _SoeModes.tables lists them."""
-    b = _SOE_BLOCK
-    return [(tiers[0][2] if tiers else 0,),
-            *((c1 - c0, k, b + 1) for c0, c1, k in tiers),
-            *((c1 - c0, b, k) for c0, c1, k in tiers)]
-
-
-def _checked_bytes(n: int, shapes) -> int:
-    """Bytes of float64 tables of these shapes on n mesh intervals.  Raises
-    MeshTooLarge when they exceed physical memory."""
-    need = 8 * sum(math.prod(shape) for shape in shapes)
-    have = _physical_memory()
-    if have is not None and need > have:
-        raise MeshTooLarge(
-            f"a sum-of-exponentials operator on {n} mesh intervals needs "
-            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
-            f"of physical memory"
-        )
-    return need
-
-
-def _allocation_failure(n: int, need: int) -> MeshTooLarge:
-    return MeshTooLarge(
-        f"the {need / 2**30:.3g} GiB of sum-of-exponentials tables on {n} "
-        f"mesh intervals could not be allocated"
-    )
-
-
 def _soe_operator(nodes: np.ndarray, order: float,
                   modes: Optional[_SoeModes] = None) -> _SoeOperator:
     """The SOE form of the product-trapezoidal I^order, 0 < order < 1.  Its
@@ -727,13 +720,12 @@ def _stored_soe_operator(t: np.ndarray, order: float,
     this call reads or builds exceed physical memory, and when they cannot
     be allocated."""
     n = t.size - 1
-    tiers = list(modes.tiers) if modes is not None else _soe_tiers(t)
-    own = _order_shapes(t.size, _SOE_GAUSS_NODES if tiers else 0,
-                        tiers[0][2] if tiers else 0)
-    shared = [] if modes is not None else _mode_shapes(tiers)
-    need = _checked_bytes(n, own + shared)
-    source = _source_crc()
-    try:
+    tiers = modes.tiers if modes is not None else _soe_tiers(t)
+    own = _SoeOperator.shapes(t.size, tiers)
+    shared = [] if modes is not None else _SoeModes.shapes(tiers)
+    need = 8 * sum(math.prod(shape) for shape in own + shared)
+    with _memory_guard(need, f"sum-of-exponentials tables on {n} mesh intervals"):
+        source = _source_crc()
         if source is None:
             return _soe_operator(t, order, modes)
         nodes = f"{zlib.crc32(t):08x}{zlib.adler32(t):08x}"
@@ -742,17 +734,12 @@ def _stored_soe_operator(t: np.ndarray, order: float,
         if modes is None:
             stored = tablestore.load(f"{key} modes", shared)
             if stored is not None:
-                k = len(tiers)
-                modes = _SoeModes(stored[0], tuple(tiers), tuple(stored[1:1 + k]),
-                                  tuple(stored[1 + k:]))
+                modes = _SoeModes.from_tables(tiers, stored)
         if modes is not None:
             tables = tablestore.load(order_key, own)
             if tables is not None:
-                near = len(_SOE_NEAR_WIDTHS)
-                return _SoeOperator(n, tuple(tables[:near]), *tables[near:], modes)
+                return _SoeOperator.from_tables(n, tables, modes)
         op = _soe_operator(t, order, modes)
-    except MemoryError:
-        raise _allocation_failure(n, need) from None
     if modes is None:
         tablestore.save(f"{key} modes", op.modes.tables())
     tablestore.save(order_key, op.tables())
@@ -815,17 +802,6 @@ def _check_samples(samples, mesh: GradedMesh) -> np.ndarray:
             f"got shape {g.shape}"
         )
     return g
-
-
-@cache
-def _physical_memory() -> Optional[int]:
-    """Bytes of physical memory, or None where sysconf cannot tell: the one
-    figure that GradedMesh and _stored_soe_operator hold their arrays to."""
-    try:
-        size = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
-    return size if size > 0 else None
 
 
 def rl_integral(order: float, samples, rule: QuadratureRule) -> np.ndarray:

@@ -41,6 +41,10 @@ from .fracops import QuadratureRule, boundary_kernel_weights, rl_integral
 
 # Number of past residual differences an Anderson step combines.
 ANDERSON_DEPTH = 5
+# Doubles per mesh node that _solve_stack keeps for each stacked problem:
+# the two Anderson rings of differences, the iterate, image, residual and
+# mixed iterate, and the last residual and image that the history holds.
+_WORKSPACE_DOUBLES_PER_NODE = 2 * ANDERSON_DEPTH + 6
 # Relative cutoff on the singular values of the column-scaled Gram matrix of
 # those differences; directions below it are left out of the mixing step.
 _ANDERSON_RCOND = 1e-10

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import child_env
-from hilferbvp import cli, config, fracops, solver
+from hilferbvp import cli, config, core, fracops, solver
 from hilferbvp.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -192,7 +192,7 @@ class TestSolve:
         # two near-field blocks alone take 8 * 2 * 64 * 65 bytes.  The guard
         # runs when the tables are built, so the cache starts empty, as in a
         # fresh CLI process.
-        monkeypatch.setattr(fracops, "_physical_memory", lambda: 8 * 64 ** 2)
+        monkeypatch.setattr(core, "_physical_memory", lambda: 8 * 64 ** 2)
         fracops._cached_soe_operator.cache_clear()
         path, _ = write_config(tmp_path)
         assert main(["solve", str(path)]) == EXIT_NUMERICAL
@@ -300,9 +300,9 @@ class TestSolve:
             "\n[sweep]\naxis1 = lambda\naxis1_start = 0.0\n"
             "axis1_stop = 0.2\naxis1_steps = 2\n"), encoding="utf-8")
         script = ("import sys\n"
-                  "from hilferbvp import fracops\n"
+                  "from hilferbvp import core\n"
                   "from hilferbvp.cli import main\n"
-                  "fracops._physical_memory = lambda: 2 ** 40\n"
+                  "core._physical_memory = lambda: 2 ** 40\n"
                   "sys.exit(main(sys.argv[1:]))\n")
 
         def limit():
@@ -483,7 +483,7 @@ class TestSweep:
         assert statuses[2] == "ok"             # negative mu still solvable
 
     def test_mesh_too_large_cell_recorded(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(fracops, "_physical_memory", lambda: 8 * 64 ** 2)
+        monkeypatch.setattr(core, "_physical_memory", lambda: 8 * 64 ** 2)
         fracops._cached_soe_operator.cache_clear()     # as in a fresh process
         path, out = write_config(tmp_path)
         sweep = path.read_text() + (

@@ -1,9 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hilferbvp import fracops
+from hilferbvp import core
 from hilferbvp.core import (
     GradedMesh,
     HilferProblem,
@@ -62,11 +64,11 @@ class TestGradedMesh:
     def test_nodes_beyond_physical_memory_rejected(self, monkeypatch):
         # The threshold is the 8 (n+1) bytes of the nodes, checked before
         # they are allocated; without a memory figure there is no check.
-        monkeypatch.setattr(fracops, "_physical_memory", lambda: 8 * 17)
+        monkeypatch.setattr(core, "_physical_memory", lambda: 8 * 17)
         assert GradedMesh(16, 2.0).nodes.size == 17
         with pytest.raises(MeshTooLarge, match="physical memory"):
             GradedMesh(17, 2.0)
-        monkeypatch.setattr(fracops, "_physical_memory", lambda: None)
+        monkeypatch.setattr(core, "_physical_memory", lambda: None)
         assert GradedMesh(17, 2.0).nodes.size == 18
 
     @pytest.mark.parametrize("n, r, first", [
@@ -96,6 +98,31 @@ class TestGradedMesh:
         # the out-of-place (j/n)^r.
         expected = (np.arange(n + 1) / n) ** r
         assert GradedMesh(n, r).nodes.tobytes() == expected.tobytes()
+
+
+def _package_imports(path):
+    """The hilferbvp modules that the source file `path` imports, at any
+    level of its code."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(path).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level > 0:
+            modules = ([f"hilferbvp.{node.module}"] if node.module else
+                       [f"hilferbvp.{alias.name}" for alias in node.names])
+        elif isinstance(node, ast.ImportFrom):
+            modules = ([f"hilferbvp.{alias.name}" for alias in node.names]
+                       if node.module == "hilferbvp" else [node.module])
+        else:
+            continue
+        names.update(m for m in modules if m.split(".")[0] == "hilferbvp")
+    return names
+
+
+def test_core_imports_only_errors():
+    # The memory guard and its figure live in core, the lowest module that
+    # allocates, so that no module it imports can own them.
+    assert _package_imports(core.__file__) == {"hilferbvp.errors"}
 
 
 class TestWeightedGridFunction:

@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 from helpers import child_env, clear_table_store, smooth_profile
-from hilferbvp import fracops
+from hilferbvp import core, fracops
 from hilferbvp.core import GradedMesh, WeightedGridFunction
 from hilferbvp.errors import InsufficientNodes, MeshMismatch, MeshTooLarge, OutOfDomain
 from hilferbvp.fracops import (
@@ -659,7 +659,7 @@ class TestMeshTooLarge:
         # rejected before any of them is allocated: the call's traced peak
         # stays below the 16 MiB, and no cache keeps an entry.
         n, r = 10 ** 6, 8.0
-        monkeypatch.setattr(fracops, "_physical_memory", lambda: 2 ** 24)
+        monkeypatch.setattr(core, "_physical_memory", lambda: 2 ** 24)
         rule = make_rule(n, r=r)
         assert len(fracops._soe_tiers(rule.mesh.nodes)) > 1
         g = np.zeros(n + 1)
@@ -678,7 +678,7 @@ class TestMeshTooLarge:
         # The 8 MB of nodes at n = 10^6 fit in 16 MiB and the mesh is built;
         # the SOE tables do not, and are rejected before they are built.
         n, r = 10 ** 6, 2.0
-        monkeypatch.setattr(fracops, "_physical_memory", lambda: 2 ** 24)
+        monkeypatch.setattr(core, "_physical_memory", lambda: 2 ** 24)
         rule = make_rule(n, r=r)
         _clear_operator_caches()
         with pytest.raises(MeshTooLarge, match="sum-of-exponentials"):
@@ -692,7 +692,7 @@ class TestMeshTooLarge:
         own, shared = _built_nbytes(n, r, 0.5)
         need = own + shared
         assert need < 8 * (n + 1) ** 2 // 4
-        monkeypatch.setattr(fracops, "_physical_memory", lambda: need)
+        monkeypatch.setattr(core, "_physical_memory", lambda: need)
         _clear_operator_caches()
         try:
             rl_integral(0.5, np.zeros(n + 1), make_rule(n, r=r))
@@ -702,7 +702,7 @@ class TestMeshTooLarge:
             m = n + fracops._SOE_BLOCK
             with pytest.raises(MeshTooLarge):
                 rl_integral(0.5, np.zeros(m + 1), make_rule(m, r=r))
-            monkeypatch.setattr(fracops, "_physical_memory", lambda: need - 1)
+            monkeypatch.setattr(core, "_physical_memory", lambda: need - 1)
             with pytest.raises(MeshTooLarge):
                 rl_integral(0.5, np.zeros(n + 1), make_rule(n, r=r))
             assert _operator_cache_sizes() == (0, 0, 0)
@@ -716,11 +716,11 @@ class TestMeshTooLarge:
         _clear_operator_caches()
         try:
             rl_integral(0.5, np.zeros(n + 1), make_rule(n, r=r))
-            monkeypatch.setattr(fracops, "_physical_memory", lambda: own - 1)
+            monkeypatch.setattr(core, "_physical_memory", lambda: own - 1)
             with pytest.raises(MeshTooLarge):
                 rl_integral(0.25, np.zeros(n + 1), make_rule(n, r=r))
             assert _operator_cache_sizes() == (0, 1, 1)
-            monkeypatch.setattr(fracops, "_physical_memory", lambda: own)
+            monkeypatch.setattr(core, "_physical_memory", lambda: own)
             rl_integral(0.25, np.zeros(n + 1), make_rule(n, r=r))
             assert _operator_cache_sizes() == (0, 2, 1)
         finally:
@@ -736,14 +736,14 @@ class TestMeshTooLarge:
         own, shared = _built_nbytes(n, r, 0.5)
         need = own + shared
         assert need == 8 * sum(16 * (16 * (g + 1) + 1) for g in range(4)) == 20992
-        monkeypatch.setattr(fracops, "_physical_memory", lambda: need)
+        monkeypatch.setattr(core, "_physical_memory", lambda: need)
         _clear_operator_caches()
         try:
             for order in (0.5, 1.5):
                 rl_integral(order, np.zeros(n + 1), make_rule(n, r=r))
             # The guard runs on a cache miss, when the tables are built.
             _clear_operator_caches()
-            monkeypatch.setattr(fracops, "_physical_memory", lambda: need - 1)
+            monkeypatch.setattr(core, "_physical_memory", lambda: need - 1)
             with pytest.raises(MeshTooLarge):
                 rl_integral(0.5, np.zeros(n + 1), make_rule(n, r=r))
             with pytest.raises(MeshTooLarge):
@@ -764,15 +764,15 @@ class TestMeshTooLarge:
         rule = make_rule(n, r=r)
         _clear_operator_caches()
         try:
-            monkeypatch.setattr(fracops, "_physical_memory", lambda: own + shared - 1)
+            monkeypatch.setattr(core, "_physical_memory", lambda: own + shared - 1)
             with pytest.raises(MeshTooLarge):
                 rl_integral(0.5, np.zeros(n + 1), rule)
-            monkeypatch.setattr(fracops, "_physical_memory", lambda: own + shared)
+            monkeypatch.setattr(core, "_physical_memory", lambda: own + shared)
             rl_integral(0.5, np.zeros(n + 1), rule)
-            monkeypatch.setattr(fracops, "_physical_memory", lambda: later - 1)
+            monkeypatch.setattr(core, "_physical_memory", lambda: later - 1)
             with pytest.raises(MeshTooLarge):
                 rl_integral(0.25, np.zeros(n + 1), rule)
-            monkeypatch.setattr(fracops, "_physical_memory", lambda: later)
+            monkeypatch.setattr(core, "_physical_memory", lambda: later)
             rl_integral(0.25, np.zeros(n + 1), rule)
             assert _operator_cache_sizes() == (0, 2, 1)
         finally:
@@ -794,9 +794,9 @@ class TestMeshTooLarge:
         def unavailable(name):
             raise ValueError(name)
 
-        monkeypatch.setattr(fracops.os, "sysconf", unavailable)
-        assert fracops._physical_memory.__wrapped__() is None
-        monkeypatch.setattr(fracops, "_physical_memory", lambda: None)
+        monkeypatch.setattr(core.os, "sysconf", unavailable)
+        assert core._physical_memory.__wrapped__() is None
+        monkeypatch.setattr(core, "_physical_memory", lambda: None)
         rl_integral(0.5, np.zeros(17), make_rule(16))
 
 

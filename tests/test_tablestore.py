@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import child_env, minor_faults
-from hilferbvp import fracops, tablestore
+from hilferbvp import core, fracops, tablestore
 from hilferbvp.cli import main
 from hilferbvp.core import GradedMesh
 from hilferbvp.errors import MeshTooLarge
@@ -397,11 +397,11 @@ class TestMemory:
 
         monkeypatch.setattr(tablestore, "load", recording)
         monkeypatch.setattr(fracops, "_soe_operator", _forbidden)
-        monkeypatch.setattr(fracops, "_physical_memory", lambda: need - 1)
+        monkeypatch.setattr(core, "_physical_memory", lambda: need - 1)
         with pytest.raises(MeshTooLarge, match="physical memory"):
             fracops._cached_soe_operator(n, r, 0.5)
         assert loads == []
-        monkeypatch.setattr(fracops, "_physical_memory", lambda: need)
+        monkeypatch.setattr(core, "_physical_memory", lambda: need)
         fracops._cached_soe_operator(n, r, 0.5)
         assert len(loads) == 2
 
