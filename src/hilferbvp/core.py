@@ -41,22 +41,18 @@ def _physical_memory() -> Optional[int]:
 
 @contextmanager
 def _memory_guard(need: int, what: str):
-    """Guard the allocation of the `need` bytes of `what` (say "nodes of a
-    mesh with 8 intervals") that the block allocates: raise MeshTooLarge
-    before the block runs when they exceed physical memory, and when the
-    block raises MemoryError."""
+    """Raise MeshTooLarge before the block runs when the `need` bytes of
+    `what` it allocates (say "nodes of a mesh with 8 intervals") exceed
+    physical memory, and when the block raises MemoryError."""
     have = _physical_memory()
     if have is not None and need > have:
-        raise MeshTooLarge(
-            f"the {what} need {need / 2**30:.3g} GiB, more than the "
-            f"{have / 2**30:.3g} GiB of physical memory"
-        )
+        raise MeshTooLarge(f"the {what} need {need / 2**30:.3g} GiB, more than "
+                           f"the {have / 2**30:.3g} GiB of physical memory")
     try:
         yield
     except MemoryError:
-        raise MeshTooLarge(
-            f"the {need / 2**30:.3g} GiB of {what} could not be allocated"
-        ) from None
+        raise MeshTooLarge(f"the {need / 2**30:.3g} GiB of {what} could not be "
+                           f"allocated") from None
 
 
 def default_grading(gamma: float) -> float:

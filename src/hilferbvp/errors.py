@@ -37,7 +37,8 @@ class NonFiniteIterate(HilferBvpError):
 
 
 class MeshTooLarge(HilferBvpError):
-    """The integral operator on the requested mesh would not fit in physical memory."""
+    """An array of the requested mesh or its operator would not fit in
+    physical memory, or could not be allocated (see core._memory_guard)."""
 
 
 class NonFiniteResidual(HilferBvpError):

@@ -83,7 +83,7 @@ def _binomial_sums(p: float, x: np.ndarray):
     return s_lo, s_hi
 
 
-def _hat_moments(p: float, d: np.ndarray):
+def _hat_moments(p: float, d: np.ndarray, widths: Optional[np.ndarray] = None):
     """Moments of u^p over [ub, ua] against the two hat factors:
 
         lo = integral u^p (u - ub) du,   hi = integral u^p (ua - u) du,
@@ -97,7 +97,9 @@ def _hat_moments(p: float, d: np.ndarray):
     The formulas run on the flattened d, each power once per entry; the
     neighbours across the end of the last axis form no interval, and their
     entries are zeroed.  Far-field intervals (ua - ub << ua) then take a
-    series in x = 1 - ub/ua instead, which avoids their cancellation.
+    series in x = (ua - ub)/ua instead, which avoids their cancellation.
+    The series takes the widths ua - ub from `widths`, where given for a
+    1-D d, instead of their rounded differences in d.
     """
     # Buffers are reused and freed early: the scratch stays near four
     # arrays of d's size, which bounds the table builders' memory.
@@ -119,6 +121,8 @@ def _hat_moments(p: float, d: np.ndarray):
     m0 *= ua
     np.subtract(m0, m1, out=hi[:-1])
     x = np.subtract(ua, ub, out=m0)
+    if widths is not None:
+        x[:] = widths
     with np.errstate(divide="ignore", invalid="ignore"):
         x /= ua
         far = x < _FAR_FIELD
@@ -131,7 +135,7 @@ def _hat_moments(p: float, d: np.ndarray):
         del x
         a = ua[far]
         base = a ** p
-        a -= ub[far]
+        a = a - ub[far] if widths is None else widths[far]
         base *= a * a
         del a
         s_lo *= base
@@ -525,8 +529,7 @@ def _soe_modes(nodes: np.ndarray) -> _SoeModes:
     k = tiers[0][2] if tiers else 0
     x = np.exp(np.arange(1, k + 1) * _SOE_STEP)
     built = [_history_tables(nodes, x[:kt], c0, c1) for c0, c1, kt in tiers]
-    modes = _SoeModes(x, tuple(tiers), tuple(g for g, _ in built),
-                      tuple(s for _, s in built))
+    modes = _SoeModes.from_tables(tiers, [x, *(g for g, _ in built), *(s for _, s in built)])
     for table in modes.tables():
         table.setflags(write=False)
     return modes
@@ -760,7 +763,8 @@ def _pl_kernel_weights(nodes: np.ndarray, p: float, side: str) -> np.ndarray:
         v[1:] += lo[-2::-1] / h
     else:
         # u = 1 - s: (t_{j+1} - s) is (u - ub), (s - t_j) is (ua - u).
-        lo, hi = _hat_moments(p, 1.0 - t)
+        # Below t ~ 1e-16, 1 - t rounds to 1, so the widths are h.
+        lo, hi = _hat_moments(p, 1.0 - t, h)
         v[:-1] += lo[:-1] / h
         v[1:] += hi[:-1] / h
     v.setflags(write=False)

@@ -382,6 +382,30 @@ class TestEndpointKernels:
             oracle, _ = quad(lambda s: (1.0 - s) ** alpha / alpha, 0.0, 1.0)
             assert ours == pytest.approx(oracle / math.gamma(alpha), rel=1e-10)
 
+    def test_boundary_weights_on_nodes_where_one_minus_t_rounds(self):
+        # gamma = 0.287 grades n = 4096 with r = 6.97: t_1 = 6.8e-26, and
+        # 1 - t rounds to 1 up to node 19.  Each weight integrates (1-s)^p
+        # against the hat of node j; with s = a + h v on an interval
+        # [a, a + h] that is h (1-a)^p times a 2F1 in x = h/(1-a).
+        p = 0.274
+        t = GradedMesh(4096, 2.0 / 0.287068).nodes
+        ours = fracops._pl_kernel_weights(t, p, "right")
+        assert np.sum(1.0 - t == 1.0) == 20
+        with mpmath.workdps(40):
+            q = mpmath.mpf(p)
+
+            def hat(j, side):
+                a = mpmath.mpf(t[j])
+                h = mpmath.mpf(t[j + 1]) - a
+                x = h / (1 - a)
+                rising = mpmath.hyp2f1(-q, 2, 3, x) / 2
+                return h * (1 - a) ** q * (rising if side else
+                                           mpmath.hyp2f1(-q, 1, 2, x) - rising)
+
+            for j in range(1, 401):
+                exact = hat(j - 1, True) + hat(j, False)
+                assert abs(ours[j] - exact) <= 1e-15 * exact, j
+
     def test_physical_integral_against_quad(self):
         mesh = GradedMesh(8, 2.0)
         t = mesh.nodes
@@ -399,13 +423,14 @@ class TestEndpointKernels:
 
 # Unblocked full-square assembly, kept verbatim as the reference the blocked
 # lower-triangle assembly must reproduce bit for bit.
-def _ref_hat_moments(p, ua, ub):
+def _ref_hat_moments(p, ua, ub, width=None):
     p1, p2 = p + 1.0, p + 2.0
     m0 = (ua ** p1 - ub ** p1) / p1
     m1 = (ua ** p2 - ub ** p2) / p2
     lo = m1 - ub * m0
     hi = ua * m0 - m1
-    width = ua - ub
+    if width is None:
+        width = ua - ub
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.where(ua > 0.0, width / ua, 0.0)
     far = (ub > 0.0) & (x < 1e-2)
@@ -573,7 +598,9 @@ class TestBlockedAssembly:
                 left = np.zeros(t.size)
                 left[:-1] += hi / h
                 left[1:] += lo / h
-                lo, hi = _ref_hat_moments(p, 1.0 - t[:-1], 1.0 - t[1:])
+                # The right side's far-field series takes the widths h, not
+                # (1 - t_j) - (1 - t_{j+1}), which rounds to 0 below 1e-16.
+                lo, hi = _ref_hat_moments(p, 1.0 - t[:-1], 1.0 - t[1:], h)
                 right = np.zeros(t.size)
                 right[:-1] += lo / h
                 right[1:] += hi / h
