@@ -135,7 +135,7 @@ def _hat_moments(p: float, d: np.ndarray, widths: Optional[np.ndarray] = None):
         del x
         a = ua[far]
         base = a ** p
-        a = a - ub[far] if widths is None else widths[far]
+        a = np.subtract(a, ub[far], out=a) if widths is None else widths[far]
         base *= a * a
         del a
         s_lo *= base

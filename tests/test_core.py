@@ -100,29 +100,19 @@ class TestGradedMesh:
         assert GradedMesh(n, r).nodes.tobytes() == expected.tobytes()
 
 
-def _package_imports(path):
-    """The hilferbvp modules that the source file `path` imports, at any
-    level of its code."""
-    names = set()
-    for node in ast.walk(ast.parse(Path(path).read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level > 0:
-            modules = ([f"hilferbvp.{node.module}"] if node.module else
-                       [f"hilferbvp.{alias.name}" for alias in node.names])
-        elif isinstance(node, ast.ImportFrom):
-            modules = ([f"hilferbvp.{alias.name}" for alias in node.names]
-                       if node.module == "hilferbvp" else [node.module])
-        else:
-            continue
-        names.update(m for m in modules if m.split(".")[0] == "hilferbvp")
-    return names
-
-
 def test_core_imports_only_errors():
     # The memory guard and its figure live in core, the lowest module that
-    # allocates, so that no module it imports can own them.
-    assert _package_imports(core.__file__) == {"hilferbvp.errors"}
+    # allocates, so that no module it imports can own them.  Imports inside
+    # functions count too.
+    imported = set()
+    for node in ast.walk(ast.parse(Path(core.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            base = "hilferbvp." * (node.level > 0) + (node.module or "")
+            imported.update([base] if node.module else
+                            [base + alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert {m for m in imported if m.split(".")[0] == "hilferbvp"} == {"hilferbvp.errors"}
 
 
 class TestWeightedGridFunction:
